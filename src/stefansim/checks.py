@@ -19,22 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (
-    ExponentialSource,
-    FluxFeedbackSource,
-    NoSource,
-    SimilaritySource,
-)
+from .model import ExponentialSource, SimilaritySource
 from .numerics import DEFAULT_TOL, Tolerance
 from .oracle import OracleConfig, run_oracle_for
-from .similarity import (
-    SimilaritySolution,
-    _vectorized_beta,
-    lambda_equation_exponential,
-    phi_map,
-    solve_lambda,
-    solve_lambda_source1,
-)
+from .similarity import SimilaritySolution, phi_map, solve_lambda, source_model
 
 LAMBDA_RESIDUAL_TOL = 1e-8
 FIXED_FACE_VALUE_TOL = 1e-10
@@ -103,17 +91,6 @@ def front_slope_check(sol: SimilaritySolution) -> CheckResult:
     return _result("front_slope", abs(slope - target) / abs(target), FRONT_SLOPE_REL_TOL)
 
 
-def _ode_rhs(sol: SimilaritySolution, etas: np.ndarray) -> np.ndarray:
-    src = sol.source
-    if isinstance(src, NoSource):
-        return np.zeros_like(etas)
-    if isinstance(src, (ExponentialSource, SimilaritySource)):
-        beta = _vectorized_beta(src.beta)
-        return (4.0 / sol.dimensionless.ste) * beta(etas)
-    assert isinstance(src, FluxFeedbackSource)
-    return np.full_like(etas, sol.dimensionless.feedback * sol.y_prime0)
-
-
 def ode_residual_check(sol: SimilaritySolution, n_nodes: int = 200) -> CheckResult:
     """Max-norm residual of the reduced second-order ODE.
 
@@ -143,7 +120,7 @@ def ode_residual_check(sol: SimilaritySolution, n_nodes: int = 200) -> CheckResu
         2.0 * etas * factor * d1
         + delta * p * y ** (p - 1.0) * d1 * d1
         + factor * d2
-        - _ode_rhs(sol, etas)
+        - sol.model.ode_rhs(etas, sol.y_prime0)
     )
     return _result("ode_residual", float(np.max(np.abs(residual))), ODE_RESIDUAL_TOL)
 
@@ -180,8 +157,9 @@ def closed_form_agreement_check(
         return None
     groups = sol.dimensionless
     delta, p = sol.psi.delta, sol.psi.p
-    lam_closed = solve_lambda(lambda_equation_exponential(groups.ste, delta, p), tol)
-    lam_quad = solve_lambda_source1(groups.ste, delta, p, sol.source.beta, tol)
+    lam_closed = solve_lambda(sol.model.equation, tol)
+    quadrature = source_model(SimilaritySource(sol.source.beta), groups.ste, delta, p)
+    lam_quad = solve_lambda(quadrature.equation, tol)
     return _result(
         "closed_form_vs_quadrature", abs(lam_closed - lam_quad), CLOSED_FORM_AGREEMENT_TOL
     )

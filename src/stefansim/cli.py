@@ -37,12 +37,6 @@ import numpy as np
 from .checks import run_checks
 from .config import RunConfig, load_config, reduced_problem
 from .errors import ConfigError, InvalidInput, StefanError
-from .model import (
-    ExponentialSource,
-    FluxFeedbackSource,
-    NoSource,
-    SimilaritySource,
-)
 from .reconstruct import front_position, similarity_coordinate
 from .similarity import SimilaritySolution, solve_problem
 
@@ -62,17 +56,6 @@ def _out_path(cfg: RunConfig, args: argparse.Namespace, filename: str) -> str:
     out_dir = args.out or cfg.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, filename)
-
-
-def _source_kind(source) -> str:
-    if isinstance(source, NoSource):
-        return "none"
-    if isinstance(source, ExponentialSource):
-        return "exponential"
-    if isinstance(source, FluxFeedbackSource):
-        return "feedback"
-    assert isinstance(source, SimilaritySource)
-    return "custom"
 
 
 def _solve_from_config(cfg: RunConfig) -> SimilaritySolution:
@@ -95,7 +78,7 @@ def _summary_row(sol: SimilaritySolution) -> tuple[list[str], list[str]]:
         "lam", "y_prime0", "lambda_residual", "front_value_defect",
     ]
     row = [
-        _source_kind(sol.source),
+        sol.source.kind,
         _fmt(groups.ste),
         _fmt(sol.material.delta),
         _fmt(sol.material.p),
@@ -193,7 +176,7 @@ def _sweep_case(case: tuple) -> tuple[str, str, str, str]:
             "ok",
         )
     except StefanError as exc:
-        return ("nan", "nan", "nan", f"error: {type(exc).__name__}")
+        return ("nan", "nan", "nan", f"error: {type(exc).__name__}: {exc}")
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:

@@ -21,8 +21,8 @@ parameter may omit its base value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, fields
+from typing import Optional
 
 from .errors import ConfigError
 from .model import (
@@ -70,7 +70,13 @@ _STRING_KEYS = {"source.kind", "output.dir"}
 _LIST_KEYS = {"sweep.ste", "sweep.delta", "sweep.p", "sweep.feedback"}
 _KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STRING_KEYS | _LIST_KEYS
 
-_SOURCE_KINDS = ("none", "exponential", "feedback")
+# Source kinds a config may name.  Only the flux-feedback spec has a
+# parameter: lambda0, or the coupling source.feedback in reduced form.
+_SOURCE_KINDS = {cls.kind: cls for cls in (NoSource, ExponentialSource, FluxFeedbackSource)}
+
+
+def _takes_feedback(kind: str) -> bool:
+    return bool(fields(_SOURCE_KINDS[kind]))
 
 
 @dataclass(frozen=True)
@@ -211,16 +217,12 @@ def reduced_problem(
         rho=1.0, c0=1.0, k0=1.0, latent_heat=1.0 / ste, delta=delta, p=p
     )
     boundary = BoundaryData(theta0=1.0, theta_f=0.0)
-    source: SourceSpec
-    if kind == "none":
-        source = NoSource()
-    elif kind == "exponential":
-        source = ExponentialSource()
-    else:
-        if feedback is None:
-            raise ConfigError("source.kind = feedback requires source.feedback")
-        source = FluxFeedbackSource(lambda0=feedback / 2.0)
-    return material, boundary, source
+    spec = _SOURCE_KINDS[kind]
+    if not _takes_feedback(kind):
+        return material, boundary, spec()
+    if feedback is None:
+        raise ConfigError("source.kind = feedback requires source.feedback")
+    return material, boundary, spec(lambda0=feedback / 2.0)
 
 
 def build_run_config(raw: dict[str, str]) -> RunConfig:
@@ -246,7 +248,8 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
             sweep[key.split(".", 1)[1]] = sorted(values)
     if sweep and not dimensionless:
         raise ConfigError("sweep.* keys require problem.dimensionless = true")
-    if "feedback" in sweep and kind != "feedback":
+    takes_feedback = _takes_feedback(kind)
+    if "feedback" in sweep and not takes_feedback:
         raise ConfigError("sweep.feedback requires source.kind = feedback")
 
     if dimensionless:
@@ -263,11 +266,11 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
             ("feedback", "source.feedback"),
         ):
             value = _get_float(raw, key)
-            required = name != "feedback" or kind == "feedback"
+            required = name != "feedback" or takes_feedback
             if value is None and required and name not in sweep:
                 raise ConfigError(f"missing required config key {key!r}")
             base[name] = value
-        if kind != "feedback" and base["feedback"] is not None:
+        if not takes_feedback and base["feedback"] is not None:
             raise ConfigError("source.feedback requires source.kind = feedback")
         reduced = DimensionlessProblem(
             ste=base["ste"], delta=base["delta"], p=base["p"],
@@ -276,7 +279,7 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
         complete = all(
             getattr(reduced, name) is not None
             for name in ("ste", "delta", "p")
-        ) and (kind != "feedback" or reduced.feedback is not None)
+        ) and (not takes_feedback or reduced.feedback is not None)
         if complete:
             material, boundary, source = reduced_problem(
                 reduced.ste, reduced.delta, reduced.p, kind, reduced.feedback
@@ -299,16 +302,12 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
             theta0=_require(raw, "boundary.theta0"),
             theta_f=_require(raw, "boundary.theta_f"),
         )
-        if kind == "none":
-            source = NoSource()
-            if "source.lambda0" in raw:
-                raise ConfigError("source.lambda0 requires source.kind = feedback")
-        elif kind == "exponential":
-            source = ExponentialSource()
-            if "source.lambda0" in raw:
-                raise ConfigError("source.lambda0 requires source.kind = feedback")
+        if takes_feedback:
+            source = _SOURCE_KINDS[kind](lambda0=_require(raw, "source.lambda0"))
+        elif "source.lambda0" in raw:
+            raise ConfigError("source.lambda0 requires source.kind = feedback")
         else:
-            source = FluxFeedbackSource(lambda0=_require(raw, "source.lambda0"))
+            source = _SOURCE_KINDS[kind]()
         reduced = None
 
     def _given(value, default):

@@ -31,10 +31,15 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 
-import numpy as np
-
+from .model import SimilaritySource
 from .numerics import SQRT_PI, Tolerance, DEFAULT_TOL
-from .similarity import LambdaEquation, PsiProfile, _psi_source1, solve_lambda
+from .similarity import LambdaEquation, PsiProfile, _SimilarityModel, solve_lambda
+
+
+class _FrontTermFlipped(_SimilarityModel):
+    """The similarity-source model with the sign of lam e^{lam^2} flipped."""
+
+    front_term_sign = -1.0
 
 
 def variant_psi_front_term_flipped(
@@ -47,7 +52,7 @@ def variant_psi_front_term_flipped(
     [0, Phi(1)]; invert with clamping (or inspect Psi directly) when
     demonstrating the violation.
     """
-    return _psi_source1(lam, ste, delta, p, beta, front_term_sign=-1.0)
+    return _FrontTermFlipped(SimilaritySource(beta), ste, delta, p).psi(lam)
 
 
 def variant_lambda_equation_exponential(

@@ -12,7 +12,8 @@ supported: no source, a bulk source prescribed in similarity form
 H = (rho * latent_heat / t) * beta(x / (2 a sqrt(t))), the exponential
 special case beta(eta) = exp(-eta^2) / 2 of that family, and a source
 proportional to the instantaneous heat flux at the fixed face,
-H = (lambda0 / sqrt(t)) * dtheta/dx(0, t).
+H = (lambda0 / sqrt(t)) * dtheta/dx(0, t).  Each source spec carries its
+kind, the label that config files and CSV output use for it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -88,6 +89,8 @@ class BoundaryData:
 class NoSource:
     """No internal heat source."""
 
+    kind: ClassVar[str] = "none"
+
 
 @dataclass(frozen=True)
 class SimilaritySource:
@@ -100,6 +103,7 @@ class SimilaritySource:
     transparently where needed.
     """
 
+    kind: ClassVar[str] = "custom"
     beta: Callable
 
 
@@ -110,6 +114,8 @@ class ExponentialSource:
     Kept as its own variant because every integral it induces has a closed
     form, which the solver uses instead of quadrature.
     """
+
+    kind: ClassVar[str] = "exponential"
 
     @staticmethod
     def beta(eta):
@@ -125,6 +131,7 @@ class FluxFeedbackSource:
     flux entering at the fixed face.
     """
 
+    kind: ClassVar[str] = "feedback"
     lambda0: float
 
     def __post_init__(self) -> None:

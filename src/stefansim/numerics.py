@@ -1,4 +1,4 @@
-"""Low-level numerical kernels: quadrature, root finding, monotone inversion.
+"""Low-level numerical kernels: quadrature and root finding.
 
 The routines here are deliberately self-contained and conservative.  The
 adaptive integrator uses an embedded Gauss-Kronrod 7/15 pair: the 15-point
@@ -8,12 +8,10 @@ and therefore errs on the side of extra subdivision.  Subdivision is
 breadth-first over numpy arrays of active panels, so integrands are always
 evaluated on batches of nodes rather than one scalar at a time.
 
-Root finding and inversion work only on (strictly) increasing functions,
-which is all the similarity layer ever needs: every transcendental equation
-in this problem family has a monotone left-hand side.  Bisection is used
-for root finding because its bracket is a proof; Newton is used for
-inversion because the derivative is cheap there, but every Newton step is
-clipped to a sign-change bracket so it cannot escape.
+Root finding works only on (strictly) increasing functions, which is all
+the similarity layer ever needs: every transcendental equation in this
+problem family has a monotone left-hand side.  Bisection is used because
+its bracket is a proof.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from .errors import (
     MaxSubdivisionsExceeded,
     NonConvergence,
     NotBracketed,
-    OutOfRange,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -402,71 +399,4 @@ def find_root_increasing(
         x = mid
     raise NonConvergence(
         f"find_root_increasing: no root to tolerance within {tol.max_iter} bisections"
-    )
-
-
-def invert_increasing(
-    fun: Callable[[float], float],
-    fun_deriv: Callable[[float], float],
-    w: float,
-    domain: Bracket,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """Invert a strictly increasing differentiable function on a domain.
-
-    Newton iteration safeguarded by a sign-change bracket: steps that
-    would leave the current bracket are replaced by its midpoint, so the
-    iteration inherits bisection's robustness while keeping Newton's
-    local quadratic convergence.
-
-    Args:
-        fun: Strictly increasing function on [domain.lo, domain.hi].
-        fun_deriv: Its derivative (positive on the open domain).
-        w: Value to invert.  Must lie within [fun(lo), fun(hi)] up to
-            abs_tol slack; slack-range values clamp to the endpoint.
-        domain: Domain bracket.
-        tol: Stopping criterion |fun(x) - w| <= abs_tol within max_iter.
-
-    Returns:
-        x with fun(x) = w to within abs_tol.
-
-    Raises:
-        OutOfRange: w lies outside [fun(lo), fun(hi)] by more than abs_tol.
-        NonConvergence: Iteration budget exhausted.
-    """
-    lo, hi = domain.lo, domain.hi
-    flo = fun(lo)
-    fhi = fun(hi)
-    if w < flo:
-        if flo - w <= tol.abs_tol:
-            return lo
-        raise OutOfRange(f"value {w:.6e} below range minimum {flo:.6e}")
-    if w > fhi:
-        if w - fhi <= tol.abs_tol:
-            return hi
-        raise OutOfRange(f"value {w:.6e} above range maximum {fhi:.6e}")
-    if fhi == flo:
-        return lo
-    x = lo + (hi - lo) * (w - flo) / (fhi - flo)
-    x = min(max(x, lo), hi)
-    for _ in range(tol.max_iter):
-        fx = fun(x)
-        if abs(fx - w) <= tol.abs_tol:
-            return x
-        if fx > w:
-            hi = x
-        else:
-            lo = x
-        d = fun_deriv(x)
-        step_ok = d > 0.0 and math.isfinite(d)
-        if step_ok:
-            x_new = x - (fx - w) / d
-            step_ok = lo < x_new < hi
-        if not step_ok:
-            x_new = 0.5 * (lo + hi)
-        if x_new == x:
-            return x
-        x = x_new
-    raise NonConvergence(
-        f"invert_increasing: residual above {tol.abs_tol:.3e} after {tol.max_iter} iterations"
     )

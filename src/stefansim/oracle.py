@@ -35,18 +35,10 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import FrontCollapse, InvalidInput, MismatchedProblem, NonConvergence
-from .model import (
-    BoundaryData,
-    ExponentialSource,
-    FluxFeedbackSource,
-    Material,
-    NoSource,
-    SimilaritySource,
-    SourceSpec,
-)
+from .model import BoundaryData, Material, SourceSpec, dimensionless_groups
 from .numerics import DEFAULT_TOL, Tolerance
 from .reconstruct import front_position, temperature
-from .similarity import SimilaritySolution, _vectorized_beta, solve_problem
+from .similarity import SimilaritySolution, solve_problem, source_model
 
 
 @dataclass(frozen=True)
@@ -140,11 +132,8 @@ class _Stepper:
         self.h = self.xi[1] - self.xi[0]
         self.span = boundary.theta0 - boundary.theta_f
         self.a = math.sqrt(material.k0 / (material.rho * material.c0))
-        self.source = source
-        if isinstance(source, (SimilaritySource, ExponentialSource)):
-            self._beta = _vectorized_beta(source.beta)
-        else:
-            self._beta = None
+        groups = dimensionless_groups(material, boundary, source)
+        self.model = source_model(source, groups.ste, material.delta, material.p, groups.feedback)
 
     def _coeff_factor(self, u: np.ndarray) -> np.ndarray:
         """1 + delta y^p with y clipped to [0, 1]; shared by k and c."""
@@ -153,14 +142,8 @@ class _Stepper:
 
     def _source_interior(self, u: np.ndarray, s: float, t: float) -> np.ndarray:
         """H at the interior nodes, from the discrete state only."""
-        src = self.source
-        if isinstance(src, NoSource):
-            return np.zeros(self.n - 2)
-        if self._beta is not None:
-            eta = self.xi[1:-1] * s / (2.0 * self.a * math.sqrt(t))
-            return (self.mat.rho * self.mat.latent_heat / t) * self._beta(eta)
-        grad = _face_gradient(u, self.h) / s
-        return np.full(self.n - 2, src.lambda0 / math.sqrt(t) * grad)
+        eta = self.xi[1:-1] * s / (2.0 * self.a * math.sqrt(t))
+        return self.model.heat_source(self.mat, eta, t, _face_gradient(u, self.h) / s)
 
     def _spatial_operator(self, u: np.ndarray, s: float, sdot: float, t: float) -> np.ndarray:
         """c rho xi (s'/s) u_xi + (1/s^2)(k u_xi)_xi - H at interior nodes."""

@@ -10,32 +10,16 @@ and the source field each model induces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput, OutOfDomain
-from .model import ExponentialSource, FluxFeedbackSource, NoSource, SimilaritySource
-from .similarity import SimilaritySolution, _vectorized_beta
+from .similarity import SimilaritySolution
 
 # Queries may overshoot the front by this relative margin before being
 # rejected; overshoots inside the margin report the phase-change
 # temperature, since they come from rounding in callers' front arithmetic.
 FRONT_DOMAIN_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class PhysicalQuery:
-    """A space-time query point with x >= 0 and t > 0."""
-
-    x: float
-    t: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and self.x >= 0.0):
-            raise InvalidInput(f"query position must be finite and >= 0, got {self.x!r}")
-        if not (math.isfinite(self.t) and self.t > 0.0):
-            raise InvalidInput(f"query time must be finite and > 0, got {self.t!r}")
 
 
 def front_position(sol: SimilaritySolution, t) -> float:
@@ -92,11 +76,6 @@ def temperature(sol: SimilaritySolution, x, t: float, exact: bool = False):
     return float(out) if np.isscalar(x) else out
 
 
-def temperature_at(sol: SimilaritySolution, query: PhysicalQuery, exact: bool = False) -> float:
-    """Temperature at a PhysicalQuery point."""
-    return temperature(sol, query.x, query.t, exact=exact)
-
-
 def fixed_face_flux(sol: SimilaritySolution, t) -> float:
     """Temperature gradient dtheta/dx at the fixed face x = 0 (negative).
 
@@ -123,15 +102,6 @@ def source_field(sol: SimilaritySolution, x, t: float):
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0):
         raise OutOfDomain("source_field query at x < 0")
-    src = sol.source
-    if isinstance(src, NoSource):
-        out = np.zeros_like(xa)
-    elif isinstance(src, (SimilaritySource, ExponentialSource)):
-        beta_v = _vectorized_beta(src.beta)
-        eta = np.asarray(similarity_coordinate(sol, xa, t), dtype=float)
-        out = (sol.material.rho * sol.material.latent_heat / t) * beta_v(eta)
-    elif isinstance(src, FluxFeedbackSource):
-        out = np.full_like(xa, src.lambda0 / math.sqrt(t) * fixed_face_flux(sol, t))
-    else:
-        raise InvalidInput(f"unknown source spec {src!r}")
+    eta = np.asarray(similarity_coordinate(sol, xa, t), dtype=float)
+    out = sol.model.heat_source(sol.material, eta, t, fixed_face_flux(sol, t))
     return float(out) if np.isscalar(x) else out

@@ -36,6 +36,9 @@ beta(eta) = e^{-eta^2}/2 every integral collapses:
 Each reduced equation has a strictly increasing left-hand side, so lam is
 the unique root and bracketed bisection is a proof of existence in the
 computed interval.
+
+The per-source formulas live on one SourceModel subclass per source kind;
+source_model is the only place that maps a source spec to its formulas.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -140,15 +142,37 @@ def phi_inverse_quadratic(delta: float, w):
     return float(out) if np.isscalar(w) else out
 
 
+def _phi_inverse_newton(delta: float, p: float, w: np.ndarray) -> np.ndarray:
+    """Generic Phi^{-1} for w in [0, Phi(1)], any p > 0.
+
+    Newton from above: Phi is convex, so starting at min(w, 1) >= root
+    gives monotone, globally convergent iterates.  _phi_inverse_many uses
+    it for p != 1; at p = 1 it is the independent check on the quadratic
+    closed form.
+    """
+    c = delta / (p + 1.0)
+    top = 1.0 + c
+    x = np.minimum(w, 1.0)
+    for _ in range(100):
+        xp = x**p
+        f = x * (1.0 + c * xp) - w
+        if not np.any(np.abs(f) > 1e-14 * top):
+            return x
+        x = x - f / (1.0 + delta * xp)
+        np.clip(x, 0.0, 1.0, out=x)
+    raise NonConvergence("phi inverse Newton did not reach tolerance in 100 sweeps")
+
+
 def _phi_inverse_many(delta: float, p: float, w: np.ndarray, clamp: bool) -> np.ndarray:
     """Vectorized Phi^{-1} on [0, Phi(1)].
 
     With clamp=True, values within PSI_CLAMP_SLACK of the range boundary
-    clamp to it and values further out raise OutOfRange.  With clamp=False
-    the inverse is extended linearly beyond both ends (slope 1/Phi'(0) = 1
-    below, 1/Phi'(1) above), which finite-difference checks at the front
-    rely on: the extension keeps the composed profile smooth across the
-    tiny negative Psi values a rounded root residual can produce.
+    clamp to it, values further out raise OutOfRange and the result lies
+    in [0, 1].  With clamp=False the inverse is extended linearly beyond
+    both ends (slope 1/Phi'(0) = 1 below, 1/Phi'(1) above), which
+    finite-difference checks at the front rely on: the extension keeps
+    the composed profile smooth across the tiny negative Psi values a
+    rounded root residual can produce.
     """
     top = 1.0 + delta / (p + 1.0)
     w = np.asarray(w, dtype=float)
@@ -170,50 +194,12 @@ def _phi_inverse_many(delta: float, p: float, w: np.ndarray, clamp: bool) -> np.
     wm = w[mid]
     if p == 1.0:
         out[mid] = 2.0 * wm / (1.0 + np.sqrt(1.0 + 2.0 * delta * wm))
-        return out
-    # Newton from above: Phi is convex, so starting at min(w, 1) >= root
-    # gives monotone, globally convergent iterates.
-    c = delta / (p + 1.0)
-    x = np.minimum(wm, 1.0)
-    for _ in range(100):
-        xp = x**p
-        f = x * (1.0 + c * xp) - wm
-        if not np.any(np.abs(f) > 1e-14 * top):
-            break
-        x = x - f / (1.0 + delta * xp)
-        np.clip(x, 0.0, 1.0, out=x)
     else:
-        raise NonConvergence("phi inverse Newton did not reach tolerance in 100 sweeps")
-    out[mid] = x
+        out[mid] = _phi_inverse_newton(delta, p, wm)
+    if clamp:
+        # The quadratic form can round Phi^{-1}(Phi(1)) to 1 + 2^-52.
+        np.clip(out, 0.0, 1.0, out=out)
     return out
-
-
-def phi_inverse(delta: float, p: float, w: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Generic Phi^{-1}(w) on [0, 1] via safeguarded Newton.
-
-    Args:
-        delta: Coefficient amplitude, > 0.
-        p: Coefficient exponent, > 0.
-        w: Value in [0, Phi(1)]; values straying beyond by at most
-            tol.abs_tol clamp to the endpoint.
-        tol: Residual tolerance |Phi(x) - w| <= abs_tol.
-
-    Returns:
-        x with Phi(x) = w.
-
-    Raises:
-        OutOfRange: w outside [0, Phi(1)] beyond abs_tol.
-    """
-    from .numerics import invert_increasing
-
-    _check_groups(1.0, delta, p)
-    return invert_increasing(
-        lambda x: phi_map(delta, p, x),
-        lambda x: phi_map_deriv(delta, p, x),
-        w,
-        Bracket(0.0, 1.0),
-        tol,
-    )
 
 
 def _vectorized_beta(beta: Callable) -> Callable:
@@ -243,96 +229,6 @@ class LambdaEquation:
     label: str
 
 
-def lambda_equation_nosource(ste: float, delta: float, p: float) -> LambdaEquation:
-    """Reduced equation (sqrt(pi)/Ste) x erf(x) e^{x^2} = 1 + delta/(p+1)."""
-    _check_groups(ste, delta, p)
-
-    def evaluate(x: float) -> float:
-        if x * x > _EXP_ARG_LIMIT:
-            return math.inf
-        return (SQRT_PI / ste) * x * math.erf(x) * math.exp(x * x)
-
-    return LambdaEquation(evaluate, 1.0 + delta / (p + 1.0), "front equation (no source)")
-
-
-def lambda_equation_exponential(ste: float, delta: float, p: float) -> LambdaEquation:
-    """Closed-form reduced equation for beta(eta) = e^{-eta^2}/2.
-
-    LHS = (sqrt(pi)/Ste) x erf(x) (e^{x^2} + 1) - (1 - e^{-x^2})/Ste.
-    """
-    _check_groups(ste, delta, p)
-
-    def evaluate(x: float) -> float:
-        if x * x > _EXP_ARG_LIMIT:
-            return math.inf
-        return (SQRT_PI / ste) * x * math.erf(x) * (math.exp(x * x) + 1.0) + math.expm1(
-            -x * x
-        ) / ste
-
-    return LambdaEquation(
-        evaluate, 1.0 + delta / (p + 1.0), "front equation (exponential source)"
-    )
-
-
-def lambda_equation_source1(
-    ste: float, delta: float, p: float, beta: Callable | None
-) -> LambdaEquation:
-    """Reduced equation for a general similarity-form source.
-
-    LHS = (sqrt(pi)/Ste) x erf(x) e^{x^2}
-          + (2 sqrt(pi)/Ste) * integral_0^x e^{xi^2} erf(xi) beta(xi) dxi.
-
-    beta=None means no source and reuses the closed form.
-    """
-    if beta is None:
-        return lambda_equation_nosource(ste, delta, p)
-    _check_groups(ste, delta, p)
-    beta_v = _vectorized_beta(beta)
-
-    def integrand(z: np.ndarray) -> np.ndarray:
-        return np.exp(z * z) * erf(z) * beta_v(z)
-
-    def evaluate(x: float) -> float:
-        if x * x > _EXP_ARG_LIMIT:
-            return math.inf
-        head = (SQRT_PI / ste) * x * math.erf(x) * math.exp(x * x)
-        return head + (2.0 * SQRT_PI / ste) * integrate(integrand, 0.0, x, _QUAD_TOL)
-
-    return LambdaEquation(
-        evaluate, 1.0 + delta / (p + 1.0), "front equation (similarity source)"
-    )
-
-
-def lambda_equation_source2(
-    ste: float, delta: float, p: float, feedback: float
-) -> LambdaEquation:
-    """Reduced equation for the flux-feedback source with coupling A = feedback.
-
-    LHS = sqrt(pi) x e^{x^2} * (A J(x) + (1 + delta) erf(x))
-          / (Ste (1 + delta + A E(x))),
-    E(x) = integral_0^x e^{z^2} dz,
-    J(x) = integral_0^x e^{z^2} (erf(x) - erf(z)) dz = erf(x) E(x) - I(x),
-    I(x) = integral_0^x e^{z^2} erf(z) dz.
-    """
-    _check_groups(ste, delta, p)
-    if not (isinstance(feedback, (int, float)) and math.isfinite(feedback) and feedback > 0.0):
-        raise InvalidInput(f"feedback must be a finite positive number, got {feedback!r}")
-
-    def evaluate(x: float) -> float:
-        if x * x > _EXP_ARG_LIMIT:
-            return math.inf
-        big_e = integrate(lambda z: np.exp(z * z), 0.0, x, _QUAD_TOL)
-        big_i = integrate(lambda z: np.exp(z * z) * erf(z), 0.0, x, _QUAD_TOL)
-        ex = math.erf(x)
-        j = ex * big_e - big_i
-        num = SQRT_PI * x * math.exp(x * x) * (feedback * j + (1.0 + delta) * ex)
-        return num / (ste * (1.0 + delta + feedback * big_e))
-
-    return LambdaEquation(
-        evaluate, 1.0 + delta / (p + 1.0), "front equation (flux-feedback source)"
-    )
-
-
 def solve_lambda(eq: LambdaEquation, tol: Tolerance = DEFAULT_TOL) -> float:
     """Root of a reduced equation, bracketed from the standard seed.
 
@@ -343,28 +239,6 @@ def solve_lambda(eq: LambdaEquation, tol: Tolerance = DEFAULT_TOL) -> float:
         return find_root_increasing(eq.evaluate, eq.target, LAMBDA_SEED, tol)
     except StefanError as exc:
         raise type(exc)(f"solving {eq.label}: {exc}") from exc
-
-
-def solve_lambda_source1(
-    ste: float,
-    delta: float,
-    p: float,
-    beta: Callable | None,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """Front coefficient for a similarity-form source (beta=None for none)."""
-    return solve_lambda(lambda_equation_source1(ste, delta, p, beta), tol)
-
-
-def solve_lambda_source2(
-    ste: float,
-    delta: float,
-    p: float,
-    feedback: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """Front coefficient for the flux-feedback source with coupling feedback."""
-    return solve_lambda(lambda_equation_source2(ste, delta, p, feedback), tol)
 
 
 @dataclass(frozen=True)
@@ -408,200 +282,269 @@ class PsiProfile:
         return float(self.evaluate_many(np.array([eta]))[0])
 
 
-def _psi_nosource(lam: float, ste: float, delta: float, p: float) -> PsiProfile:
-    target = 1.0 + delta / (p + 1.0)
-    coeff = (SQRT_PI / ste) * lam * math.exp(lam * lam)
-
-    def kernel(pts: np.ndarray) -> np.ndarray:
-        return target - coeff * erf(pts)
-
-    return PsiProfile(lam, ste, delta, p, target, kernel)
-
-
-def _psi_exponential(lam: float, ste: float, delta: float, p: float) -> PsiProfile:
-    target = 1.0 + delta / (p + 1.0)
-    coeff = (SQRT_PI / ste) * lam * (math.exp(lam * lam) + 1.0)
-
-    def kernel(pts: np.ndarray) -> np.ndarray:
-        return target - coeff * erf(pts) - np.expm1(-pts * pts) / ste
-
-    return PsiProfile(lam, ste, delta, p, target, kernel)
-
-
-def _psi_source1(
-    lam: float,
-    ste: float,
-    delta: float,
-    p: float,
-    beta: Callable,
-    front_term_sign: float = 1.0,
-    tol: Tolerance = _QUAD_TOL,
-) -> PsiProfile:
-    """Profile for a general similarity-form source.
-
-    Psi(eta) = target - (sqrt(pi)/Ste) erf(eta) B
-               + (2 sqrt(pi)/Ste) (erf(eta) Ibe(eta) - Ibee(eta)),
-    Ibe(x)  = integral_0^x beta e^{xi^2} dxi,
-    Ibee(x) = integral_0^x beta e^{xi^2} erf(xi) dxi,
-    B = front_term_sign * lam e^{lam^2} + 2 Ibe(lam).
-
-    front_term_sign is +1; the -1 variant reproduces a circulated but
-    internally inconsistent transcription and exists only for the errata
-    regression tests (see errata module).
-    """
-    target = 1.0 + delta / (p + 1.0)
-    beta_v = _vectorized_beta(beta)
-
-    def f_be(z: np.ndarray) -> np.ndarray:
-        return beta_v(z) * np.exp(z * z)
-
-    def f_bee(z: np.ndarray) -> np.ndarray:
-        return beta_v(z) * np.exp(z * z) * erf(z)
-
-    ibe_lam = integrate(f_be, 0.0, lam, tol)
-    b_coeff = front_term_sign * lam * math.exp(lam * lam) + 2.0 * ibe_lam
-
-    def kernel(pts: np.ndarray) -> np.ndarray:
-        nodes = np.concatenate([[0.0], pts])
-        ibe = integrate_cumulative(f_be, nodes, tol)[1:]
-        ibee = integrate_cumulative(f_bee, nodes, tol)[1:]
-        er = erf(pts)
-        return (
-            target
-            - (SQRT_PI / ste) * er * b_coeff
-            + (2.0 * SQRT_PI / ste) * (er * ibe - ibee)
-        )
-
-    return PsiProfile(lam, ste, delta, p, target, kernel)
-
-
-def _psi_source2(
-    lam: float,
-    ste: float,
-    delta: float,
-    p: float,
-    feedback: float,
-    tol: Tolerance = _QUAD_TOL,
-) -> PsiProfile:
-    """Profile for the flux-feedback source.
-
-    Psi(eta) = target - C (A J(eta) + (1 + delta) erf(eta)),
-    C = sqrt(pi) lam e^{lam^2} / (Ste (1 + delta + A E(lam))),
-    J(eta) = erf(eta) E(eta) - I(eta)  as in lambda_equation_source2.
-    """
-    target = 1.0 + delta / (p + 1.0)
-
-    def f_e(z: np.ndarray) -> np.ndarray:
-        return np.exp(z * z)
-
-    def f_i(z: np.ndarray) -> np.ndarray:
-        return np.exp(z * z) * erf(z)
-
-    e_lam = integrate(f_e, 0.0, lam, tol)
-    c_coeff = SQRT_PI * lam * math.exp(lam * lam) / (ste * (1.0 + delta + feedback * e_lam))
-
-    def kernel(pts: np.ndarray) -> np.ndarray:
-        nodes = np.concatenate([[0.0], pts])
-        big_e = integrate_cumulative(f_e, nodes, tol)[1:]
-        big_i = integrate_cumulative(f_i, nodes, tol)[1:]
-        er = erf(pts)
-        j = er * big_e - big_i
-        return target - c_coeff * (feedback * j + (1.0 + delta) * er)
-
-    return PsiProfile(lam, ste, delta, p, target, kernel)
-
-
-def psi_profile(
-    lam: float,
-    ste: float,
-    delta: float,
-    p: float,
-    source: SourceSpec,
-    tol: Tolerance = _QUAD_TOL,
-) -> PsiProfile:
-    """Integrated profile for any source model at a given front coefficient."""
-    _check_groups(ste, delta, p)
-    if isinstance(source, NoSource):
-        return _psi_nosource(lam, ste, delta, p)
-    if isinstance(source, ExponentialSource):
-        return _psi_exponential(lam, ste, delta, p)
-    if isinstance(source, SimilaritySource):
-        return _psi_source1(lam, ste, delta, p, source.beta, tol=tol)
-    if isinstance(source, FluxFeedbackSource):
-        raise InvalidInput(
-            "flux-feedback profiles need the dimensionless coupling; "
-            "use psi_profile_feedback or solve_problem"
-        )
-    raise InvalidInput(f"unknown source spec {source!r}")
-
-
-def psi_profile_feedback(
-    lam: float, ste: float, delta: float, p: float, feedback: float
-) -> PsiProfile:
-    """Integrated profile for the flux-feedback source at coupling feedback."""
-    _check_groups(ste, delta, p)
-    return _psi_source2(lam, ste, delta, p, feedback)
-
-
 def y_from_psi(psi: PsiProfile, etas, clamp: bool = True) -> np.ndarray:
     """Profile values y = Phi^{-1}(Psi(eta)) for an array of eta."""
     w = psi.evaluate_many(etas)
     return _phi_inverse_many(psi.delta, psi.p, w, clamp)
 
 
-def y_profile_source1(
-    lam: float, ste: float, delta: float, p: float, beta: Callable | None, eta
-):
-    """Profile y(eta) for a similarity-form source at front coefficient lam.
+def _exp_sq(z: np.ndarray) -> np.ndarray:
+    return np.exp(z * z)
 
-    Accepts a scalar or array eta; beta=None means no source.
+
+def _exp_sq_erf(z: np.ndarray) -> np.ndarray:
+    return np.exp(z * z) * erf(z)
+
+
+class SourceModel:
+    """The per-source parts of the similarity reduction at fixed (Ste, delta, p).
+
+    source_model builds the subclass for a source spec.  Every formula that
+    differs between sources is a member, so the solver, the checks,
+    reconstruct and the oracle never test the spec's type:
+
+    * equation: reduced equation whose root is the front coefficient lam;
+    * psi(lam): integrated profile Psi at front coefficient lam;
+    * y_prime0(lam): fixed-face slope y'(0);
+    * ode_rhs(etas, y_prime0): right-hand side r(eta) of the reduced ODE;
+    * heat_source(material, eta, t, face_gradient): physical source H at
+      similarity coordinates eta and time t, given the fixed-face
+      temperature gradient dtheta/dx(0, t).  It never reads lam, Psi or
+      y'(0), so the oracle can feed it its own discrete face gradient.
+
+    The CSV label of a source is the kind attribute of its spec.
     """
-    if beta is None:
-        psi = _psi_nosource(lam, ste, delta, p)
-    else:
-        psi = _psi_source1(lam, ste, delta, p, beta)
-    out = y_from_psi(psi, np.atleast_1d(np.asarray(eta, dtype=float)))
-    return float(out[0]) if np.isscalar(eta) else out.reshape(np.shape(eta))
+
+    label = ""
+
+    def __init__(self, source: SourceSpec, ste: float, delta: float, p: float) -> None:
+        _check_groups(ste, delta, p)
+        self.source = source
+        self.ste, self.delta, self.p = ste, delta, p
+        self.equation = LambdaEquation(
+            self._lhs, 1.0 + delta / (p + 1.0), f"front equation ({self.label})"
+        )
+
+    def _profile(self, lam: float, kernel: Callable) -> PsiProfile:
+        return PsiProfile(lam, self.ste, self.delta, self.p, self.equation.target, kernel)
 
 
-def y_profile_source2(
-    lam: float, ste: float, delta: float, p: float, feedback: float, eta
-):
-    """Profile y(eta) for the flux-feedback source at front coefficient lam."""
-    psi = _psi_source2(lam, ste, delta, p, feedback)
-    out = y_from_psi(psi, np.atleast_1d(np.asarray(eta, dtype=float)))
-    return float(out[0]) if np.isscalar(eta) else out.reshape(np.shape(eta))
+class _NoSourceModel(SourceModel):
+    """r = 0: (sqrt(pi)/Ste) x erf(x) e^{x^2} = 1 + delta/(p+1)."""
+
+    label = "no source"
+
+    def _lhs(self, x: float) -> float:
+        if x * x > _EXP_ARG_LIMIT:
+            return math.inf
+        return (SQRT_PI / self.ste) * x * math.erf(x) * math.exp(x * x)
+
+    def psi(self, lam: float) -> PsiProfile:
+        target = self.equation.target
+        coeff = (SQRT_PI / self.ste) * lam * math.exp(lam * lam)
+
+        def kernel(pts: np.ndarray) -> np.ndarray:
+            return target - coeff * erf(pts)
+
+        return self._profile(lam, kernel)
+
+    def y_prime0(self, lam: float) -> float:
+        return -(2.0 / (self.ste * (1.0 + self.delta))) * (lam * math.exp(lam * lam))
+
+    def ode_rhs(self, etas: np.ndarray, y_prime0: float) -> np.ndarray:
+        return np.zeros_like(etas)
+
+    def heat_source(self, material: Material, eta: np.ndarray, t: float, face_gradient: float):
+        return np.zeros_like(eta)
 
 
-def y_prime_at_zero(
-    lam: float,
-    ste: float,
-    delta: float,
-    beta: Callable | None = None,
-    feedback: float | None = None,
-    tol: Tolerance = _QUAD_TOL,
-) -> float:
-    """Fixed-face slope y'(0) of the similarity profile.
+class _SimilarityModel(SourceModel):
+    """r = (4/Ste) beta(eta), H = (rho latent_heat / t) beta(eta).
 
-    Exactly one source may be given: beta for a similarity-form source,
-    feedback for the flux-feedback source, neither for no source.  The
-    exponent p does not enter: y'(0) follows from the first integration
-    alone.
+    LHS = (sqrt(pi)/Ste) x erf(x) e^{x^2}
+          + (2 sqrt(pi)/Ste) * integral_0^x e^{xi^2} erf(xi) beta(xi) dxi,
+    Psi(eta) = target - (sqrt(pi)/Ste) erf(eta) B
+               + (2 sqrt(pi)/Ste) (erf(eta) Ibe(eta) - Ibee(eta)),
+    Ibe(x)  = integral_0^x beta e^{xi^2} dxi,
+    Ibee(x) = integral_0^x beta e^{xi^2} erf(xi) dxi,
+    B = front_term_sign * lam e^{lam^2} + 2 Ibe(lam).
 
-    Returns:
-        (1+delta) y'(0) = -(2/Ste)(lam e^{lam^2} + 2 Ibe(lam))   [beta]
-        y'(0) = -2 lam e^{lam^2} / (Ste (1+delta+A E(lam)))      [feedback]
+    front_term_sign is +1; the errata module's -1 subclass reproduces a
+    circulated but internally inconsistent transcription.
     """
-    if beta is not None and feedback is not None:
-        raise InvalidInput("give at most one of beta and feedback")
+
+    label = "similarity source"
+    front_term_sign = 1.0
+
+    def __init__(self, source: SourceSpec, ste: float, delta: float, p: float) -> None:
+        self.beta = _vectorized_beta(source.beta)
+        super().__init__(source, ste, delta, p)
+
+    def _lhs_integrand(self, z: np.ndarray) -> np.ndarray:
+        # The product of _f_bee in another order; merging the two would
+        # move lam in its last digits.
+        return np.exp(z * z) * erf(z) * self.beta(z)
+
+    def _lhs(self, x: float) -> float:
+        if x * x > _EXP_ARG_LIMIT:
+            return math.inf
+        head = (SQRT_PI / self.ste) * x * math.erf(x) * math.exp(x * x)
+        return head + (2.0 * SQRT_PI / self.ste) * integrate(
+            self._lhs_integrand, 0.0, x, _QUAD_TOL
+        )
+
+    def _f_be(self, z: np.ndarray) -> np.ndarray:
+        return self.beta(z) * np.exp(z * z)
+
+    def _f_bee(self, z: np.ndarray) -> np.ndarray:
+        return self.beta(z) * np.exp(z * z) * erf(z)
+
+    def psi(self, lam: float) -> PsiProfile:
+        target, ste = self.equation.target, self.ste
+        ibe_lam = integrate(self._f_be, 0.0, lam, _QUAD_TOL)
+        b_coeff = self.front_term_sign * lam * math.exp(lam * lam) + 2.0 * ibe_lam
+
+        def kernel(pts: np.ndarray) -> np.ndarray:
+            nodes = np.concatenate([[0.0], pts])
+            ibe = integrate_cumulative(self._f_be, nodes, _QUAD_TOL)[1:]
+            ibee = integrate_cumulative(self._f_bee, nodes, _QUAD_TOL)[1:]
+            er = erf(pts)
+            return (
+                target
+                - (SQRT_PI / ste) * er * b_coeff
+                + (2.0 * SQRT_PI / ste) * (er * ibe - ibee)
+            )
+
+        return self._profile(lam, kernel)
+
+    def y_prime0(self, lam: float) -> float:
+        ibe_lam = integrate(self._f_be, 0.0, lam, _QUAD_TOL)
+        return -(2.0 / (self.ste * (1.0 + self.delta))) * (
+            lam * math.exp(lam * lam) + 2.0 * ibe_lam
+        )
+
+    def ode_rhs(self, etas: np.ndarray, y_prime0: float) -> np.ndarray:
+        return (4.0 / self.ste) * self.beta(etas)
+
+    def heat_source(self, material: Material, eta: np.ndarray, t: float, face_gradient: float):
+        return (material.rho * material.latent_heat / t) * self.beta(eta)
+
+
+class _ExponentialModel(_SimilarityModel):
+    """beta(eta) = e^{-eta^2}/2, whose integrals all have closed forms.
+
+    LHS = (sqrt(pi)/Ste) x erf(x) (e^{x^2} + 1) - (1 - e^{-x^2})/Ste.
+    """
+
+    label = "exponential source"
+
+    def _lhs(self, x: float) -> float:
+        if x * x > _EXP_ARG_LIMIT:
+            return math.inf
+        return (SQRT_PI / self.ste) * x * math.erf(x) * (math.exp(x * x) + 1.0) + math.expm1(
+            -x * x
+        ) / self.ste
+
+    def psi(self, lam: float) -> PsiProfile:
+        target, ste = self.equation.target, self.ste
+        coeff = (SQRT_PI / ste) * lam * (math.exp(lam * lam) + 1.0)
+
+        def kernel(pts: np.ndarray) -> np.ndarray:
+            return target - coeff * erf(pts) - np.expm1(-pts * pts) / ste
+
+        return self._profile(lam, kernel)
+
+    def y_prime0(self, lam: float) -> float:
+        return -(2.0 / (self.ste * (1.0 + self.delta))) * lam * (math.exp(lam * lam) + 1.0)
+
+
+class _FeedbackModel(SourceModel):
+    """r = A y'(0), H = (lambda0 / sqrt(t)) dtheta/dx(0, t), coupling A = feedback.
+
+    LHS = sqrt(pi) x e^{x^2} * (A J(x) + (1 + delta) erf(x))
+          / (Ste (1 + delta + A E(x))),
+    Psi(eta) = target - C (A J(eta) + (1 + delta) erf(eta)),
+    C = sqrt(pi) lam e^{lam^2} / (Ste (1 + delta + A E(lam))),
+    E(x) = integral_0^x e^{z^2} dz,
+    J(x) = integral_0^x e^{z^2} (erf(x) - erf(z)) dz = erf(x) E(x) - I(x),
+    I(x) = integral_0^x e^{z^2} erf(z) dz.
+    """
+
+    label = "flux-feedback source"
+
+    def __init__(
+        self, source: SourceSpec, ste: float, delta: float, p: float, feedback: float
+    ) -> None:
+        super().__init__(source, ste, delta, p)
+        if not (isinstance(feedback, (int, float)) and math.isfinite(feedback) and feedback > 0.0):
+            raise InvalidInput(f"feedback must be a finite positive number, got {feedback!r}")
+        self.feedback = feedback
+
+    def _lhs(self, x: float) -> float:
+        if x * x > _EXP_ARG_LIMIT:
+            return math.inf
+        feedback, delta = self.feedback, self.delta
+        big_e = integrate(_exp_sq, 0.0, x, _QUAD_TOL)
+        big_i = integrate(_exp_sq_erf, 0.0, x, _QUAD_TOL)
+        ex = math.erf(x)
+        j = ex * big_e - big_i
+        num = SQRT_PI * x * math.exp(x * x) * (feedback * j + (1.0 + delta) * ex)
+        return num / (self.ste * (1.0 + delta + feedback * big_e))
+
+    def psi(self, lam: float) -> PsiProfile:
+        feedback, delta, target = self.feedback, self.delta, self.equation.target
+        e_lam = integrate(_exp_sq, 0.0, lam, _QUAD_TOL)
+        c_coeff = SQRT_PI * lam * math.exp(lam * lam) / (self.ste * (1.0 + delta + feedback * e_lam))
+
+        def kernel(pts: np.ndarray) -> np.ndarray:
+            nodes = np.concatenate([[0.0], pts])
+            big_e = integrate_cumulative(_exp_sq, nodes, _QUAD_TOL)[1:]
+            big_i = integrate_cumulative(_exp_sq_erf, nodes, _QUAD_TOL)[1:]
+            er = erf(pts)
+            j = er * big_e - big_i
+            return target - c_coeff * (feedback * j + (1.0 + delta) * er)
+
+        return self._profile(lam, kernel)
+
+    def y_prime0(self, lam: float) -> float:
+        e_lam = integrate(_exp_sq, 0.0, lam, _QUAD_TOL)
+        return -2.0 * lam * math.exp(lam * lam) / (
+            self.ste * (1.0 + self.delta + self.feedback * e_lam)
+        )
+
+    def ode_rhs(self, etas: np.ndarray, y_prime0: float) -> np.ndarray:
+        return np.full_like(etas, self.feedback * y_prime0)
+
+    def heat_source(self, material: Material, eta: np.ndarray, t: float, face_gradient: float):
+        return np.full_like(eta, self.source.lambda0 / math.sqrt(t) * face_gradient)
+
+
+def source_model(
+    source: SourceSpec, ste: float, delta: float, p: float, feedback: float | None = None
+) -> SourceModel:
+    """The source model of a source spec at dimensionless groups (Ste, delta, p).
+
+    Args:
+        source: One of the four source specs.
+        ste, delta, p: Dimensionless groups, each finite and > 0.
+        feedback: Coupling A of the flux-feedback source (see
+            Dimensionless.feedback); required for that source and
+            rejected for the others.
+
+    Raises:
+        InvalidInput: Malformed groups, coupling or source spec.
+    """
+    if isinstance(source, FluxFeedbackSource):
+        return _FeedbackModel(source, ste, delta, p, feedback)
     if feedback is not None:
-        e_lam = integrate(lambda z: np.exp(z * z), 0.0, lam, tol)
-        return -2.0 * lam * math.exp(lam * lam) / (ste * (1.0 + delta + feedback * e_lam))
-    ibe_lam = 0.0
-    if beta is not None:
-        beta_v = _vectorized_beta(beta)
-        ibe_lam = integrate(lambda z: beta_v(z) * np.exp(z * z), 0.0, lam, tol)
-    return -(2.0 / (ste * (1.0 + delta))) * (lam * math.exp(lam * lam) + 2.0 * ibe_lam)
+        raise InvalidInput(f"feedback coupling given for a non-feedback source {source!r}")
+    if isinstance(source, NoSource):
+        return _NoSourceModel(source, ste, delta, p)
+    if isinstance(source, ExponentialSource):
+        return _ExponentialModel(source, ste, delta, p)
+    if isinstance(source, SimilaritySource):
+        return _SimilarityModel(source, ste, delta, p)
+    raise InvalidInput(f"unknown source spec {source!r}")
 
 
 @dataclass(frozen=True)
@@ -647,7 +590,8 @@ class SimilaritySolution:
         dimensionless: Its dimensionless groups.
         lam: Front coefficient; s(t) = 2 a lam sqrt(t).
         y_prime0: Fixed-face slope y'(0) (negative).
-        equation: Reduced equation whose root lam is.
+        model: Source model; model.equation is the reduced equation whose
+            root lam is.
         psi: Exact integrated profile.
     """
 
@@ -657,13 +601,14 @@ class SimilaritySolution:
     dimensionless: Dimensionless
     lam: float
     y_prime0: float
-    equation: LambdaEquation
+    model: SourceModel
     psi: PsiProfile
     _table: _BarycentricTable
 
     def lambda_residual(self) -> float:
         """Signed defect of lam in its reduced equation."""
-        return self.equation.evaluate(self.lam) - self.equation.target
+        equation = self.model.equation
+        return equation.evaluate(self.lam) - equation.target
 
     def y_many(self, etas, exact: bool = False, clamp: bool = True) -> np.ndarray:
         """Profile y at an array of similarity coordinates in [0, lam].
@@ -718,59 +663,17 @@ def solve_problem(
     if table_nodes < 8:
         raise InvalidInput(f"table_nodes must be >= 8, got {table_nodes}")
     groups = dimensionless_groups(material, boundary, source)
-    ste, delta, p = groups.ste, material.delta, material.p
-    if isinstance(source, NoSource):
-        eq = lambda_equation_nosource(ste, delta, p)
-    elif isinstance(source, ExponentialSource):
-        eq = lambda_equation_exponential(ste, delta, p)
-    elif isinstance(source, SimilaritySource):
-        eq = lambda_equation_source1(ste, delta, p, source.beta)
-    elif isinstance(source, FluxFeedbackSource):
-        eq = lambda_equation_source2(ste, delta, p, groups.feedback)
-    else:
-        raise InvalidInput(f"unknown source spec {source!r}")
-    lam = solve_lambda(eq, tol)
-    if isinstance(source, NoSource):
-        psi = _psi_nosource(lam, ste, delta, p)
-        yp0 = y_prime_at_zero(lam, ste, delta)
-    elif isinstance(source, ExponentialSource):
-        psi = _psi_exponential(lam, ste, delta, p)
-        yp0 = -(2.0 / (ste * (1.0 + delta))) * lam * (math.exp(lam * lam) + 1.0)
-    elif isinstance(source, SimilaritySource):
-        psi = _psi_source1(lam, ste, delta, p, source.beta)
-        yp0 = y_prime_at_zero(lam, ste, delta, beta=source.beta)
-    else:
-        psi = _psi_source2(lam, ste, delta, p, groups.feedback)
-        yp0 = y_prime_at_zero(lam, ste, delta, feedback=groups.feedback)
-    table = _BarycentricTable.build(psi, table_nodes)
+    model = source_model(source, groups.ste, material.delta, material.p, groups.feedback)
+    lam = solve_lambda(model.equation, tol)
+    psi = model.psi(lam)
     return SimilaritySolution(
         material=material,
         boundary=boundary,
         source=source,
         dimensionless=groups,
         lam=lam,
-        y_prime0=yp0,
-        equation=eq,
+        y_prime0=model.y_prime0(lam),
+        model=model,
         psi=psi,
-        _table=table,
+        _table=_BarycentricTable.build(psi, table_nodes),
     )
-
-
-def solve_exponential_case(
-    ste: float, delta: float, p: float, tol: Tolerance = DEFAULT_TOL
-) -> tuple[float, Callable]:
-    """Closed-form solve of the exponential-source case at the dimensionless level.
-
-    Returns:
-        (lam, y) where y maps similarity coordinates (scalar or array) in
-        [0, lam] to profile values through the closed-form Psi.
-    """
-    _check_groups(ste, delta, p)
-    lam = solve_lambda(lambda_equation_exponential(ste, delta, p), tol)
-    psi = _psi_exponential(lam, ste, delta, p)
-
-    def y(eta):
-        out = y_from_psi(psi, np.atleast_1d(np.asarray(eta, dtype=float)))
-        return float(out[0]) if np.isscalar(eta) else out.reshape(np.shape(eta))
-
-    return lam, y

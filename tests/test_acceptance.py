@@ -31,21 +31,18 @@ from stefansim.model import (
     FluxFeedbackSource,
     Material,
     NoSource,
+    SimilaritySource,
 )
 from stefansim.numerics import erf
 from stefansim.oracle import OracleConfig, run_oracle_for
 from stefansim.similarity import (
-    lambda_equation_exponential,
-    phi_inverse,
+    _phi_inverse_newton,
     phi_inverse_quadratic,
     phi_map,
-    psi_profile,
     solve_lambda,
-    solve_lambda_source1,
-    solve_lambda_source2,
     solve_problem,
+    source_model,
     y_from_psi,
-    y_profile_source1,
 )
 
 GRID_STE = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -147,11 +144,12 @@ def test_criterion_1_classical_reduction():
             hi = mid
     lam_oracle = 0.5 * (lo + hi)
 
-    lam = solve_lambda_source1(1.0, 1e-12, 1.0, beta=None)
+    model = source_model(NoSource(), 1.0, 1e-12, 1.0)
+    lam = solve_lambda(model.equation)
     lam_err = abs(lam - lam_oracle)
 
     etas = np.linspace(0.0, lam, 100)
-    y = y_profile_source1(lam, 1.0, 1e-12, 1.0, None, etas)
+    y = y_from_psi(model.psi(lam), etas)
     profile_err = float(np.max(np.abs(y - (1.0 - erf(etas) / math.erf(lam)))))
     elapsed = time.perf_counter() - t0
 
@@ -266,8 +264,9 @@ def test_criterion_5_errata_arbitration():
     Ste = delta = p = 1; the corrected profile passes.  Permanent, with
     docs/errata.md."""
     ste = delta = p = 1.0
-    lam = solve_lambda(lambda_equation_exponential(ste, delta, p))
-    correct = psi_profile(lam, ste, delta, p, ExponentialSource())
+    model = source_model(ExponentialSource(), ste, delta, p)
+    lam = solve_lambda(model.equation)
+    correct = model.psi(lam)
     variant = variant_psi_front_term_flipped(lam, ste, delta, p, ExponentialSource.beta)
 
     y_correct = abs(float(y_from_psi(correct, np.array([lam]), clamp=False)[0]))
@@ -295,15 +294,17 @@ def test_criterion_6_consistency_limits():
     p = 1 quadratic inverse matches the generic inverse to 1e-10."""
     gaps = []
     for ste, delta, p in ((0.5, 1.0, 1.0), (1.0, 1.0, 2.0), (2.0, 0.1, 0.5)):
-        lam_fb = solve_lambda_source2(ste, delta, p, 1e-10)
-        lam_none = solve_lambda_source1(ste, delta, p, beta=None)
+        feedback = source_model(FluxFeedbackSource(lambda0=0.5), ste, delta, p, 1e-10)
+        lam_fb = solve_lambda(feedback.equation)
+        lam_none = solve_lambda(source_model(NoSource(), ste, delta, p).equation)
         gaps.append(abs(lam_fb - lam_none))
     vanishing_gap = max(gaps)
 
     gaps = []
     for ste, delta, p in ((0.5, 1.0, 1.0), (1.0, 1.0, 1.0), (5.0, 5.0, 3.0)):
-        lam_closed = solve_lambda(lambda_equation_exponential(ste, delta, p))
-        lam_quad = solve_lambda_source1(ste, delta, p, ExponentialSource.beta)
+        lam_closed = solve_lambda(source_model(ExponentialSource(), ste, delta, p).equation)
+        quadrature = source_model(SimilaritySource(ExponentialSource.beta), ste, delta, p)
+        lam_quad = solve_lambda(quadrature.equation)
         gaps.append(abs(lam_closed - lam_quad))
     path_gap = max(gaps)
 
@@ -311,7 +312,7 @@ def test_criterion_6_consistency_limits():
     for delta in (0.1, 1.0, 5.0):
         ws = np.linspace(0.0, phi_map(delta, 1.0, 1.0), 101)
         quad = phi_inverse_quadratic(delta, ws)
-        generic = np.array([phi_inverse(delta, 1.0, float(w)) for w in ws])
+        generic = _phi_inverse_newton(delta, 1.0, ws)
         inverse_gap = max(inverse_gap, float(np.max(np.abs(quad - generic))))
 
     ok = vanishing_gap <= 1e-8 and path_gap <= 1e-9 and inverse_gap <= 1e-10

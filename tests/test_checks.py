@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from stefansim.checks import (
@@ -20,6 +21,7 @@ from stefansim.model import (
     FluxFeedbackSource,
     Material,
     NoSource,
+    SimilaritySource,
 )
 from stefansim.oracle import OracleConfig
 from stefansim.similarity import solve_problem
@@ -37,9 +39,18 @@ def exp_sol():
     return solve()
 
 
+SOURCES = (
+    NoSource(),
+    ExponentialSource(),
+    SimilaritySource(beta=lambda eta: np.exp(-eta * eta)),
+    FluxFeedbackSource(lambda0=0.5),
+)
+
+
 class TestIndividualChecks:
-    def test_all_pass_on_valid_solution(self, exp_sol):
-        results = run_checks(exp_sol)
+    @pytest.mark.parametrize("source", SOURCES, ids=lambda source: source.kind)
+    def test_all_pass_on_valid_solution(self, source):
+        results = run_checks(solve(source=source))
         assert results and all(r.passed for r in results)
         names = {r.name for r in results}
         assert {
@@ -52,8 +63,9 @@ class TestIndividualChecks:
             "profile_range",
             "psi_decreasing",
             "phi_increasing",
-            "closed_form_vs_quadrature",
         } <= names
+        # Only the exponential source has a redundant closed-form path.
+        assert ("closed_form_vs_quadrature" in names) == (source == ExponentialSource())
 
     def test_agreement_check_only_for_exponential(self, exp_sol):
         assert closed_form_agreement_check(exp_sol) is not None
@@ -84,8 +96,6 @@ class TestCorruptedSolutionFails:
     def test_perturbed_lambda_breaks_front_condition(self, exp_sol):
         # Residual-style checks that rebuild the profile from the stored
         # lam must also notice: the profile no longer vanishes there.
-        from stefansim.similarity import psi_profile
-
         lam_bad = exp_sol.lam + 0.1
-        psi_bad = psi_profile(lam_bad, 1.0, 1.0, 1.0, ExponentialSource())
+        psi_bad = exp_sol.model.psi(lam_bad)
         assert abs(psi_bad.evaluate(lam_bad)) > 1e-3

@@ -296,7 +296,9 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         body = read_csv(tmp_path / "sweep.csv")[1:]
         statuses = {row[1]: row[7] for row in body}
-        assert statuses["-1"].startswith("error: InvalidInput")
+        assert statuses["-1"] == (
+            "error: InvalidInput: delta must be a finite positive number, got -1.0"
+        )
         assert statuses["1"] == "ok"
 
     def test_all_failures_exit_3(self, tmp_path, capsys):

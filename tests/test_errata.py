@@ -14,29 +14,28 @@ from stefansim.errata import (
     variant_lambda_exponential,
     variant_psi_front_term_flipped,
 )
-from stefansim.model import BoundaryData, ExponentialSource, Material
+from stefansim.model import BoundaryData, ExponentialSource, Material, SimilaritySource
 from stefansim.oracle import OracleConfig, run_oracle_for
 from stefansim.similarity import (
-    lambda_equation_exponential,
     phi_map,
-    psi_profile,
     solve_lambda,
     solve_problem,
+    source_model,
     y_from_psi,
-    y_prime_at_zero,
 )
 
 STE, DELTA, P = 1.0, 1.0, 1.0
+EXPONENTIAL = source_model(ExponentialSource(), STE, DELTA, P)
 
 
 @pytest.fixture(scope="module")
 def lam():
-    return solve_lambda(lambda_equation_exponential(STE, DELTA, P))
+    return solve_lambda(EXPONENTIAL.equation)
 
 
 class TestFrontTermSign:
     def test_front_sign_variant_violates_front_condition(self, lam):
-        correct = psi_profile(lam, STE, DELTA, P, ExponentialSource())
+        correct = EXPONENTIAL.psi(lam)
         variant = variant_psi_front_term_flipped(
             lam, STE, DELTA, P, ExponentialSource.beta
         )
@@ -96,7 +95,7 @@ class TestExponentialFrontEquation:
         from stefansim.errata import variant_lambda_equation_exponential
 
         eq = variant_lambda_equation_exponential(STE, DELTA, P)
-        corrected_root = solve_lambda(lambda_equation_exponential(STE, DELTA, P))
+        corrected_root = solve_lambda(EXPONENTIAL.equation)
         assert abs(eq.evaluate(corrected_root) - eq.target) > 0.1
 
 
@@ -104,8 +103,9 @@ class TestSlopePrefactor:
     def test_slope_prefactor(self, lam):
         """(1 + delta) y'(0) = -(2/Ste)(lam e^{lam^2} + 2 Ibe(lam)); the
         circulated 4/Ste variant is exactly a factor 2 off."""
-        got = y_prime_at_zero(lam, STE, DELTA, beta=ExponentialSource.beta)
-        psi = psi_profile(lam, STE, DELTA, P, ExponentialSource())
+        quadrature = source_model(SimilaritySource(ExponentialSource.beta), STE, DELTA, P)
+        got = quadrature.y_prime0(lam)
+        psi = EXPONENTIAL.psi(lam)
         h = 1e-6
         etas = np.array([0.0, h, 2.0 * h])
         y = y_from_psi(psi, etas)

@@ -22,7 +22,6 @@ from stefansim.numerics import (
     find_root_increasing,
     integrate,
     integrate_cumulative,
-    invert_increasing,
 )
 
 # Frozen oracle values (computed by the reference routines below, then
@@ -177,27 +176,6 @@ class TestFindRootIncreasing:
         tol = Tolerance(abs_tol=1e-12, rel_tol=1e-14, max_iter=500)
         root = find_root_increasing(g, 8.0, Bracket(0.5, 4.0), tol)
         assert abs(g(root) - 8.0) <= 1e-12
-
-
-class TestInvertIncreasing:
-    def test_round_trip(self):
-        fun = lambda x: x + 0.25 * x**3
-        deriv = lambda x: 1.0 + 0.75 * x**2
-        for w in (0.0, 0.3, 1.0, 1.25):
-            x = invert_increasing(fun, deriv, w, Bracket(0.0, 1.0))
-            assert fun(x) == pytest.approx(w, abs=1e-12)
-
-    def test_out_of_range(self):
-        from stefansim.errors import OutOfRange
-
-        fun = lambda x: x
-        with pytest.raises(OutOfRange):
-            invert_increasing(fun, lambda x: 1.0, 2.0, Bracket(0.0, 1.0))
-
-    def test_clamps_within_slack(self):
-        fun = lambda x: x
-        x = invert_increasing(fun, lambda x: 1.0, 1.0 + 1e-12, Bracket(0.0, 1.0))
-        assert x == 1.0
 
 
 class TestValidation:

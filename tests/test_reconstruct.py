@@ -15,13 +15,11 @@ from stefansim.model import (
     SimilaritySource,
 )
 from stefansim.reconstruct import (
-    PhysicalQuery,
     fixed_face_flux,
     front_position,
     similarity_coordinate,
     source_field,
     temperature,
-    temperature_at,
 )
 from stefansim.similarity import solve_problem
 
@@ -120,14 +118,6 @@ class TestTemperature:
     def test_time_must_be_positive(self, sol):
         with pytest.raises(InvalidInput):
             temperature(sol, 0.0, 0.0)
-
-    def test_query_type_round_trip(self, sol):
-        q = PhysicalQuery(x=0.0, t=1.0)
-        assert temperature_at(sol, q) == temperature(sol, 0.0, 1.0)
-        with pytest.raises(InvalidInput):
-            PhysicalQuery(x=-1.0, t=1.0)
-        with pytest.raises(InvalidInput):
-            PhysicalQuery(x=0.0, t=0.0)
 
     def test_exact_flag_agrees_with_table(self, sol):
         t = 0.9

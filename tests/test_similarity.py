@@ -23,24 +23,15 @@ from stefansim.model import (
 )
 from stefansim.numerics import Tolerance, erf
 from stefansim.similarity import (
-    lambda_equation_exponential,
-    lambda_equation_nosource,
-    lambda_equation_source1,
-    lambda_equation_source2,
-    phi_inverse,
+    _phi_inverse_many,
+    _phi_inverse_newton,
     phi_inverse_quadratic,
     phi_map,
     phi_map_deriv,
-    psi_profile,
-    psi_profile_feedback,
-    solve_exponential_case,
     solve_lambda,
-    solve_lambda_source1,
-    solve_lambda_source2,
     solve_problem,
-    y_prime_at_zero,
-    y_profile_source1,
-    y_profile_source2,
+    source_model,
+    y_from_psi,
 )
 
 CLASSICAL_LAM = 0.6200626333135928  # nosource, Ste = 1 (delta-free)
@@ -48,6 +39,10 @@ EXP_LAM_111 = 0.6457803612217943  # exponential source, Ste = delta = p = 1
 FB_LAM_111_A1 = 0.7819448915151759  # flux feedback, Ste = delta = p = 1, A = 1
 
 UNIT_BD = BoundaryData(theta0=1.0, theta_f=0.0)
+
+# At the dimensionless level the coupling A is passed to source_model;
+# lambda0 enters only the physical source field.
+FEEDBACK = FluxFeedbackSource(lambda0=0.5)
 
 
 def unit_material(ste: float, delta: float, p: float) -> Material:
@@ -65,87 +60,99 @@ class TestPhi:
         )
 
     def test_round_trip_random(self):
-        # The default tolerance promises |phi(x_hat) - w| <= 1e-10; with
-        # phi' >= 1 that bounds the x error by 1e-10.
+        # Newton stops at |phi(x_hat) - w| <= 1e-14 Phi(1); with phi' >= 1
+        # that bounds the x error well below 1e-13.
         rng = np.random.default_rng(7)
-        tight = Tolerance(abs_tol=1e-14, rel_tol=1e-15, max_iter=400)
         for _ in range(50):
             delta = float(rng.uniform(0.05, 8.0))
             p = float(rng.uniform(0.3, 4.0))
             x = float(rng.uniform(0.0, 1.0))
             w = phi_map(delta, p, x)
-            assert phi_inverse(delta, p, w) == pytest.approx(x, abs=1e-10)
-            assert phi_inverse(delta, p, w, tight) == pytest.approx(x, abs=1e-13)
+            got = _phi_inverse_many(delta, p, np.array([w]), clamp=True)[0]
+            assert got == pytest.approx(x, abs=1e-13)
 
     def test_quadratic_inverse_matches_generic_at_p1(self):
         for delta in (0.1, 1.0, 5.0):
             top = phi_map(delta, 1.0, 1.0)
             ws = np.linspace(0.0, top, 101)
             quad = phi_inverse_quadratic(delta, ws)
-            generic = np.array([phi_inverse(delta, 1.0, float(w)) for w in ws])
+            generic = _phi_inverse_newton(delta, 1.0, ws)
             np.testing.assert_allclose(quad, generic, rtol=0, atol=1e-10)
 
     def test_inverse_rejects_out_of_range(self):
         with pytest.raises(OutOfRange):
-            phi_inverse(1.0, 1.0, 2.0)
+            _phi_inverse_many(1.0, 1.0, np.array([2.0]), clamp=True)
         with pytest.raises(OutOfRange):
-            phi_inverse(1.0, 1.0, -1e-3)
+            _phi_inverse_many(1.0, 1.0, np.array([-1e-3]), clamp=True)
+
+    def test_clamped_inverse_stays_in_unit_interval(self):
+        # The p = 1 closed form rounds Phi^{-1}(Phi(1)) to 1 + 2^-52 for
+        # about one delta in twenty; the clamped inverse must not.
+        rng = np.random.default_rng(3)
+        for delta in np.exp(rng.uniform(math.log(0.1), math.log(5.0), 2000)):
+            top = np.array([phi_map(float(delta), 1.0, 1.0)])
+            assert _phi_inverse_many(float(delta), 1.0, top, clamp=True)[0] <= 1.0
+        sol = solve_problem(
+            unit_material(1.0, 0.12356865214155405, 1.0), UNIT_BD, ExponentialSource()
+        )
+        assert sol.y(0.0) == 1.0
 
 
 class TestLambdaEquations:
     def test_classical_frozen(self):
-        lam = solve_lambda(lambda_equation_nosource(1.0, 1e-12, 1.0))
+        lam = solve_lambda(source_model(NoSource(), 1.0, 1e-12, 1.0).equation)
         assert lam == pytest.approx(CLASSICAL_LAM, abs=1e-9)
 
     def test_classical_matches_neumann_form(self):
         # Without a source the delta-dependence sits only in the target,
         # so for delta -> 0 the root solves sqrt(pi) x erf(x) e^{x^2} = Ste.
         for ste in (0.25, 1.0, 3.0):
-            lam = solve_lambda(lambda_equation_nosource(ste, 1e-13, 2.0))
+            lam = solve_lambda(source_model(NoSource(), ste, 1e-13, 2.0).equation)
             lhs = math.sqrt(math.pi) * lam * math.erf(lam) * math.exp(lam * lam)
             assert lhs == pytest.approx(ste * (1.0 + 1e-13 / 3.0), rel=1e-10)
 
     def test_exponential_frozen(self):
-        lam = solve_lambda(lambda_equation_exponential(1.0, 1.0, 1.0))
+        lam = solve_lambda(source_model(ExponentialSource(), 1.0, 1.0, 1.0).equation)
         assert lam == pytest.approx(EXP_LAM_111, abs=1e-10)
 
     def test_feedback_frozen(self):
-        lam = solve_lambda_source2(1.0, 1.0, 1.0, 1.0)
+        lam = solve_lambda(source_model(FEEDBACK, 1.0, 1.0, 1.0, 1.0).equation)
         assert lam == pytest.approx(FB_LAM_111_A1, abs=1e-10)
 
     def test_equation_residual_at_root(self):
-        eq = lambda_equation_exponential(2.0, 0.5, 1.5)
+        eq = source_model(ExponentialSource(), 2.0, 0.5, 1.5).equation
         lam = solve_lambda(eq)
         assert abs(eq.evaluate(lam) - eq.target) <= 1e-10
 
     def test_target_is_phi_at_one(self):
-        eq = lambda_equation_nosource(1.0, 3.0, 2.0)
+        eq = source_model(NoSource(), 1.0, 3.0, 2.0).equation
         assert eq.target == pytest.approx(phi_map(3.0, 2.0, 1.0), rel=1e-15)
 
     def test_invalid_groups_rejected(self):
         with pytest.raises(InvalidInput):
-            lambda_equation_nosource(-1.0, 1.0, 1.0)
+            source_model(NoSource(), -1.0, 1.0, 1.0)
         with pytest.raises(InvalidInput):
-            lambda_equation_source2(1.0, 1.0, 1.0, -0.5)
+            source_model(FEEDBACK, 1.0, 1.0, 1.0, -0.5)
 
 
 class TestConsistencyLimits:
     def test_feedback_vanishing_matches_sourceless(self):
         for ste, delta, p in ((0.5, 0.5, 1.0), (1.0, 1.0, 2.0), (2.0, 5.0, 0.5)):
-            lam_fb = solve_lambda_source2(ste, delta, p, 1e-10)
-            lam_none = solve_lambda_source1(ste, delta, p, beta=None)
+            lam_fb = solve_lambda(source_model(FEEDBACK, ste, delta, p, 1e-10).equation)
+            lam_none = solve_lambda(source_model(NoSource(), ste, delta, p).equation)
             assert abs(lam_fb - lam_none) <= 1e-8
 
     def test_exponential_closed_form_matches_quadrature(self):
         for ste, delta, p in ((0.5, 0.5, 1.0), (1.0, 1.0, 2.0), (5.0, 0.1, 3.0)):
-            lam_closed = solve_lambda(lambda_equation_exponential(ste, delta, p))
-            lam_quad = solve_lambda_source1(ste, delta, p, ExponentialSource.beta)
+            lam_closed = solve_lambda(source_model(ExponentialSource(), ste, delta, p).equation)
+            quadrature = source_model(SimilaritySource(ExponentialSource.beta), ste, delta, p)
+            lam_quad = solve_lambda(quadrature.equation)
             assert abs(lam_closed - lam_quad) <= 1e-9
 
     def test_tiny_beta_matches_sourceless(self):
         beta = lambda eta: 1e-14 * np.exp(-eta * eta)
-        lam_small = solve_lambda_source1(1.0, 1.0, 1.0, beta)
-        lam_none = solve_lambda_source1(1.0, 1.0, 1.0, beta=None)
+        lam_small = solve_lambda(source_model(SimilaritySource(beta), 1.0, 1.0, 1.0).equation)
+        lam_none = solve_lambda(source_model(NoSource(), 1.0, 1.0, 1.0).equation)
         assert abs(lam_small - lam_none) <= 1e-10
 
 
@@ -156,39 +163,44 @@ class TestProfiles:
             ste = float(rng.uniform(0.1, 5.0))
             delta = float(rng.uniform(0.05, 5.0))
             p = float(rng.uniform(0.4, 3.5))
-            lam = solve_lambda(lambda_equation_exponential(ste, delta, p))
-            psi = psi_profile(lam, ste, delta, p, ExponentialSource())
+            model = source_model(ExponentialSource(), ste, delta, p)
+            lam = solve_lambda(model.equation)
+            psi = model.psi(lam)
             assert psi.evaluate(0.0) == pytest.approx(
                 phi_map(delta, p, 1.0), rel=1e-12
             )
             assert abs(psi.evaluate(lam)) <= 1e-8
 
     def test_profile_strictly_decreasing(self):
-        lam = solve_lambda(lambda_equation_exponential(1.0, 1.0, 0.5))
-        psi = psi_profile(lam, 1.0, 1.0, 0.5, ExponentialSource())
+        model = source_model(ExponentialSource(), 1.0, 1.0, 0.5)
+        lam = solve_lambda(model.equation)
+        psi = model.psi(lam)
         etas = np.linspace(0.0, lam, 257)
         vals = psi.evaluate_many(etas)
         assert np.all(np.diff(vals) < 0.0)
 
     def test_y_profile_endpoints_and_range(self):
-        lam = solve_lambda_source2(1.0, 1.0, 1.0, 1.0)
+        model = source_model(FEEDBACK, 1.0, 1.0, 1.0, 1.0)
+        lam = solve_lambda(model.equation)
         etas = np.linspace(0.0, lam, 101)
-        y = y_profile_source2(lam, 1.0, 1.0, 1.0, 1.0, etas)
+        y = y_from_psi(model.psi(lam), etas)
         assert y[0] == pytest.approx(1.0, abs=1e-12)
         assert abs(y[-1]) <= 1e-8
         assert np.all(np.diff(y) < 0.0)
         assert np.all((y >= 0.0) & (y <= 1.0))
 
     def test_classical_profile_matches_erf_form(self):
-        lam = solve_lambda(lambda_equation_nosource(1.0, 1e-12, 1.0))
+        model = source_model(NoSource(), 1.0, 1e-12, 1.0)
+        lam = solve_lambda(model.equation)
         etas = np.linspace(0.0, lam, 100)
-        y = y_profile_source1(lam, 1.0, 1e-12, 1.0, None, etas)
+        y = y_from_psi(model.psi(lam), etas)
         want = 1.0 - erf(etas) / math.erf(lam)
         assert np.max(np.abs(y - want)) <= 1e-6
 
     def test_query_beyond_front_rejected(self):
-        lam = solve_lambda(lambda_equation_exponential(1.0, 1.0, 1.0))
-        psi = psi_profile(lam, 1.0, 1.0, 1.0, ExponentialSource())
+        model = source_model(ExponentialSource(), 1.0, 1.0, 1.0)
+        lam = solve_lambda(model.equation)
+        psi = model.psi(lam)
         with pytest.raises(InvalidInput):
             psi.evaluate(lam * 1.01)
         with pytest.raises(InvalidInput):
@@ -196,14 +208,15 @@ class TestProfiles:
 
     def test_feedback_source_needs_feedback_constructor(self):
         with pytest.raises(InvalidInput):
-            psi_profile(0.5, 1.0, 1.0, 1.0, FluxFeedbackSource(lambda0=1.0))
-        psi = psi_profile_feedback(FB_LAM_111_A1, 1.0, 1.0, 1.0, 1.0)
+            source_model(FluxFeedbackSource(lambda0=1.0), 1.0, 1.0, 1.0)
+        psi = source_model(FEEDBACK, 1.0, 1.0, 1.0, 1.0).psi(FB_LAM_111_A1)
         assert abs(psi.evaluate(FB_LAM_111_A1)) <= 1e-6
 
     def test_custom_similarity_source(self):
         beta = lambda eta: np.exp(-2.0 * eta * eta)
-        lam = solve_lambda_source1(1.0, 1.0, 1.0, beta)
-        psi = psi_profile(lam, 1.0, 1.0, 1.0, SimilaritySource(beta=beta))
+        model = source_model(SimilaritySource(beta=beta), 1.0, 1.0, 1.0)
+        lam = solve_lambda(model.equation)
+        psi = model.psi(lam)
         assert abs(psi.evaluate(lam)) <= 1e-8
 
 
@@ -212,29 +225,29 @@ class TestSlope:
         # Integer p only: for p < 1 the one-sided difference at 0 carries
         # a singular correction term and is tested at the front instead.
         for p in (1.0, 2.0, 3.0):
-            lam = solve_lambda(lambda_equation_exponential(1.0, 1.0, p))
-            got = y_prime_at_zero(lam, 1.0, 1.0, beta=ExponentialSource.beta)
+            lam = solve_lambda(source_model(ExponentialSource(), 1.0, 1.0, p).equation)
+            quadrature = source_model(SimilaritySource(ExponentialSource.beta), 1.0, 1.0, p)
+            got = quadrature.y_prime0(lam)
             h = 1e-6
             etas = np.array([0.0, h, 2.0 * h])
-            y = y_profile_source1(lam, 1.0, 1.0, p, ExponentialSource.beta, etas)
+            y = y_from_psi(quadrature.psi(lam), etas)
             fd = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
             assert got == pytest.approx(fd, rel=1e-5)
 
     def test_slope_feedback_form(self):
-        lam = solve_lambda_source2(1.0, 1.0, 1.0, 1.0)
-        got = y_prime_at_zero(lam, 1.0, 1.0, feedback=1.0)
+        model = source_model(FEEDBACK, 1.0, 1.0, 1.0, 1.0)
+        lam = solve_lambda(model.equation)
+        got = model.y_prime0(lam)
         h = 1e-6
         etas = np.array([0.0, h, 2.0 * h])
-        y = y_profile_source2(lam, 1.0, 1.0, 1.0, 1.0, etas)
+        y = y_from_psi(model.psi(lam), etas)
         fd = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
         assert got == pytest.approx(fd, rel=1e-5)
         assert got < 0.0
 
     def test_slope_rejects_both_sources(self):
         with pytest.raises(InvalidInput):
-            y_prime_at_zero(
-                0.5, 1.0, 1.0, beta=ExponentialSource.beta, feedback=1.0
-            )
+            source_model(SimilaritySource(ExponentialSource.beta), 1.0, 1.0, 1.0, 1.0)
 
 
 class TestSolveProblem:
@@ -273,7 +286,10 @@ class TestSolveProblem:
         assert sol.y_prime0 == pytest.approx(want, rel=1e-12)
 
     def test_solve_exponential_case_helper(self):
-        lam, y = solve_exponential_case(1.0, 1.0, 1.0)
+        model = source_model(ExponentialSource(), 1.0, 1.0, 1.0)
+        lam = solve_lambda(model.equation)
+        psi = model.psi(lam)
+        y = lambda eta: float(y_from_psi(psi, np.array([eta]))[0])
         assert lam == pytest.approx(EXP_LAM_111, abs=1e-9)
         assert y(0.0) == pytest.approx(1.0, abs=1e-12)
         assert y(lam / 2.0) == pytest.approx(
@@ -294,18 +310,21 @@ class TestSolveProblem:
 class TestScalingLaws:
     def test_lambda_increases_with_ste(self):
         lams = [
-            solve_lambda(lambda_equation_exponential(ste, 1.0, 1.0))
+            solve_lambda(source_model(ExponentialSource(), ste, 1.0, 1.0).equation)
             for ste in (0.1, 0.5, 1.0, 2.0, 5.0)
         ]
         assert all(a < b for a, b in zip(lams, lams[1:]))
 
     def test_lambda_increases_with_delta_sourceless(self):
         lams = [
-            solve_lambda(lambda_equation_nosource(1.0, d, 1.0))
+            solve_lambda(source_model(NoSource(), 1.0, d, 1.0).equation)
             for d in (0.1, 1.0, 10.0)
         ]
         assert all(a < b for a, b in zip(lams, lams[1:]))
 
     def test_lambda_increases_with_feedback(self):
-        lams = [solve_lambda_source2(1.0, 1.0, 1.0, A) for A in (0.5, 1.0, 2.0)]
+        lams = [
+            solve_lambda(source_model(FEEDBACK, 1.0, 1.0, 1.0, A).equation)
+            for A in (0.5, 1.0, 2.0)
+        ]
         assert all(a < b for a, b in zip(lams, lams[1:]))
