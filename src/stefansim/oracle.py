@@ -24,6 +24,14 @@ differencing with interface-mean conductivities, central advection, a
 one-sided fixed-face gradient that the flux-feedback source prescribes.
 The flux-feedback source is fed from the discrete field, never from the
 closed-form slope, so the comparison stays two-sided.
+
+Each sweep makes one call to solve_banded, which hands the tridiagonal
+system straight to LAPACK gtsv (the routine scipy.linalg.solve_banded
+uses for (1, 1) bands) and keeps scipy's guards: a non-finite coefficient
+or right-hand side, or a singular matrix, raises NonConvergence, whose
+message names the time of the failing step.  Quantities that do not change
+within a step are computed once per step; this changes no floating-point
+operation of the scheme nor their order.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import FrontCollapse, InvalidInput, MismatchedProblem, NonConvergence
 from .model import BoundaryData, Material, SourceSpec, dimensionless_groups
@@ -112,12 +120,35 @@ class OracleRun:
 
 def _front_gradient(u: np.ndarray, h: float) -> float:
     """Third-order one-sided du/dxi at xi = 1."""
-    return (11.0 * u[-1] - 18.0 * u[-2] + 9.0 * u[-3] - 2.0 * u[-4]) / (6.0 * h)
+    u4, u3, u2, u1 = u[-4:].tolist()
+    return (11.0 * u1 - 18.0 * u2 + 9.0 * u3 - 2.0 * u4) / (6.0 * h)
 
 
 def _face_gradient(u: np.ndarray, h: float) -> float:
     """Second-order one-sided du/dxi at xi = 0."""
-    return (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
+    u0, u1, u2 = u[:3].tolist()
+    return (-3.0 * u0 + 4.0 * u1 - u2) / (2.0 * h)
+
+
+def solve_banded(
+    lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Solve a tridiagonal system with LAPACK gtsv; the arguments may be overwritten.
+
+    lower and upper hold the m - 1 sub- and superdiagonal entries, diag and
+    rhs the m diagonal and right-hand-side entries.  This is the routine
+    scipy.linalg.solve_banded calls for (1, 1) bands, with the same guards
+    and without its per-call input conversion.
+
+    Raises:
+        NonConvergence: An entry is not finite, or the matrix is singular.
+    """
+    if not np.isfinite(np.concatenate((lower, diag, upper, rhs))).all():
+        raise NonConvergence("tridiagonal system has a non-finite coefficient or right-hand side")
+    _, _, _, x, info = dgtsv(lower, diag, upper, rhs, True, True, True, True)
+    if info > 0:
+        raise NonConvergence(f"tridiagonal system is singular (zero pivot {info})")
+    return x
 
 
 class _Stepper:
@@ -129,29 +160,36 @@ class _Stepper:
         self.cfg = cfg
         self.n = cfg.n_space
         self.xi = np.linspace(0.0, 1.0, self.n)
+        self.xi_inner = self.xi[1:-1]
         self.h = self.xi[1] - self.xi[0]
         self.span = boundary.theta0 - boundary.theta_f
         self.a = math.sqrt(material.k0 / (material.rho * material.c0))
+        self.rho_c0 = material.rho * material.c0
+        self.rho_l = material.rho * material.latent_heat
         groups = dimensionless_groups(material, boundary, source)
         self.model = source_model(source, groups.ste, material.delta, material.p, groups.feedback)
 
     def _coeff_factor(self, u: np.ndarray) -> np.ndarray:
         """1 + delta y^p with y clipped to [0, 1]; shared by k and c."""
-        y = np.clip((u - self.bd.theta_f) / self.span, 0.0, 1.0)
+        y = (u - self.bd.theta_f) / self.span
+        # np.clip without its wrapper; a -0.0 that clip would make +0.0
+        # gives the factor 1.0 either way.
+        np.maximum(y, 0.0, out=y)
+        np.minimum(y, 1.0, out=y)
         return 1.0 + self.mat.delta * y**self.mat.p
 
     def _source_interior(self, u: np.ndarray, s: float, t: float) -> np.ndarray:
         """H at the interior nodes, from the discrete state only."""
-        eta = self.xi[1:-1] * s / (2.0 * self.a * math.sqrt(t))
+        eta = self.xi_inner * s / (2.0 * self.a * math.sqrt(t))
         return self.model.heat_source(self.mat, eta, t, _face_gradient(u, self.h) / s)
 
     def _spatial_operator(self, u: np.ndarray, s: float, sdot: float, t: float) -> np.ndarray:
         """c rho xi (s'/s) u_xi + (1/s^2)(k u_xi)_xi - H at interior nodes."""
         fac = self._coeff_factor(u)
-        c_rho = self.mat.rho * self.mat.c0 * fac
+        c_rho = self.rho_c0 * fac
         k = self.mat.k0 * fac
         kf = 0.5 * (k[:-1] + k[1:])
-        adv = c_rho[1:-1] * self.xi[1:-1] * (sdot / s) * (u[2:] - u[:-2]) / (2.0 * self.h)
+        adv = c_rho[1:-1] * self.xi_inner * (sdot / s) * (u[2:] - u[:-2]) / (2.0 * self.h)
         dif = (kf[1:] * (u[2:] - u[1:-1]) - kf[:-1] * (u[1:-1] - u[:-2])) / (
             self.h * self.h * s * s
         )
@@ -159,7 +197,7 @@ class _Stepper:
 
     def front_speed(self, u: np.ndarray, s: float) -> float:
         """Stefan condition s' = -k0 theta_x(s, t) / (rho latent_heat)."""
-        return -self.mat.k0 * _front_gradient(u, self.h) / (self.mat.rho * self.mat.latent_heat * s)
+        return -self.mat.k0 * _front_gradient(u, self.h) / (self.rho_l * s)
 
     def advance(
         self, v: np.ndarray, s_old: float, t0: float, t1: float
@@ -168,13 +206,18 @@ class _Stepper:
         cfg = self.cfg
         w = cfg.theta_scheme
         dt = t1 - t0
-        h, xi, n = self.h, self.xi, self.n
+        h, n, span = self.h, self.n, self.span
+        theta0, theta_f = self.bd.theta0, self.bd.theta_f
+        rho_c0, k0, xi_inner = self.rho_c0, self.mat.k0, self.xi_inner
+        two_h, h_sq = 2.0 * h, h * h
         sdot_old = self.front_speed(v, s_old)
         if w < 1.0:
             op_old = self._spatial_operator(v, s_old, sdot_old, t0)
         else:
             op_old = 0.0
-        c_old = self.mat.rho * self.mat.c0 * self._coeff_factor(v)
+        c_old_part = ((1.0 - w) * (rho_c0 * self._coeff_factor(v)))[1:-1]
+        rhs_old = (1.0 - w) * op_old
+        v_inner = v[1:-1]
         u = v.copy()
         s = s_old + dt * sdot_old
         for _ in range(cfg.picard_max_iter):
@@ -183,32 +226,28 @@ class _Stepper:
             if s_new <= 0.0:
                 raise FrontCollapse(f"front position went nonpositive at t = {t1}")
             fac = self._coeff_factor(u)
-            c_new = self.mat.rho * self.mat.c0 * fac
-            k_new = self.mat.k0 * fac
+            c_new = rho_c0 * fac
+            k_new = k0 * fac
             kf = 0.5 * (k_new[:-1] + k_new[1:])
-            cbar = w * c_new + (1.0 - w) * c_old
-            coef_time = cbar[1:-1] / dt
-            r = sdot_new / s_new
-            adv_c = c_new[1:-1] * xi[1:-1] * r / (2.0 * h)
-            dif_c = 1.0 / (h * h * s_new * s_new)
+            coef_time = (w * c_new[1:-1] + c_old_part) / dt
+            adv_c = c_new[1:-1] * xi_inner * (sdot_new / s_new) / two_h
+            dif_c = 1.0 / (h_sq * s_new * s_new)
             # kf[i-1] couples U_{i-1}, kf[i] couples U_{i+1} (i = 1..n-2).
-            sub = -w * (-adv_c + kf[: n - 2] * dif_c)
-            sup = -w * (adv_c + kf[1 : n - 1] * dif_c)
-            diag = coef_time + w * (kf[: n - 2] + kf[1 : n - 1]) * dif_c
-            h_new = self._source_interior(u, s_new, t1)
-            rhs = coef_time * v[1:-1] - w * h_new + (1.0 - w) * op_old
-            rhs[0] -= sub[0] * self.bd.theta0
-            rhs[-1] -= sup[-1] * self.bd.theta_f
-            ab = np.zeros((3, n - 2))
-            ab[0, 1:] = sup[:-1]
-            ab[1, :] = diag
-            ab[2, :-1] = sub[1:]
-            interior = solve_banded((1, 1), ab, rhs)
+            kf_lo, kf_hi = kf[:-1], kf[1:]
+            sub = -w * (kf_lo * dif_c - adv_c)
+            sup = -w * (adv_c + kf_hi * dif_c)
+            diag = coef_time + w * (kf_lo + kf_hi) * dif_c
+            rhs = coef_time * v_inner - w * self._source_interior(u, s_new, t1) + rhs_old
+            rhs[0] -= sub[0] * theta0
+            rhs[-1] -= sup[-1] * theta_f
             u_new = np.empty(n)
-            u_new[0] = self.bd.theta0
-            u_new[-1] = self.bd.theta_f
-            u_new[1:-1] = interior
-            moved = float(np.max(np.abs(u_new - u))) / self.span
+            u_new[0] = theta0
+            u_new[-1] = theta_f
+            try:
+                u_new[1:-1] = solve_banded(sub[1:], diag, sup[:-1], rhs)
+            except NonConvergence as exc:
+                raise NonConvergence(f"{exc} at t = {t1}") from exc
+            moved = float(np.maximum.reduce(np.abs(u_new - u))) / span
             front_moved = abs(s_new - s) / s_new
             u, s = u_new, s_new
             if moved <= cfg.picard_tol and front_moved <= cfg.picard_tol:

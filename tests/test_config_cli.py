@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+import stefansim.oracle as oracle
 from stefansim.cli import main
 from stefansim.config import build_run_config, load_config, parse_config_text
 from stefansim.errors import ConfigError, InvalidInput
@@ -247,6 +248,19 @@ class TestVerifyCommand:
         rows = read_csv(tmp_path / "verify.csv")
         failed = [row[0] for row in rows[1:] if row[3] == "false"]
         assert "oracle_front_rel_err" in failed
+
+
+    def test_exit_3_when_oracle_solve_fails(self, tmp_path, capsys, monkeypatch):
+        def singular(lower, diag, upper, rhs, *flags):
+            return lower, diag, upper, rhs, 1
+
+        monkeypatch.setattr(oracle, "dgtsv", singular)
+        text = DIMLESS_EXP.replace(
+            "oracle.enabled = false", "oracle.n_space = 16\noracle.n_time = 16"
+        )
+        cfg = write_cfg(tmp_path, text)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "solver error:" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -4,8 +4,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from stefansim.errors import FrontCollapse, InvalidInput, MismatchedProblem
+import stefansim.oracle as oracle
+from stefansim.errors import (
+    FrontCollapse,
+    InvalidInput,
+    MismatchedProblem,
+    NonConvergence,
+    StefanError,
+)
 from stefansim.model import (
     BoundaryData,
     ExponentialSource,
@@ -112,6 +120,119 @@ class TestAgreement:
         run = run_oracle_for(sol, OracleConfig(n_space=64, n_time=256))
         assert run.front_rel_err <= 0.02
         assert run.temp_max_err <= 0.03
+
+
+def tridiagonal(m=12, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.random(m - 1), 4.0 + rng.random(m), rng.random(m - 1), rng.random(m)
+
+
+class TestSolveBanded:
+    def test_matches_scipy_solve_banded(self):
+        lower, diag, upper, rhs = tridiagonal()
+        ab = np.zeros((3, diag.size))
+        ab[0, 1:] = upper
+        ab[1] = diag
+        ab[2, :-1] = lower
+        want = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        got = oracle.solve_banded(lower, diag, upper, rhs)
+        assert got.tobytes() == want.tobytes()
+
+    # entry 3 is the right-hand side.
+    @pytest.mark.parametrize("entry", [0, 1, 2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, entry, bad):
+        arrays = list(tridiagonal())
+        arrays[entry][3] = bad
+        with pytest.raises(StefanError, match="non-finite"):
+            oracle.solve_banded(*arrays)
+
+    def test_singular_matrix_rejected(self):
+        lower, diag, upper, rhs = tridiagonal()
+        lower[:] = 0.0
+        diag[5] = 0.0
+        with pytest.raises(NonConvergence, match="singular"):
+            oracle.solve_banded(lower, diag, upper, rhs)
+
+    def test_failed_solve_names_the_step_time(self, classical_sol, monkeypatch):
+        def singular(lower, diag, upper, rhs, *flags):
+            return lower, diag, upper, rhs, 1
+
+        monkeypatch.setattr(oracle, "dgtsv", singular)
+        with pytest.raises(NonConvergence, match=r"singular .* at t = "):
+            run_oracle_for(classical_sol, OracleConfig(n_space=32, n_time=16))
+
+
+class TestSweepCounter:
+    def counted_run(self, monkeypatch, sol, cfg):
+        """A run with oracle.solve_banded counted, plus the solves of each step."""
+        calls = [0]
+        per_step = []
+        solve = oracle.solve_banded
+        advance = oracle._Stepper.advance
+
+        def counting_solve(*args):
+            calls[0] += 1
+            return solve(*args)
+
+        def recording_advance(stepper, *args):
+            before = calls[0]
+            out = advance(stepper, *args)
+            per_step.append(calls[0] - before)
+            return out
+
+        monkeypatch.setattr(oracle, "solve_banded", counting_solve)
+        monkeypatch.setattr(oracle._Stepper, "advance", recording_advance)
+        return run_oracle_for(sol, cfg), per_step
+
+    @pytest.mark.parametrize("theta_scheme", [1.0, 0.5])
+    def test_one_solve_per_sweep(self, monkeypatch, theta_scheme):
+        sol = solve_problem(unit_material(), BD, FluxFeedbackSource(lambda0=0.5))
+        cfg = OracleConfig(n_space=64, n_time=256, theta_scheme=theta_scheme)
+        plain = run_oracle_for(sol, cfg)
+        run, per_step = self.counted_run(monkeypatch, sol, cfg)
+        assert len(per_step) == cfg.n_time
+        assert all(1 <= k <= cfg.picard_max_iter for k in per_step)
+        assert run.front.tobytes() == plain.front.tobytes()
+        assert run.fields.tobytes() == plain.fields.tobytes()
+
+    def test_single_sweep_steps_solve_once(self, monkeypatch, classical_sol):
+        # A tolerance every sweep meets stops each step after one sweep.
+        cfg = OracleConfig(n_space=64, n_time=64, picard_tol=1.0)
+        _, per_step = self.counted_run(monkeypatch, classical_sol, cfg)
+        assert per_step == [1] * cfg.n_time
+
+
+# repr of (front_rel_err, temp_max_err) of a 64 x 256 run at Ste = delta =
+# p = 1, pinned so that any change to the sweep arithmetic shows up here.
+# Recorded with numpy 2.4.6 and scipy 1.17.1 on x86_64 with AVX-512 (numpy's
+# dispatched float64 kernels).  Another numpy or scipy build or another SIMD
+# path can move exp, power and erf in the last ulp, and with them these
+# digits, without any change to the scheme.
+GOLDEN_ERRORS = {
+    ("none", 1.0): ("0.01639722257238677", "0.01715265444748508"),
+    ("none", 0.5): ("0.0011604121904293416", "0.001194366279052575"),
+    ("exponential", 1.0): ("0.014944787790130934", "0.012525978516223894"),
+    ("exponential", 0.5): ("0.0011036004578136686", "0.0009092143290002994"),
+    ("feedback", 1.0): ("0.0168941706334704", "0.020576331202850063"),
+    ("feedback", 0.5): ("0.0011822880175134775", "0.0014147936692942807"),
+}
+GOLDEN_SOURCES = {
+    "none": NoSource(),
+    "exponential": ExponentialSource(),
+    "feedback": FluxFeedbackSource(lambda0=0.5),
+}
+
+
+class TestGoldenErrors:
+    @pytest.mark.parametrize("kind, theta_scheme", sorted(GOLDEN_ERRORS))
+    def test_errors_pinned(self, kind, theta_scheme):
+        sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
+        run = run_oracle_for(
+            sol, OracleConfig(n_space=64, n_time=256, theta_scheme=theta_scheme)
+        )
+        got = (repr(run.front_rel_err), repr(run.temp_max_err))
+        assert got == GOLDEN_ERRORS[kind, theta_scheme]
 
 
 class TestCompare:
