@@ -68,7 +68,7 @@ def lambda_residual_check(sol: SimilaritySolution) -> CheckResult:
 
 def boundary_checks(sol: SimilaritySolution) -> list[CheckResult]:
     """Fixed-face value y(0) = 1 and front value y(lam) = 0."""
-    y0, ylam = sol.y_many(np.array([0.0, sol.lam]), exact=True, clamp=False)
+    y0, ylam = sol.y_many(np.array([0.0, sol.lam]), clamp=False)
     return [
         _result("fixed_face_value", abs(y0 - 1.0), FIXED_FACE_VALUE_TOL),
         _result("front_value", abs(ylam), FRONT_VALUE_TOL),
@@ -85,7 +85,7 @@ def front_slope_check(sol: SimilaritySolution) -> CheckResult:
     lam = sol.lam
     step = FRONT_SLOPE_STEP * max(1.0, lam)
     pts = np.array([lam, lam - step, lam - 2.0 * step])
-    y = sol.y_many(pts, exact=True, clamp=False)
+    y = sol.y_many(pts, clamp=False)
     slope = (3.0 * y[0] - 4.0 * y[1] + y[2]) / (2.0 * step)
     target = -2.0 * lam / sol.dimensionless.ste
     return _result("front_slope", abs(slope - target) / abs(target), FRONT_SLOPE_REL_TOL)
@@ -109,7 +109,7 @@ def ode_residual_check(sol: SimilaritySolution, n_nodes: int = 200) -> CheckResu
     h = np.minimum(lam / 200.0, dist / 50.0)
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     pts = etas[:, None] + h[:, None] * offsets[None, :]
-    vals = sol.y_many(pts, exact=True).reshape(n_nodes, 5)
+    vals = sol.y_many(pts).reshape(n_nodes, 5)
     d1 = (vals[:, 0] - 8.0 * vals[:, 1] + 8.0 * vals[:, 3] - vals[:, 4]) / (12.0 * h)
     d2 = (
         -vals[:, 0] + 16.0 * vals[:, 1] - 30.0 * vals[:, 2] + 16.0 * vals[:, 3] - vals[:, 4]
@@ -128,7 +128,7 @@ def ode_residual_check(sol: SimilaritySolution, n_nodes: int = 200) -> CheckResu
 def profile_shape_checks(sol: SimilaritySolution, n_points: int = 512) -> list[CheckResult]:
     """Monotonicity and range of y, and monotonicity of Psi and Phi."""
     etas = np.linspace(0.0, sol.lam, n_points)
-    y = sol.y_many(etas, exact=True, clamp=False)
+    y = sol.y_many(etas, clamp=False)
     psi = sol.psi.evaluate_many(etas)
     xs = np.linspace(0.0, 1.0, n_points)
     phi = phi_map(sol.psi.delta, sol.psi.p, xs)

@@ -64,15 +64,13 @@ def _solve_from_config(cfg: RunConfig) -> SimilaritySolution:
             "config leaves swept parameters without base values; "
             "only the sweep command accepts it"
         )
-    return solve_problem(cfg.material, cfg.boundary, cfg.source, cfg.tol, cfg.table_nodes)
+    return solve_problem(cfg.material, cfg.boundary, cfg.source, cfg.tol)
 
 
 def _summary_row(sol: SimilaritySolution) -> tuple[list[str], list[str]]:
     groups = sol.dimensionless
     feedback = "" if groups.feedback is None else _fmt(groups.feedback)
-    front_defect = abs(
-        float(sol.y_many(np.array([sol.lam]), exact=True, clamp=False)[0])
-    )
+    front_defect = abs(float(sol.y_many(np.array([sol.lam]), clamp=False)[0]))
     header = [
         "source", "ste", "delta", "p", "feedback",
         "lam", "y_prime0", "lambda_residual", "front_value_defect",
@@ -129,7 +127,7 @@ def cmd_profile(cfg: RunConfig, args: argparse.Namespace) -> int:
         front = front_position(sol, t)
         xs = np.linspace(0.0, front, args.points)
         etas = similarity_coordinate(sol, xs, t)
-        ys = sol.y_many(np.clip(etas, 0.0, sol.lam))
+        ys = sol.y_many(etas)
         for x, eta, y in zip(xs, etas, ys):
             theta = sol.boundary.theta_f + span * y
             rows.append([_fmt(t), _fmt(x), _fmt(eta), _fmt(y), _fmt(theta)])

@@ -35,7 +35,6 @@ from .model import (
 )
 from .numerics import Tolerance
 from .oracle import OracleConfig
-from .similarity import PROFILE_TABLE_NODES
 
 _FLOAT_KEYS = {
     "material.rho",
@@ -60,7 +59,6 @@ _FLOAT_KEYS = {
 }
 _INT_KEYS = {
     "solver.max_iter",
-    "solver.table_nodes",
     "oracle.n_space",
     "oracle.n_time",
     "oracle.picard_max_iter",
@@ -109,7 +107,6 @@ class RunConfig:
     dimensionless: bool
     reduced: Optional[DimensionlessProblem]
     tol: Tolerance
-    table_nodes: int
     oracle: Optional[OracleConfig]
     sweep: dict[str, list[float]]
     out_dir: Optional[str]
@@ -318,7 +315,6 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
         rel_tol=_given(_get_float(raw, "solver.rel_tol"), 1e-12),
         max_iter=_given(_get_int(raw, "solver.max_iter"), 200),
     )
-    table_nodes = _given(_get_int(raw, "solver.table_nodes"), PROFILE_TABLE_NODES)
 
     oracle: Optional[OracleConfig]
     if _get_bool(raw, "oracle.enabled", True):
@@ -349,7 +345,6 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
         dimensionless=dimensionless,
         reduced=reduced,
         tol=tol,
-        table_nodes=table_nodes,
         oracle=oracle,
         sweep=sweep,
         out_dir=raw.get("output.dir"),

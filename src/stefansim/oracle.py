@@ -323,7 +323,7 @@ def run_oracle_for(sol: SimilaritySolution, cfg: OracleConfig) -> OracleRun:
     fronts = np.empty(cfg.n_time + 1)
     fields = np.empty((cfg.n_time + 1, cfg.n_space))
     s = front_position(sol, cfg.t_start)
-    u = np.asarray(temperature(sol, stepper.xi * s, cfg.t_start, exact=True), dtype=float)
+    u = np.asarray(temperature(sol, stepper.xi * s, cfg.t_start), dtype=float)
     fronts[0] = s
     fields[0] = u
     for k in range(cfg.n_time):
@@ -382,7 +382,7 @@ def compare(sol: SimilaritySolution, run: OracleRun) -> tuple[float, float]:
     front_rel_err = float(np.max(np.abs(run.front - s_exact) / s_exact))
     denom = 2.0 * sol.dimensionless.a * np.sqrt(run.times)
     eta = (run.xi[None, :] * run.front[:, None]) / denom[:, None]
-    y = sol.y_many(np.clip(eta, 0.0, sol.lam), exact=True)
+    y = sol.y_many(np.clip(eta, 0.0, sol.lam))
     theta_exact = sol.boundary.theta_f + (sol.boundary.theta0 - sol.boundary.theta_f) * y
     theta_exact[eta > sol.lam] = sol.boundary.theta_f
     temp_max_err = float(np.max(np.abs(run.fields - theta_exact)))

@@ -40,8 +40,11 @@ def similarity_coordinate(sol: SimilaritySolution, x, t: float):
     return float(out) if np.isscalar(x) else out
 
 
-def temperature(sol: SimilaritySolution, x, t: float, exact: bool = False):
+def temperature(sol: SimilaritySolution, x, t: float):
     """Temperature theta(x, t) inside the liquid region.
+
+    The profile is evaluated pointwise as y = Phi^{-1}(Psi(eta)) from the
+    defining integrals of Psi (SimilaritySolution.y_many).
 
     Args:
         sol: Similarity solution.
@@ -49,8 +52,6 @@ def temperature(sol: SimilaritySolution, x, t: float, exact: bool = False):
             overshooting s(t) by at most FRONT_DOMAIN_SLACK (relative)
             report theta_f; larger overshoots raise OutOfDomain.
         t: Time, > 0.
-        exact: Evaluate the profile from its defining integrals instead of
-            the cached Chebyshev table (slower; for verification).
 
     Returns:
         theta matching the shape of x.
@@ -70,7 +71,7 @@ def temperature(sol: SimilaritySolution, x, t: float, exact: bool = False):
             f"temperature query beyond the front: max x = {float(xa.max())!r}, s(t) = {s!r}"
         )
     eta = np.minimum(similarity_coordinate(sol, xa, t), sol.lam)
-    y = sol.y_many(eta, exact=exact)
+    y = sol.y_many(eta)
     span = sol.boundary.theta0 - sol.boundary.theta_f
     out = sol.boundary.theta_f + span * y
     return float(out) if np.isscalar(x) else out

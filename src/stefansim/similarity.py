@@ -72,9 +72,6 @@ from .numerics import (
     integrate_cumulative,
 )
 
-# Chebyshev-Lobatto node count of the cached profile table.
-PROFILE_TABLE_NODES = 129
-
 # Psi values may stray this far outside [0, Phi(1)] from rounding before
 # inversion rejects them; strays inside the band clamp to the boundary.
 PSI_CLAMP_SLACK = 1e-9
@@ -548,40 +545,6 @@ def source_model(
 
 
 @dataclass(frozen=True)
-class _BarycentricTable:
-    """Psi sampled at Chebyshev-Lobatto nodes with barycentric weights."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def build(cls, psi: PsiProfile, n: int) -> "_BarycentricTable":
-        k = np.arange(n)
-        nodes = 0.5 * psi.lam * (1.0 - np.cos(np.pi * k / (n - 1)))
-        nodes[0] = 0.0
-        nodes[-1] = psi.lam
-        weights = np.where(k % 2 == 0, 1.0, -1.0)
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        return cls(nodes=nodes, values=psi.evaluate_many(nodes), weights=weights)
-
-    def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
-        out = np.empty(pts.shape, dtype=float)
-        # Chunked so the (m, n) distance matrix stays small.
-        for start in range(0, pts.size, 4096):
-            chunk = pts[start : start + 4096]
-            diff = chunk[:, None] - self.nodes[None, :]
-            exact_rows, exact_cols = np.nonzero(diff == 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = self.weights[None, :] / diff
-                vals = (t @ self.values) / t.sum(axis=1)
-            vals[exact_rows] = self.values[exact_cols]
-            out[start : start + 4096] = vals
-        return out
-
-
-@dataclass(frozen=True)
 class SimilaritySolution:
     """Explicit solution of a melting problem in similarity variables.
 
@@ -603,37 +566,23 @@ class SimilaritySolution:
     y_prime0: float
     model: SourceModel
     psi: PsiProfile
-    _table: _BarycentricTable
 
     def lambda_residual(self) -> float:
         """Signed defect of lam in its reduced equation."""
         equation = self.model.equation
         return equation.evaluate(self.lam) - equation.target
 
-    def y_many(self, etas, exact: bool = False, clamp: bool = True) -> np.ndarray:
-        """Profile y at an array of similarity coordinates in [0, lam].
+    def y_many(self, etas, clamp: bool = True) -> np.ndarray:
+        """Profile y = Phi^{-1}(Psi(eta)) at an array of eta in [0, lam].
 
-        The default path interpolates the cached Chebyshev table of Psi and
-        inverts pointwise, which is what bulk reconstruction wants.
-        exact=True reevaluates Psi from its defining integrals instead;
-        verification paths use it so table error never enters a check.
+        clamp selects how Psi values rounded past [0, Phi(1)] invert; see
+        _phi_inverse_many.
         """
-        arr = np.asarray(etas, dtype=float)
-        flat = arr.ravel()
-        if exact:
-            w = self.psi.evaluate_many(flat)
-        else:
-            slack = 1e-9 * max(1.0, self.lam)
-            if np.any(flat < -slack) or np.any(flat > self.lam + slack):
-                raise InvalidInput(
-                    f"profile query outside [0, {self.lam!r}] beyond the rounding slack"
-                )
-            w = self._table.evaluate_many(np.clip(flat, 0.0, self.lam))
-        return _phi_inverse_many(self.psi.delta, self.psi.p, w, clamp).reshape(arr.shape)
+        return y_from_psi(self.psi, etas, clamp)
 
-    def y(self, eta: float, exact: bool = False) -> float:
+    def y(self, eta: float) -> float:
         """Profile y at a single similarity coordinate."""
-        return float(self.y_many(np.array([eta]), exact=exact)[0])
+        return float(self.y_many(np.array([eta]))[0])
 
 
 def solve_problem(
@@ -641,7 +590,6 @@ def solve_problem(
     boundary: BoundaryData,
     source: SourceSpec,
     tol: Tolerance = DEFAULT_TOL,
-    table_nodes: int = PROFILE_TABLE_NODES,
 ) -> SimilaritySolution:
     """Solve a melting problem in similarity form.
 
@@ -650,7 +598,6 @@ def solve_problem(
         boundary: Fixed-face and phase-change temperatures.
         source: One of the four source models.
         tol: Root tolerance for the front coefficient.
-        table_nodes: Chebyshev node count of the cached profile table.
 
     Returns:
         The assembled SimilaritySolution.
@@ -660,12 +607,9 @@ def solve_problem(
         BracketExpansionFailed / NotBracketed / NonConvergence: Front
             coefficient could not be bracketed or resolved.
     """
-    if table_nodes < 8:
-        raise InvalidInput(f"table_nodes must be >= 8, got {table_nodes}")
     groups = dimensionless_groups(material, boundary, source)
     model = source_model(source, groups.ste, material.delta, material.p, groups.feedback)
     lam = solve_lambda(model.equation, tol)
-    psi = model.psi(lam)
     return SimilaritySolution(
         material=material,
         boundary=boundary,
@@ -674,6 +618,5 @@ def solve_problem(
         lam=lam,
         y_prime0=model.y_prime0(lam),
         model=model,
-        psi=psi,
-        _table=_BarycentricTable.build(psi, table_nodes),
+        psi=model.psi(lam),
     )

@@ -353,7 +353,7 @@ def test_criterion_7_monotonicity_suite(grid):
         etas = np.linspace(0.0, case.sol.lam, 129)
         psi_vals = case.sol.psi.evaluate_many(etas)
         psi_monotone = psi_monotone and bool(np.all(np.diff(psi_vals) < 0.0))
-        y = case.sol.y_many(etas, exact=True, clamp=False)
+        y = case.sol.y_many(etas, clamp=False)
         y_monotone = y_monotone and bool(np.all(np.diff(y) < 0.0))
         y_in_range = y_in_range and -1e-9 <= float(y.min()) and float(y.max()) <= 1.0 + 1e-9
         y_clamped = case.sol.y_many(etas)

@@ -7,6 +7,7 @@ codes and emitted files are asserted directly.
 import csv
 import math
 
+import numpy as np
 import pytest
 
 import stefansim.oracle as oracle
@@ -14,6 +15,7 @@ from stefansim.cli import main
 from stefansim.config import build_run_config, load_config, parse_config_text
 from stefansim.errors import ConfigError, InvalidInput
 from stefansim.model import ExponentialSource, FluxFeedbackSource, NoSource
+from stefansim.similarity import solve_problem, y_from_psi
 
 EXP_LAM_111 = 0.6457803612217943
 
@@ -57,8 +59,10 @@ class TestParse:
         assert raw == {"problem.ste": "1.0"}
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
-            parse_config_text("problem.stf = 1.0\n")
+        # solver.table_nodes sized a profile table that no longer exists.
+        for text in ("problem.stf = 1.0\n", "solver.table_nodes = 129\n"):
+            with pytest.raises(ConfigError, match="unknown config key"):
+                parse_config_text(text)
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -168,9 +172,10 @@ class TestSolveCommand:
         assert a == b
 
     def test_exit_2_on_bad_config(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, DIMLESS_EXP + "problem.bogus = 1\n")
-        assert main(["solve", "--config", cfg]) == 2
-        assert "unknown config key" in capsys.readouterr().err
+        for line in ("problem.bogus = 1\n", "solver.table_nodes = 129\n"):
+            cfg = write_cfg(tmp_path, DIMLESS_EXP + line)
+            assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+            assert "unknown config key" in capsys.readouterr().err
 
     def test_exit_2_on_invalid_physics(self, tmp_path, capsys):
         text = DIMENSIONAL_NONE.replace("boundary.theta0 = 285.05",
@@ -212,6 +217,14 @@ class TestProfileCommand:
             for _, x, eta, y, theta in block:
                 assert eta == pytest.approx(x / (2.0 * math.sqrt(t_block)), rel=1e-12)
                 assert theta == pytest.approx(y, rel=0, abs=1e-15)  # unit span
+        # The y column is the exact profile at the printed eta, digit for digit.
+        run = load_config(cfg)
+        sol = solve_problem(run.material, run.boundary, run.source, run.tol)
+        for t_block in ("0.25", "1"):
+            block = [row for row in rows[1:] if row[0] == t_block]
+            etas = np.array([float(row[2]) for row in block])
+            assert len(etas) == 7
+            assert [row[3] for row in block] == ["%.17g" % y for y in y_from_psi(sol.psi, etas)]
 
     def test_bad_time_list(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, DIMLESS_EXP)

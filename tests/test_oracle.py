@@ -76,9 +76,7 @@ class TestRunStructure:
     def test_initial_state_copied_exactly(self, classical_sol, classical_run):
         cfg = classical_run.config
         s0 = front_position(classical_sol, cfg.t_start)
-        want = temperature(
-            classical_sol, classical_run.xi * s0, cfg.t_start, exact=True
-        )
+        want = temperature(classical_sol, classical_run.xi * s0, cfg.t_start)
         np.testing.assert_array_equal(classical_run.fields[0], want)
         assert classical_run.front[0] == s0
 
@@ -330,9 +328,7 @@ class TestCompare:
         cfg = OracleConfig(n_space=64, n_time=256)
         s0 = front_position(classical_sol, cfg.t_start)
         xi = np.linspace(0.0, 1.0, cfg.n_space)
-        u0 = np.asarray(
-            temperature(classical_sol, xi * s0, cfg.t_start, exact=True), dtype=float
-        )
+        u0 = np.asarray(temperature(classical_sol, xi * s0, cfg.t_start), dtype=float)
         run = OracleRun(
             config=cfg,
             material=classical_sol.material,

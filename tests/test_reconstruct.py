@@ -119,16 +119,6 @@ class TestTemperature:
         with pytest.raises(InvalidInput):
             temperature(sol, 0.0, 0.0)
 
-    def test_exact_flag_agrees_with_table(self, sol):
-        t = 0.9
-        xs = np.linspace(0.0, front_position(sol, t), 101)
-        np.testing.assert_allclose(
-            temperature(sol, xs, t),
-            temperature(sol, xs, t, exact=True),
-            rtol=0,
-            atol=1e-10,
-        )
-
 
 class TestSimilarityCoordinate:
     def test_definition(self, sol):
