@@ -33,9 +33,12 @@ from .errors import (
 
 SQRT_PI = math.sqrt(math.pi)
 
-# Hard cap for upward bracket expansion.  The similarity equations all grow
-# like exp(x^2), which overflows a double near x = 27, so any root beyond
-# this cap is unrepresentable anyway; failing cleanly beats looping.
+# Hard cap for upward bracket expansion.  The sourceless and similarity-source
+# equations grow like exp(x^2), which overflows a double near x = 27, so a
+# root of theirs beyond this cap is unrepresentable anyway.  The scaled
+# flux-feedback equation grows only like x^2 log x and stays finite; for it
+# the cap is a documented domain limit (e.g. Ste = 1e4, delta = 1e3,
+# p = 1e-3 has its root beyond 50).  Failing cleanly beats looping.
 BRACKET_EXPANSION_CAP = 50.0
 
 # Subdivision depth limit for adaptive quadrature.  Depth 60 corresponds to

@@ -238,11 +238,11 @@ class _Stepper:
         two_h, h_sq = 2.0 * h, h * h
         sdot_old = self.front_speed(v, s_old)
         if w < 1.0:
-            op_old = self._spatial_operator(v, s_old, sdot_old, t0)
+            c_old_part = ((1.0 - w) * (rho_c0 * self._coeff_factor(v)))[1:-1]
+            rhs_old = (1.0 - w) * self._spatial_operator(v, s_old, sdot_old, t0)
         else:
-            op_old = 0.0
-        c_old_part = ((1.0 - w) * (rho_c0 * self._coeff_factor(v)))[1:-1]
-        rhs_old = (1.0 - w) * op_old
+            # Backward Euler has no old-time terms.
+            c_old_part = rhs_old = 0.0
         v_inner = v[1:-1]
         u = v.copy()
         if k >= 2:

@@ -22,9 +22,19 @@ to physical quantities lives in reconstruct.
 The y'(0) formulas drop out of the first integration evaluated at lam:
 
     (1 + delta) y'(0) = -(2/Ste) (lam e^{lam^2} + 2 I[beta e^{xi^2}](lam))
-    y'(0) = -2 lam e^{lam^2} / (Ste (1 + delta + A E(lam)))   (flux feedback)
+    y'(0) = -2 lam / (Ste (e^{-lam^2} (1 + delta) + A D(lam)))   (flux feedback)
 
-with E(x) the integral of e^{z^2} from 0 to x.  For the exponential source
+with D(x) = e^{-x^2} integral_0^x e^{z^2} dz Dawson's function.  The
+flux-feedback front equation, y'(0) and Psi are divided through by
+e^{lam^2}, so they hold only bounded terms: with F(x) the integral of D
+from 0 to x,
+
+    lam solves   2 x (A F(x) + (1 + delta) (sqrt(pi)/2) erf(x))
+                 / (Ste (e^{-x^2} (1 + delta) + A D(x))) = 1 + delta/(p+1),
+    Psi(eta) = 1 + delta/(p+1)
+               + y'(0) (A F(eta) + (1 + delta) (sqrt(pi)/2) erf(eta))
+
+(docs/errata.md, "Scaled form").  For the exponential source
 beta(eta) = e^{-eta^2}/2 every integral collapses:
 
     lam solves   (sqrt(pi)/Ste) x erf(x) (e^{x^2} + 1)
@@ -48,6 +58,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import dawsn
 
 from .errors import InvalidInput, NonConvergence, OutOfRange, StefanError
 from .model import (
@@ -285,14 +296,6 @@ def y_from_psi(psi: PsiProfile, etas, clamp: bool = True) -> np.ndarray:
     return _phi_inverse_many(psi.delta, psi.p, w, clamp)
 
 
-def _exp_sq(z: np.ndarray) -> np.ndarray:
-    return np.exp(z * z)
-
-
-def _exp_sq_erf(z: np.ndarray) -> np.ndarray:
-    return np.exp(z * z) * erf(z)
-
-
 class SourceModel:
     """The per-source parts of the similarity reduction at fixed (Ste, delta, p).
 
@@ -458,13 +461,15 @@ class _ExponentialModel(_SimilarityModel):
 class _FeedbackModel(SourceModel):
     """r = A y'(0), H = (lambda0 / sqrt(t)) dtheta/dx(0, t), coupling A = feedback.
 
-    LHS = sqrt(pi) x e^{x^2} * (A J(x) + (1 + delta) erf(x))
-          / (Ste (1 + delta + A E(x))),
-    Psi(eta) = target - C (A J(eta) + (1 + delta) erf(eta)),
-    C = sqrt(pi) lam e^{lam^2} / (Ste (1 + delta + A E(lam))),
-    E(x) = integral_0^x e^{z^2} dz,
-    J(x) = integral_0^x e^{z^2} (erf(x) - erf(z)) dz = erf(x) E(x) - I(x),
-    I(x) = integral_0^x e^{z^2} erf(z) dz.
+    Every term is bounded: the formulas are the e^{x^2}-scaled front
+    equation of docs/errata.md, written with Dawson's function
+    D(x) = e^{-x^2} integral_0^x e^{z^2} dz (0 <= D < 0.55 for x >= 0):
+
+    LHS = 2 x (A F(x) + (1 + delta) (sqrt(pi)/2) erf(x)) / (Ste den(x)),
+    Psi(eta) = target + y'(0) (A F(eta) + (1 + delta) (sqrt(pi)/2) erf(eta)),
+    y'(0) = -2 lam / (Ste den(lam)),
+    den(x) = e^{-x^2} (1 + delta) + A D(x),
+    F(x) = integral_0^x D(z) dz.
     """
 
     label = "flux-feedback source"
@@ -476,38 +481,30 @@ class _FeedbackModel(SourceModel):
         if not (isinstance(feedback, (int, float)) and math.isfinite(feedback) and feedback > 0.0):
             raise InvalidInput(f"feedback must be a finite positive number, got {feedback!r}")
         self.feedback = feedback
+        self._erf_coeff = (1.0 + delta) * (SQRT_PI / 2.0)
+
+    def _den(self, x: float) -> float:
+        return math.exp(-x * x) * (1.0 + self.delta) + self.feedback * float(dawsn(x))
 
     def _lhs(self, x: float) -> float:
-        if x * x > _EXP_ARG_LIMIT:
-            return math.inf
-        feedback, delta = self.feedback, self.delta
-        big_e = integrate(_exp_sq, 0.0, x, _QUAD_TOL)
-        big_i = integrate(_exp_sq_erf, 0.0, x, _QUAD_TOL)
-        ex = math.erf(x)
-        j = ex * big_e - big_i
-        num = SQRT_PI * x * math.exp(x * x) * (feedback * j + (1.0 + delta) * ex)
-        return num / (self.ste * (1.0 + delta + feedback * big_e))
+        f = integrate(dawsn, 0.0, x, _QUAD_TOL)
+        return 2.0 * x * (self.feedback * f + self._erf_coeff * math.erf(x)) / (
+            self.ste * self._den(x)
+        )
 
     def psi(self, lam: float) -> PsiProfile:
-        feedback, delta, target = self.feedback, self.delta, self.equation.target
-        e_lam = integrate(_exp_sq, 0.0, lam, _QUAD_TOL)
-        c_coeff = SQRT_PI * lam * math.exp(lam * lam) / (self.ste * (1.0 + delta + feedback * e_lam))
+        feedback, erf_coeff, target = self.feedback, self._erf_coeff, self.equation.target
+        slope = self.y_prime0(lam)
 
         def kernel(pts: np.ndarray) -> np.ndarray:
             nodes = np.concatenate([[0.0], pts])
-            big_e = integrate_cumulative(_exp_sq, nodes, _QUAD_TOL)[1:]
-            big_i = integrate_cumulative(_exp_sq_erf, nodes, _QUAD_TOL)[1:]
-            er = erf(pts)
-            j = er * big_e - big_i
-            return target - c_coeff * (feedback * j + (1.0 + delta) * er)
+            f = integrate_cumulative(dawsn, nodes, _QUAD_TOL)[1:]
+            return target + slope * (feedback * f + erf_coeff * erf(pts))
 
         return self._profile(lam, kernel)
 
     def y_prime0(self, lam: float) -> float:
-        e_lam = integrate(_exp_sq, 0.0, lam, _QUAD_TOL)
-        return -2.0 * lam * math.exp(lam * lam) / (
-            self.ste * (1.0 + self.delta + self.feedback * e_lam)
-        )
+        return -2.0 * lam / (self.ste * self._den(lam))
 
     def ode_rhs(self, etas: np.ndarray, y_prime0: float) -> np.ndarray:
         return np.full_like(etas, self.feedback * y_prime0)

@@ -1,6 +1,8 @@
 """Tests for the verification-suite helpers shared by CLI and tests."""
 
 import dataclasses
+import itertools
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from stefansim.checks import (
     profile_shape_checks,
     run_checks,
 )
+from stefansim.errors import StefanError
 from stefansim.model import (
     BoundaryData,
     ExponentialSource,
@@ -99,3 +102,23 @@ class TestCorruptedSolutionFails:
         lam_bad = exp_sol.lam + 0.1
         psi_bad = exp_sol.model.psi(lam_bad)
         assert abs(psi_bad.evaluate(lam_bad)) > 1e-3
+
+
+class TestWideDomainFeedback:
+    # The unscaled feedback equation overflowed at large lam: at Ste = 1e4
+    # and at some Ste = 1e2 cases it raised MemoryError or
+    # MaxSubdivisionsExceeded after seconds, and at Ste = 1e2, p = 1e-3 the
+    # root solve raised NonConvergence.  Failed checks are not asserted here.
+    @pytest.mark.parametrize(
+        "ste, delta, p",
+        list(itertools.product((1e-6, 1e-2, 1.0, 1e2, 1e4), (1e-8, 1.0, 1e3), (1e-3, 1.0, 20.0))),
+    )
+    def test_results_or_typed_error_within_a_second(self, ste, delta, p):
+        t0 = time.perf_counter()
+        try:
+            results = run_checks(solve(ste, delta, p, FluxFeedbackSource(lambda0=0.5)))
+        except StefanError:
+            pass
+        else:
+            assert results
+        assert time.perf_counter() - t0 < 1.0

@@ -212,8 +212,15 @@ GOLDEN_ERRORS = {
     ("none", 0.5): ("0.0011604121980804604", "0.0011943662866086679"),
     ("exponential", 1.0): ("0.014944787770406526", "0.012525978499611104"),
     ("exponential", 0.5): ("0.0011036004578136686", "0.0009092143290002994"),
-    ("feedback", 1.0): ("0.016894170609302456", "0.02057633117353214"),
-    ("feedback", 0.5): ("0.0011822880048413117", "0.0014147936550541855"),
+    ("feedback", 1.0): ("0.016894170609304114", "0.020576331173534534"),
+    ("feedback", 0.5): ("0.0011822880048404662", "0.0014147936550544839"),
+}
+# The feedback errors with Psi built from the two unscaled integrals of
+# e^{z^2} instead of the Dawson form.  The exact profile differs by ~1e-15,
+# so the errors agree to rounding.
+UNSCALED_FEEDBACK_GOLDEN_ERRORS = {
+    ("feedback", 1.0): (0.016894170609302456, 0.02057633117353214),
+    ("feedback", 0.5): (0.0011822880048413117, 0.0014147936550541855),
 }
 # The same errors when every step started from the explicit Euler front.
 # The Picard iteration stagnates at the same fixed point from either start,
@@ -277,6 +284,13 @@ class TestGoldenErrors:
         run, _ = golden_runs[kind, theta_scheme]
         got = (run.front_rel_err, run.temp_max_err)
         assert got == pytest.approx(PARENT_GOLDEN_ERRORS[kind, theta_scheme], rel=1e-7)
+
+    @pytest.mark.parametrize("kind, theta_scheme", sorted(UNSCALED_FEEDBACK_GOLDEN_ERRORS))
+    def test_feedback_errors_match_unscaled_form(self, golden_runs, kind, theta_scheme):
+        run, _ = golden_runs[kind, theta_scheme]
+        got = (run.front_rel_err, run.temp_max_err)
+        want = UNSCALED_FEEDBACK_GOLDEN_ERRORS[kind, theta_scheme]
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestPredictedFrontStart:

@@ -8,6 +8,7 @@ flaky randomness.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from stefansim.model import (
     NoSource,
     SimilaritySource,
 )
+from stefansim import similarity
 from stefansim.numerics import Tolerance, erf
 from stefansim.similarity import (
     _phi_inverse_many,
@@ -290,6 +292,34 @@ class TestSolveProblem:
             ),
             rel=1e-12,
         )
+
+    def test_feedback_quadrature_counts(self, monkeypatch):
+        # The scaled feedback form integrates Dawson's function once per
+        # root evaluation; psi(lam) and y_prime0(lam) need no quadrature.
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        find_root = similarity.find_root_increasing
+        monkeypatch.setattr(
+            similarity,
+            "find_root_increasing",
+            lambda g, *args: find_root(counted("root_evals", g), *args),
+        )
+        for name in ("integrate", "integrate_cumulative"):
+            monkeypatch.setattr(similarity, name, counted(name, getattr(similarity, name)))
+        sol = solve_problem(unit_material(1.0, 1.0, 1.0), UNIT_BD, FEEDBACK)
+        assert counts["root_evals"] > 0
+        assert counts["integrate"] == counts["root_evals"]
+        assert counts["integrate_cumulative"] == 0
+        sol.y_many(np.linspace(0.0, sol.lam, 5))
+        assert counts["integrate"] == counts["root_evals"]
+        assert counts["integrate_cumulative"] == 1
 
     def test_custom_tolerance_threads_through(self):
         tol = Tolerance(abs_tol=1e-6, rel_tol=1e-8, max_iter=200)

@@ -1,0 +1,184 @@
+"""High-precision reference values for the flux-feedback closed form.
+
+Solves the flux-feedback front equation and evaluates the integrated
+profile Psi with mpmath at 30 significant digits.  It imports nothing from
+stefansim and never uses Dawson's function, so it is an independent witness
+for the float code in stefansim.similarity.  It evaluates the equation in
+its unscaled form:
+
+    LHS(x) = sqrt(pi) x e^{x^2} (A J(x) + (1 + delta) erf(x))
+             / (Ste (1 + delta + A E(x))) = 1 + delta/(p+1),
+    Psi(eta) = 1 + delta/(p+1) - C (A J(eta) + (1 + delta) erf(eta)),
+    C = sqrt(pi) lam e^{lam^2} / (Ste (1 + delta + A E(lam))),
+    E(x) = integral_0^x e^{z^2} dz,
+    J(x) = erf(x) E(x) - I(x),   I(x) = integral_0^x e^{z^2} erf(z) dz.
+
+mp.quad integrates E and K(x) = integral_0^x e^{z^2} erfc(z) dz = E(x) - I(x),
+and J is taken as K(x) - erfc(x) E(x): the same expression with
+erf = 1 - erfc.  Written as erf(x) E(x) - I(x), two terms of size
+e^{x^2} / (2x) cancel, and at x = 30 they are 10^390 times J.  Keeping 30 digits through that subtraction needs
+420-digit arithmetic, and mpmath then spends about two minutes on one J.
+After the rewrite the cancellation happens in the algebra, not in the
+arithmetic.
+
+Usage, from the root of a checkout:
+
+    python tools/mp_reference.py           # write tests/data/reference.json
+    python tools/mp_reference.py --check   # recompute and diff against it
+
+--check exits 1 when a recomputed value differs from the file in any of
+the stored digits beyond the last two.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import sys
+from pathlib import Path
+
+import mpmath as mp
+
+DIGITS = 30
+STORED_DIGITS = 25
+OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "reference.json"
+
+# Psi is tabulated at these fractions of lam.
+ETA_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 0.9)
+
+# (Ste, delta, p, A): the 16 corners of the acceptance grid (Ste in
+# [0.1, 5], delta in [0.1, 5], p in [0.5, 3], A in [0.5, 2]), the unit
+# case, and three cases at Ste = 1e2 and 1e4, where lam is 3.7, 30.7 and 11.7.
+CASES = [
+    *itertools.product((0.1, 5.0), (0.1, 5.0), (0.5, 3.0), (0.5, 2.0)),
+    (1.0, 1.0, 1.0, 1.0),
+    (1e2, 1.0, 1.0, 1.0),
+    (1e4, 1.0, 1.0, 1.0),
+    (1e4, 1e3, 20.0, 1.0),
+]
+
+
+def _split(x):
+    """Quadrature breakpoints for [0, x]: e^{z^2} varies on the scale 1/x near x."""
+    pts = [x - mp.mpf(k) / x for k in (64, 32, 16, 8, 4, 2, 1)]
+    return [mp.mpf(0)] + [q for q in pts if q > 0] + [x]
+
+
+def front_integrals(x):
+    """(J(x), E(x)) with J = erf(x) E(x) - I(x), evaluated as K(x) - erfc(x) E(x)."""
+    x = mp.mpf(x)
+    if x == 0:
+        return mp.mpf(0), mp.mpf(0)
+    pts = _split(x)
+    e = mp.quad(lambda z: mp.exp(z * z), pts)
+    k = mp.quad(lambda z: mp.exp(z * z) * mp.erfc(z), pts)
+    return k - mp.erfc(x) * e, e
+
+
+def lhs(x, ste, delta, a):
+    j, e = front_integrals(x)
+    return (
+        mp.sqrt(mp.pi) * x * mp.exp(x * x) * (a * j + (1 + delta) * mp.erf(x))
+        / (ste * (1 + delta + a * e))
+    )
+
+
+def solve_lam(ste, delta, p, a):
+    """Root of LHS = target, bracketed by doubling and halving from [0.5, 1]."""
+    target = 1 + delta / (p + 1)
+
+    def f(x):
+        return lhs(x, ste, delta, a) - target
+
+    lo, hi = mp.mpf("0.5"), mp.mpf(1)
+    while f(hi) < 0:
+        lo, hi = hi, 2 * hi
+    while f(lo) > 0:
+        lo, hi = lo / 2, lo
+    return mp.findroot(f, (lo, hi), solver="anderson")
+
+
+def psi(etas, lam, ste, delta, p, a):
+    """Psi at each eta in etas."""
+    _, e_lam = front_integrals(lam)
+    c = mp.sqrt(mp.pi) * lam * mp.exp(lam * lam) / (ste * (1 + delta + a * e_lam))
+    return [
+        1 + delta / (p + 1) - c * (a * front_integrals(eta)[0] + (1 + delta) * mp.erf(eta))
+        for eta in etas
+    ]
+
+
+def reference_case(ste, delta, p, a):
+    mp.mp.dps = DIGITS
+    ste, delta, p, a = (mp.mpf(v) for v in (ste, delta, p, a))
+    lam = solve_lam(ste, delta, p, a)
+    # Each eta is rounded to a double first, so the float code is asked
+    # for Psi at exactly the tabulated point.
+    etas = [float(lam * q) for q in ETA_FRACTIONS]
+    return {
+        "ste": float(ste),
+        "delta": float(delta),
+        "p": float(p),
+        "feedback": float(a),
+        "lam": mp.nstr(lam, STORED_DIGITS),
+        "eta": etas,
+        "psi": [
+            mp.nstr(v, STORED_DIGITS) for v in psi(map(mp.mpf, etas), lam, ste, delta, p, a)
+        ],
+    }
+
+
+def build():
+    return {
+        "source": "flux-feedback",
+        "digits": DIGITS,
+        "mpmath": mp.__version__,
+        "cases": [reference_case(*case) for case in CASES],
+    }
+
+
+def _differs(old: str, new: str) -> bool:
+    old, new = mp.mpf(old), mp.mpf(new)
+    scale = max(abs(old), abs(new), mp.mpf(1))
+    return abs(old - new) > mp.mpf(10) ** (2 - STORED_DIGITS) * scale
+
+
+def check(table) -> int:
+    fresh = build()
+    bad = 0
+    if len(fresh["cases"]) != len(table["cases"]):
+        print(f"case count: file {len(table['cases'])}, recomputed {len(fresh['cases'])}")
+        return 1
+    for old, new in zip(table["cases"], fresh["cases"]):
+        key = (old["ste"], old["delta"], old["p"], old["feedback"])
+        if key != (new["ste"], new["delta"], new["p"], new["feedback"]) or old["eta"] != new["eta"]:
+            print(f"{key}: parameters or eta points differ from the recomputed case")
+            bad += 1
+            continue
+        pairs = [("lam", old["lam"], new["lam"])]
+        pairs += [(f"psi({eta!r})", o, n) for eta, o, n in zip(old["eta"], old["psi"], new["psi"])]
+        for name, o, n in pairs:
+            if _differs(o, n):
+                print(f"{key} {name}: file {o}, recomputed {n}")
+                bad += 1
+    print(f"{len(table['cases'])} cases checked, {bad} differences")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true", help="recompute and compare with the committed table"
+    )
+    args = parser.parse_args(argv)
+    if args.check:
+        return check(json.loads(OUT.read_text()))
+    OUT.parent.mkdir(parents=True, exist_ok=True)
+    OUT.write_text(json.dumps(build(), indent=1) + "\n")
+    print(f"wrote {OUT}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
