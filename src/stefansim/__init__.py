@@ -36,14 +36,7 @@ from .model import (
     specific_heat,
     stefan_number,
 )
-from .numerics import (
-    Bracket,
-    Tolerance,
-    erf,
-    find_root_increasing,
-    integrate,
-    integrate_cumulative,
-)
+from .numerics import Tolerance, erf, integrate, integrate_cumulative
 from .oracle import OracleConfig, OracleRun, compare, run_oracle, run_oracle_for
 from .reconstruct import (
     fixed_face_flux,
@@ -67,7 +60,6 @@ from .similarity import (
 
 __all__ = [
     "BoundaryData",
-    "Bracket",
     "BracketExpansionFailed",
     "CheckResult",
     "ConfigError",
@@ -100,7 +92,6 @@ __all__ = [
     "dimensionless_groups",
     "erf",
     "feedback_coefficient",
-    "find_root_increasing",
     "fixed_face_flux",
     "front_position",
     "integrate",

@@ -10,13 +10,16 @@ evaluated on batches of nodes rather than one scalar at a time.
 
 Root finding works only on (strictly) increasing functions, which is all
 the similarity layer ever needs: every transcendental equation in this
-problem family has a monotone left-hand side.  Bisection is used because
-its bracket is a proof.
+problem family has a monotone left-hand side.  A Brent-Dekker iteration
+contracts a bracket whose ends keep opposite signs, so the bracket stays a
+proof of the root while interpolation takes it to tolerance in a fraction
+of the evaluations bisection needs.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -32,6 +35,7 @@ from .errors import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
+_EPS = sys.float_info.epsilon
 
 # Hard cap for upward bracket expansion.  The sourceless and similarity-source
 # equations grow like exp(x^2), which overflows a double near x = 27, so a
@@ -338,17 +342,24 @@ def find_root_increasing(
 
     The seed bracket is expanded first: hi doubles (capped at
     BRACKET_EXPANSION_CAP) until g(hi) >= target, and lo shrinks toward
-    0+ until g(lo) <= target.  Bisection then contracts the bracket until
-    both the residual and the relative bracket width meet the tolerance.
-    Overflow in g counts as +inf, so equations growing like exp(x^2) fail
-    over to a finite bracket instead of crashing.
+    0+ until g(lo) <= target.  A Brent-Dekker iteration then contracts the
+    bracket: inverse quadratic interpolation or a secant step where it
+    lands well inside the bracket, bisection otherwise (Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 4).  Every iterate
+    keeps a sign change of g - target between the two bracket ends, so the
+    bracket stays a proof that the root lies inside it.  Overflow in g
+    counts as +inf, so equations growing like exp(x^2) fail over to a
+    finite bracket instead of crashing; while an end of the bracket has an
+    infinite value the iteration bisects.
 
     Args:
         g: Strictly increasing function of one positive variable.
         target: Right-hand side value to match.
         bracket: Seed bracket with 0 < lo < hi.
         tol: Stopping criteria: |g(x) - target| <= abs_tol and bracket
-            width <= rel_tol * x, within max_iter bisections.
+            width <= rel_tol * x, within max_iter iterations.  A bracket
+            that collapses to adjacent doubles first also stops the
+            iteration, at its end with the smaller residual.
 
     Returns:
         The root x*.
@@ -384,22 +395,64 @@ def find_root_increasing(
         return lo
     if ghi == target:
         return hi
-    x = 0.5 * (lo + hi)
+    # Residuals f = g - target.  b is the bracket end with the smaller
+    # residual, c the other end (f(b) and f(c) differ in sign), and a the
+    # previous b, the third point of the interpolation.  step is the last
+    # step taken and prev_step the one before it.
+    a, fa = lo, glo - target
+    b, fb = hi, ghi - target
+    c, fc = a, fa
+    step = prev_step = b - a
     for _ in range(tol.max_iter):
-        gx = _eval_clipped(g, x)
-        if gx >= target:
-            hi = x
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            step = prev_step = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        half = 0.5 * (c - b)
+        if fb == 0.0 or (abs(fb) <= tol.abs_tol and abs(c - b) <= tol.rel_tol * abs(b)):
+            return b
+        if b + half in (b, c):
+            return b
+        # Smallest step: half the width tolerance once the residual meets
+        # abs_tol, a couple of ulps while it does not, so that a steep g
+        # still converges down to the resolution of a double.
+        width_share = 0.5 * tol.rel_tol if abs(fb) <= tol.abs_tol else 0.0
+        min_step = max(width_share, 2.0 * _EPS) * abs(b)
+        if (
+            abs(half) > min_step
+            and abs(prev_step) >= min_step
+            and abs(fa) > abs(fb)
+            and math.isfinite(fa)
+            and math.isfinite(fc)
+        ):
+            s = fb / fa
+            if a == c:
+                p = 2.0 * half * s
+                q = 1.0 - s
+            else:
+                qa = fa / fc
+                r = fb / fc
+                p = s * (2.0 * half * qa * (qa - r) - (b - a) * (r - 1.0))
+                q = (qa - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            # Accept the interpolated step only if it stays well inside the
+            # bracket and shrinks faster than bisection would.
+            if 2.0 * p < min(3.0 * half * q - abs(min_step * q), abs(prev_step * q)):
+                prev_step, step = step, p / q
+            else:
+                prev_step = step = half
         else:
-            lo = x
-        mid = 0.5 * (lo + hi)
-        if abs(gx - target) <= tol.abs_tol and (hi - lo) <= tol.rel_tol * abs(x):
-            return x
-        if mid == x:
-            # Bracket is at machine resolution; accept if the residual
-            # criterion holds, otherwise keep iterating on the other side.
-            if abs(gx - target) <= tol.abs_tol:
-                return x
-        x = mid
+            prev_step = step = half
+        a, fa = b, fb
+        if abs(step) > min_step or abs(half) <= min_step:
+            b += step
+        else:
+            b += math.copysign(min_step, half)
+        fb = _eval_clipped(g, b) - target
     raise NonConvergence(
-        f"find_root_increasing: no root to tolerance within {tol.max_iter} bisections"
+        f"find_root_increasing: no root to tolerance within {tol.max_iter} iterations"
     )

@@ -44,8 +44,8 @@ beta(eta) = e^{-eta^2}/2 every integral collapses:
                + (1 - e^{-eta^2})/Ste.
 
 Each reduced equation has a strictly increasing left-hand side, so lam is
-the unique root and bracketed bisection is a proof of existence in the
-computed interval.
+the unique root, and the sign-changing bracket that the Brent-Dekker solve
+keeps around it is a proof of existence in the computed interval.
 
 The per-source formulas live on one SourceModel subclass per source kind;
 source_model is the only place that maps a source spec to its formulas.

@@ -2,6 +2,10 @@
 
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -122,3 +126,35 @@ class TestWideDomainFeedback:
         else:
             assert results
         assert time.perf_counter() - t0 < 1.0
+
+
+# Solves and checks every source kind in a fresh interpreter, then prints
+# whether scipy.optimize was ever imported.  Importing it adds ~17 MB of
+# resident memory, which no part of the library needs.
+FOOTPRINT_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    from stefansim import (
+        BoundaryData, ExponentialSource, FluxFeedbackSource, Material, NoSource,
+        SimilaritySource, run_checks, solve_problem,
+    )
+    mat = Material(rho=1.0, c0=1.0, k0=1.0, latent_heat=1.0, delta=1.0, p=1.0)
+    bd = BoundaryData(theta0=1.0, theta_f=0.0)
+    sources = (
+        NoSource(), ExponentialSource(), FluxFeedbackSource(lambda0=0.5),
+        SimilaritySource(lambda eta: 0.5 / (1.0 + eta * eta)),
+    )
+    for source in sources:
+        assert run_checks(solve_problem(mat, bd, source))
+    print("scipy.optimize" in sys.modules)
+    """
+)
+
+
+def test_library_leaves_scipy_optimize_unimported():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"

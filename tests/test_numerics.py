@@ -177,6 +177,38 @@ class TestFindRootIncreasing:
         root = find_root_increasing(g, 8.0, Bracket(0.5, 4.0), tol)
         assert abs(g(root) - 8.0) <= 1e-12
 
+    def test_classical_evaluation_budget(self):
+        # Bisection needs ~43 evaluations from this seed; interpolation far fewer.
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return math.sqrt(math.pi) * x * math.erf(x) * math.exp(x * x)
+
+        got = find_root_increasing(g, 1.0, Bracket(1e-8, 1.0))
+        assert got == pytest.approx(CLASSICAL_LAM, rel=1e-12)
+        assert len(calls) <= 20
+
+    def test_steep_function_resolved_to_ulps(self):
+        # Near the root g' = 1e13, so no double meets the residual tolerance;
+        # the bracket must collapse to adjacent doubles instead.
+        got = find_root_increasing(lambda x: 1e12 * math.exp(x), 1e13, Bracket(1e-8, 1.0))
+        assert abs(got - math.log(10.0)) <= 4.0 * math.ulp(math.log(10.0))
+
+    def test_infinite_values_above_root(self):
+        # Bisection while a bracket end is infinite reaches the finite part
+        # in a few halvings; interpolating through inf degenerates into
+        # minimum-size steps and takes more evaluations.
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return math.inf if x > 1.0 else math.expm1(x)
+
+        got = find_root_increasing(g, 1.0, Bracket(1e-8, 50.0))
+        assert got == pytest.approx(math.log(2.0), rel=1e-12)
+        assert len(calls) <= 16
+
 
 class TestValidation:
     def test_tolerance_rejects_nonpositive(self):

@@ -1,5 +1,6 @@
 """Tests for the finite-difference moving-boundary solver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -208,16 +209,29 @@ class TestSweepCounter:
 # path can move exp, power and erf in the last ulp, and with them these
 # digits, without any change to the scheme.
 GOLDEN_ERRORS = {
-    ("none", 1.0): ("0.01639722257026269", "0.017152654445263437"),
-    ("none", 0.5): ("0.0011604121980804604", "0.0011943662866086679"),
-    ("exponential", 1.0): ("0.014944787770406526", "0.012525978499611104"),
-    ("exponential", 0.5): ("0.0011036004578136686", "0.0009092143290002994"),
-    ("feedback", 1.0): ("0.016894170609304114", "0.020576331173534534"),
-    ("feedback", 0.5): ("0.0011822880048404662", "0.0014147936550544839"),
+    ("none", 1.0): ("0.016397222570188434", "0.01715265444546493"),
+    ("none", 0.5): ("0.0011604121980063828", "0.0011943662859372536"),
+    ("exponential", 1.0): ("0.014944787769553977", "0.012525978501812635"),
+    ("exponential", 0.5): ("0.0011036004583229024", "0.0009092143302782667"),
+    ("feedback", 1.0): ("0.016894170609169062", "0.02057633117388678"),
+    ("feedback", 0.5): ("0.0011822880046261717", "0.0014147936533935486"),
 }
-# The feedback errors with Psi built from the two unscaled integrals of
-# e^{z^2} instead of the Dawson form.  The exact profile differs by ~1e-15,
-# so the errors agree to rounding.
+# The same errors when lam came from plain bisection.  Its lam differed from
+# the Brent root by at most 8.3e-13 relative (exponential source), which
+# moves the errors by at most 1.4e-9 relative.
+BISECTION_GOLDEN_ERRORS = {
+    ("none", 1.0): (0.01639722257026269, 0.017152654445263437),
+    ("none", 0.5): (0.0011604121980804604, 0.0011943662866086679),
+    ("exponential", 1.0): (0.014944787770406526, 0.012525978499611104),
+    ("exponential", 0.5): (0.0011036004578136686, 0.0009092143290002994),
+    ("feedback", 1.0): (0.016894170609304114, 0.020576331173534534),
+    ("feedback", 0.5): (0.0011822880048404662, 0.0014147936550544839),
+}
+# The flux-feedback lam that bisection found for the golden feedback case.
+BISECTION_FEEDBACK_LAM = 0.7819448915152327
+# The feedback errors at BISECTION_FEEDBACK_LAM with Psi built from the two
+# unscaled integrals of e^{z^2} instead of the Dawson form.  The exact
+# profile differs by ~1e-15, so the errors agree to rounding.
 UNSCALED_FEEDBACK_GOLDEN_ERRORS = {
     ("feedback", 1.0): (0.016894170609302456, 0.02057633117353214),
     ("feedback", 0.5): (0.0011822880048413117, 0.0014147936550541855),
@@ -285,9 +299,22 @@ class TestGoldenErrors:
         got = (run.front_rel_err, run.temp_max_err)
         assert got == pytest.approx(PARENT_GOLDEN_ERRORS[kind, theta_scheme], rel=1e-7)
 
-    @pytest.mark.parametrize("kind, theta_scheme", sorted(UNSCALED_FEEDBACK_GOLDEN_ERRORS))
-    def test_feedback_errors_match_unscaled_form(self, golden_runs, kind, theta_scheme):
+    @pytest.mark.parametrize("kind, theta_scheme", sorted(GOLDEN_ERRORS))
+    def test_errors_match_bisection_lam(self, golden_runs, kind, theta_scheme):
         run, _ = golden_runs[kind, theta_scheme]
+        got = (run.front_rel_err, run.temp_max_err)
+        assert got == pytest.approx(BISECTION_GOLDEN_ERRORS[kind, theta_scheme], rel=1e-8)
+
+    @pytest.mark.parametrize("kind, theta_scheme", sorted(UNSCALED_FEEDBACK_GOLDEN_ERRORS))
+    def test_feedback_errors_match_unscaled_form(self, kind, theta_scheme):
+        # Both forms at one lam: the Dawson profile at the lam the unscaled
+        # errors were recorded with.
+        sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
+        lam, model = BISECTION_FEEDBACK_LAM, sol.model
+        sol = dataclasses.replace(
+            sol, lam=lam, y_prime0=model.y_prime0(lam), psi=model.psi(lam)
+        )
+        run = run_oracle_for(sol, OracleConfig(n_space=64, n_time=256, theta_scheme=theta_scheme))
         got = (run.front_rel_err, run.temp_max_err)
         want = UNSCALED_FEEDBACK_GOLDEN_ERRORS[kind, theta_scheme]
         assert got == pytest.approx(want, rel=1e-12)

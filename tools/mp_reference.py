@@ -1,10 +1,13 @@
-"""High-precision reference values for the flux-feedback closed form.
+"""High-precision reference values for the closed forms.
 
-Solves the flux-feedback front equation and evaluates the integrated
-profile Psi with mpmath at 30 significant digits.  It imports nothing from
-stefansim and never uses Dawson's function, so it is an independent witness
-for the float code in stefansim.similarity.  It evaluates the equation in
-its unscaled form:
+Solves the front equation and evaluates the integrated profile Psi with
+mpmath at 30 significant digits, for the flux-feedback source and for the
+closed forms without a source and with the exponential source.  It imports
+nothing from stefansim, so it is an independent witness for the float code
+in stefansim.similarity.
+
+The flux-feedback table never uses Dawson's function.  It evaluates the
+equation in its unscaled form:
 
     LHS(x) = sqrt(pi) x e^{x^2} (A J(x) + (1 + delta) erf(x))
              / (Ste (1 + delta + A E(x))) = 1 + delta/(p+1),
@@ -21,12 +24,24 @@ e^{x^2} / (2x) cancel, and at x = 30 they are 10^390 times J.  Keeping 30 digits
 After the rewrite the cancellation happens in the algebra, not in the
 arithmetic.
 
+The closed-form table solves the two elementary equations
+
+    no source:    (sqrt(pi)/Ste) x erf(x) e^{x^2} = 1 + delta/(p+1),
+    exponential:  (sqrt(pi)/Ste) x erf(x) (e^{x^2} + 1)
+                  - (1 - e^{-x^2})/Ste = 1 + delta/(p+1),
+
+with Psi(eta) = 1 + delta/(p+1) - (sqrt(pi)/Ste) lam e^{lam^2} erf(eta)
+without a source, and for the exponential source
+Psi(eta) = 1 + delta/(p+1) - (sqrt(pi)/Ste) lam (e^{lam^2} + 1) erf(eta)
++ (1 - e^{-eta^2})/Ste.  The float code evaluates the same formulas, so
+these rows check its rounding and its root solve, not the derivation.
+
 Usage, from the root of a checkout:
 
-    python tools/mp_reference.py           # write tests/data/reference.json
-    python tools/mp_reference.py --check   # recompute and diff against it
+    python tools/mp_reference.py           # write both tables under tests/data
+    python tools/mp_reference.py --check   # recompute and diff against them
 
---check exits 1 when a recomputed value differs from the file in any of
+--check exits 1 when a recomputed value differs from a file in any of
 the stored digits beyond the last two.
 """
 
@@ -42,7 +57,9 @@ import mpmath as mp
 
 DIGITS = 30
 STORED_DIGITS = 25
-OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "reference.json"
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+OUT = DATA / "reference.json"
+CLOSED_OUT = DATA / "reference_closed_forms.json"
 
 # Psi is tabulated at these fractions of lam.
 ETA_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -57,6 +74,10 @@ CASES = [
     (1e4, 1.0, 1.0, 1.0),
     (1e4, 1e3, 20.0, 1.0),
 ]
+
+# (Ste, delta, p) of the closed-form table: the 8 corners of the acceptance
+# grid and the unit case, each for both closed-form sources.
+CLOSED_CASES = [*itertools.product((0.1, 5.0), (0.1, 5.0), (0.5, 3.0)), (1.0, 1.0, 1.0)]
 
 
 def _split(x):
@@ -84,19 +105,19 @@ def lhs(x, ste, delta, a):
     )
 
 
-def solve_lam(ste, delta, p, a):
-    """Root of LHS = target, bracketed by doubling and halving from [0.5, 1]."""
-    target = 1 + delta / (p + 1)
-
-    def f(x):
-        return lhs(x, ste, delta, a) - target
-
+def bracketed_root(f):
+    """Root of increasing f, bracketed by doubling and halving from [0.5, 1]."""
     lo, hi = mp.mpf("0.5"), mp.mpf(1)
     while f(hi) < 0:
         lo, hi = hi, 2 * hi
     while f(lo) > 0:
         lo, hi = lo / 2, lo
     return mp.findroot(f, (lo, hi), solver="anderson")
+
+
+def solve_lam(ste, delta, p, a):
+    target = 1 + delta / (p + 1)
+    return bracketed_root(lambda x: lhs(x, ste, delta, a) - target)
 
 
 def psi(etas, lam, ste, delta, p, a):
@@ -129,6 +150,41 @@ def reference_case(ste, delta, p, a):
     }
 
 
+def closed_lhs(source, x, ste):
+    """Left-hand side of the no-source or exponential front equation."""
+    if source == "none":
+        return mp.sqrt(mp.pi) * x * mp.erf(x) * mp.exp(x * x) / ste
+    return (mp.sqrt(mp.pi) * x * mp.erf(x) * (mp.exp(x * x) + 1) + mp.expm1(-x * x)) / ste
+
+
+def closed_psi(source, eta, lam, ste, target):
+    """Psi(eta) of the no-source or exponential closed form."""
+    if source == "none":
+        return target - mp.sqrt(mp.pi) * lam * mp.exp(lam * lam) * mp.erf(eta) / ste
+    front = mp.sqrt(mp.pi) * lam * (mp.exp(lam * lam) + 1) * mp.erf(eta)
+    return target - (front + mp.expm1(-eta * eta)) / ste
+
+
+def closed_reference_case(source, ste, delta, p):
+    mp.mp.dps = DIGITS
+    ste, delta, p = (mp.mpf(v) for v in (ste, delta, p))
+    target = 1 + delta / (p + 1)
+    lam = bracketed_root(lambda x: closed_lhs(source, x, ste) - target)
+    etas = [float(lam * q) for q in ETA_FRACTIONS]
+    return {
+        "source": source,
+        "ste": float(ste),
+        "delta": float(delta),
+        "p": float(p),
+        "lam": mp.nstr(lam, STORED_DIGITS),
+        "eta": etas,
+        "psi": [
+            mp.nstr(closed_psi(source, mp.mpf(eta), lam, ste, target), STORED_DIGITS)
+            for eta in etas
+        ],
+    }
+
+
 def build():
     return {
         "source": "flux-feedback",
@@ -138,21 +194,40 @@ def build():
     }
 
 
+def build_closed():
+    return {
+        "source": "no source and exponential closed forms",
+        "digits": DIGITS,
+        "mpmath": mp.__version__,
+        "cases": [
+            closed_reference_case(source, *case)
+            for source in ("none", "exponential")
+            for case in CLOSED_CASES
+        ],
+    }
+
+
+TABLES = ((OUT, build), (CLOSED_OUT, build_closed))
+
+
 def _differs(old: str, new: str) -> bool:
     old, new = mp.mpf(old), mp.mpf(new)
     scale = max(abs(old), abs(new), mp.mpf(1))
     return abs(old - new) > mp.mpf(10) ** (2 - STORED_DIGITS) * scale
 
 
-def check(table) -> int:
-    fresh = build()
+def _key(case):
+    return tuple(case.get(name) for name in ("source", "ste", "delta", "p", "feedback"))
+
+
+def check(table, fresh) -> int:
     bad = 0
     if len(fresh["cases"]) != len(table["cases"]):
         print(f"case count: file {len(table['cases'])}, recomputed {len(fresh['cases'])}")
         return 1
     for old, new in zip(table["cases"], fresh["cases"]):
-        key = (old["ste"], old["delta"], old["p"], old["feedback"])
-        if key != (new["ste"], new["delta"], new["p"], new["feedback"]) or old["eta"] != new["eta"]:
+        key = _key(old)
+        if key != _key(new) or old["eta"] != new["eta"]:
             print(f"{key}: parameters or eta points differ from the recomputed case")
             bad += 1
             continue
@@ -169,15 +244,19 @@ def check(table) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--check", action="store_true", help="recompute and compare with the committed table"
+        "--check", action="store_true", help="recompute and compare with the committed tables"
     )
     args = parser.parse_args(argv)
-    if args.check:
-        return check(json.loads(OUT.read_text()))
-    OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text(json.dumps(build(), indent=1) + "\n")
-    print(f"wrote {OUT}")
-    return 0
+    status = 0
+    for path, build_table in TABLES:
+        if args.check:
+            print(f"{path.name}:")
+            status |= check(json.loads(path.read_text()), build_table())
+            continue
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(build_table(), indent=1) + "\n")
+        print(f"wrote {path}")
+    return status
 
 
 if __name__ == "__main__":
