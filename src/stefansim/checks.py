@@ -149,19 +149,19 @@ def closed_form_agreement_check(
 ) -> Optional[CheckResult]:
     """Exponential-source closed form vs the general quadrature path.
 
-    The exponential source's front coefficient has a closed-form reduced
-    equation; re-solving through the generic quadrature route must agree.
-    Returns None for other sources, where no redundant path exists.
+    The exponential source's front coefficient sol.lam is the root of a
+    closed-form reduced equation; solving the generic quadrature equation
+    with tol must agree.  Returns None for other sources, where no
+    redundant path exists.
     """
     if not isinstance(sol.source, ExponentialSource):
         return None
     groups = sol.dimensionless
     delta, p = sol.psi.delta, sol.psi.p
-    lam_closed = solve_lambda(sol.model.equation, tol)
     quadrature = source_model(SimilaritySource(sol.source.beta), groups.ste, delta, p)
     lam_quad = solve_lambda(quadrature.equation, tol)
     return _result(
-        "closed_form_vs_quadrature", abs(lam_closed - lam_quad), CLOSED_FORM_AGREEMENT_TOL
+        "closed_form_vs_quadrature", abs(sol.lam - lam_quad), CLOSED_FORM_AGREEMENT_TOL
     )
 
 

@@ -33,7 +33,7 @@ from collections.abc import Callable
 
 from .model import SimilaritySource
 from .numerics import SQRT_PI, Tolerance, DEFAULT_TOL
-from .similarity import LambdaEquation, PsiProfile, _SimilarityModel, solve_lambda
+from .similarity import _EXP_ARG_LIMIT, LambdaEquation, PsiProfile, _SimilarityModel, solve_lambda
 
 
 class _FrontTermFlipped(_SimilarityModel):
@@ -61,7 +61,7 @@ def variant_lambda_equation_exponential(
     """Variant B: circulated closed-form front equation for the exponential source."""
 
     def evaluate(x: float) -> float:
-        if x * x > 700.0:
+        if x * x > _EXP_ARG_LIMIT:
             return math.inf
         return (-math.expm1(-x * x)) / ste + (SQRT_PI / ste) * x * math.erf(x) * (
             math.exp(x * x) - 1.0

@@ -1,12 +1,16 @@
 """Low-level numerical kernels: quadrature and root finding.
 
 The routines here are deliberately self-contained and conservative.  The
-adaptive integrator uses an embedded Gauss-Kronrod 7/15 pair: the 15-point
-Kronrod value is the estimate and the absolute Gauss/Kronrod discrepancy is
-its error bound, which overestimates the true error for smooth integrands
-and therefore errs on the side of extra subdivision.  Subdivision is
+adaptive integrator uses an embedded Gauss-Kronrod 7/15 pair (Piessens et
+al., QUADPACK, 1983): the 15-point Kronrod value is the estimate and the
+absolute Gauss/Kronrod discrepancy is its error bound, which overestimates
+the true error for smooth integrands and therefore errs on the side of
+extra subdivision.  integrate and integrate_cumulative share one pass,
 breadth-first over numpy arrays of active panels, so integrands are always
-evaluated on batches of nodes rather than one scalar at a time.
+evaluated on batches of nodes rather than one scalar at a time.  Both meet
+one budget, max(abs_tol, rel_tol * |integral|), and both fail with
+MaxSubdivisionsExceeded at a depth limit or an active-panel cap rather
+than running out of memory.
 
 Root finding works only on (strictly) increasing functions, which is all
 the similarity layer ever needs: every transcendental equation in this
@@ -45,9 +49,15 @@ _EPS = sys.float_info.epsilon
 # p = 1e-3 has its root beyond 50).  Failing cleanly beats looping.
 BRACKET_EXPANSION_CAP = 50.0
 
-# Subdivision depth limit for adaptive quadrature.  Depth 60 corresponds to
-# panels ~1e-18 times the original interval, far below double spacing.
+# Limits of an adaptive quadrature pass.  Subdivision is breadth first, so
+# every active panel of a round has the same depth: depth 60 means panels
+# ~1e-18 times their segment, far below double spacing.  The active panels
+# of a round double while a budget is out of reach, so the cap on them,
+# PANELS_PER_SEGMENT per segment but never below MIN_PANEL_CAP, is what
+# bounds memory (a few hundred bytes per panel) long before depth 60.
 MAX_SUBDIVISION_DEPTH = 60
+PANELS_PER_SEGMENT = 8
+MIN_PANEL_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -188,11 +198,49 @@ def _gk_panels(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[Callable, np.
     x = center[:, None] + half[:, None] * _NODES[None, :]
     f, fx = _call_vectorized(f, x.ravel())
     fx = fx.reshape(x.shape)
-    if not np.all(np.isfinite(fx)):
+    if not np.isfinite(fx).all():
         raise InvalidInput("integrand returned a non-finite value")
     vals_k = half * (fx @ _WK)
     vals_g = half * (fx @ _WG)
     return f, vals_k, np.abs(vals_k - vals_g)
+
+
+def _integrate_segments(
+    f: Callable, a: np.ndarray, b: np.ndarray, total_len: float, tol: Tolerance
+) -> np.ndarray:
+    """Integrals of f over the segments [a[i], b[i]] (positive lengths
+    summing to total_len), in one breadth-first pass over all of them.
+
+    Each round applies the Gauss-Kronrod pair to every active panel,
+    accepts the panels whose discrepancy is within their share of the
+    budget max(abs_tol, rel_tol * |running total|), shared in proportion
+    to panel length, and bisects the rest.  All active panels of a round
+    have the same depth, so the round counter is the depth.
+    """
+    n = a.size
+    seg = np.arange(n)
+    sums = np.zeros(n)
+    depth = 0
+    while True:
+        f, vals, errs = _gk_panels(f, a, b)
+        budget = max(tol.abs_tol, tol.rel_tol * abs(float(sums.sum() + vals.sum())))
+        ok = errs <= budget * (b - a) / total_len
+        sums += np.bincount(seg[ok], vals[ok], n)
+        n_bad = ok.size - int(np.count_nonzero(ok))
+        if not n_bad:
+            return sums
+        cap = max(MIN_PANEL_CAP, PANELS_PER_SEGMENT * n)
+        if depth >= MAX_SUBDIVISION_DEPTH or 2 * n_bad > cap:
+            raise MaxSubdivisionsExceeded(
+                f"quadrature of {n} segment(s): {n_bad} panels in [{a.min()}, {b.max()}] "
+                f"at depth {depth} still exceed their share of the error budget {budget:.3e} "
+                f"(limits: depth {MAX_SUBDIVISION_DEPTH}, {cap} active panels)"
+            )
+        bad = ~ok
+        a, b, seg = a[bad], b[bad], seg[bad]
+        mid = 0.5 * (a + b)
+        a, b, seg = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([seg, seg])
+        depth += 1
 
 
 def integrate(
@@ -213,14 +261,14 @@ def integrate(
             callables are wrapped transparently at a modest speed cost.
         a: Lower limit.
         b: Upper limit (a <= b for the usual orientation; a > b negates).
-        tol: Error budget and iteration limits.
+        tol: Error budget.
 
     Returns:
         The integral estimate.
 
     Raises:
-        MaxSubdivisionsExceeded: A panel reached subdivision depth 60
-            without meeting its error share.
+        MaxSubdivisionsExceeded: Subdivision reached depth 60, or the
+            active panels outgrew their cap, before meeting the budget.
         InvalidInput: The integrand produced a non-finite value, or a
             limit is not finite.
     """
@@ -232,31 +280,7 @@ def integrate(
     if b < a:
         a, b = b, a
         sign = -1.0
-    total_len = b - a
-    act_a = np.array([a])
-    act_b = np.array([b])
-    depth = np.array([0])
-    accepted = 0.0
-    while act_a.size:
-        f, vals, errs = _gk_panels(f, act_a, act_b)
-        estimate = accepted + float(vals.sum())
-        budget = max(tol.abs_tol, tol.rel_tol * abs(estimate))
-        ok = errs <= budget * (act_b - act_a) / total_len
-        accepted += float(vals[ok].sum())
-        bad = ~ok
-        if not bad.any():
-            break
-        if depth[bad].max() >= MAX_SUBDIVISION_DEPTH:
-            raise MaxSubdivisionsExceeded(
-                f"integrate([{a}, {b}]): panel at depth {MAX_SUBDIVISION_DEPTH} "
-                f"still exceeds its error share of {budget:.3e}"
-            )
-        ba, bb, bd = act_a[bad], act_b[bad], depth[bad]
-        mid = 0.5 * (ba + bb)
-        act_a = np.concatenate([ba, mid])
-        act_b = np.concatenate([mid, bb])
-        depth = np.concatenate([bd, bd]) + 1
-    return sign * accepted
+    return sign * float(_integrate_segments(f, np.array([a]), np.array([b]), b - a, tol)[0])
 
 
 def integrate_cumulative(
@@ -275,7 +299,8 @@ def integrate_cumulative(
     Args:
         f: Integrand (see integrate for the vectorization contract).
         points: Ascending 1-D array of evaluation points (ties allowed).
-        tol: Error budget; abs_tol is split across segments by length.
+        tol: Error budget max(abs_tol, rel_tol * |integral over all
+            points|), shared across segments by length as in integrate.
 
     Returns:
         Array F with F[0] = 0 and F[i] = integral of f over
@@ -288,36 +313,14 @@ def integrate_cumulative(
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 1 or pts.size < 1:
         raise InvalidInput("points must be a 1-D array with at least one entry")
-    if np.any(np.diff(pts) < 0.0):
-        raise InvalidInput("points must be ascending")
-    seg_vals = np.zeros(max(pts.size - 1, 0))
     lens = np.diff(pts)
-    total_len = float(lens.sum())
-    if total_len == 0.0:
-        return np.zeros(pts.size)
+    if np.any(lens < 0.0):
+        raise InvalidInput("points must be ascending")
+    seg_vals = np.zeros(lens.size)
     live = lens > 0.0
-    seg_id = np.nonzero(live)[0]
-    act_a = pts[:-1][live]
-    act_b = pts[1:][live]
-    depth = np.zeros(seg_id.size, dtype=int)
-    while seg_id.size:
-        f, vals, errs = _gk_panels(f, act_a, act_b)
-        ok = errs <= tol.abs_tol * (act_b - act_a) / total_len
-        np.add.at(seg_vals, seg_id[ok], vals[ok])
-        bad = ~ok
-        if not bad.any():
-            break
-        if depth[bad].max() >= MAX_SUBDIVISION_DEPTH:
-            raise MaxSubdivisionsExceeded(
-                "integrate_cumulative: a panel reached depth "
-                f"{MAX_SUBDIVISION_DEPTH} without meeting its error share"
-            )
-        ba, bb, bi, bd = act_a[bad], act_b[bad], seg_id[bad], depth[bad]
-        mid = 0.5 * (ba + bb)
-        act_a = np.concatenate([ba, mid])
-        act_b = np.concatenate([mid, bb])
-        seg_id = np.concatenate([bi, bi])
-        depth = np.concatenate([bd, bd]) + 1
+    if live.any():
+        total_len = float(lens.sum())
+        seg_vals[live] = _integrate_segments(f, pts[:-1][live], pts[1:][live], total_len, tol)
     out = np.empty(pts.size)
     out[0] = 0.0
     np.cumsum(seg_vals, out=out[1:])

@@ -77,6 +77,7 @@ from .numerics import (
     SQRT_PI,
     Bracket,
     Tolerance,
+    _call_vectorized,
     erf,
     find_root_increasing,
     integrate,
@@ -208,18 +209,6 @@ def _phi_inverse_many(delta: float, p: float, w: np.ndarray, clamp: bool) -> np.
         # The quadratic form can round Phi^{-1}(Phi(1)) to 1 + 2^-52.
         np.clip(out, 0.0, 1.0, out=out)
     return out
-
-
-def _vectorized_beta(beta: Callable) -> Callable:
-    """Return beta as an array-capable callable (wrapping if necessary)."""
-    probe = np.array([0.25, 0.5])
-    try:
-        out = np.asarray(beta(probe), dtype=float)
-        if out.shape == probe.shape:
-            return beta
-    except (TypeError, ValueError):
-        pass
-    return np.vectorize(beta, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -377,7 +366,9 @@ class _SimilarityModel(SourceModel):
     front_term_sign = 1.0
 
     def __init__(self, source: SourceSpec, ste: float, delta: float, p: float) -> None:
-        self.beta = _vectorized_beta(source.beta)
+        # ode_rhs and heat_source call beta on arrays too, so a scalar-only
+        # beta is wrapped once here rather than in every quadrature pass.
+        self.beta, _ = _call_vectorized(source.beta, np.array([0.25, 0.5]))
         super().__init__(source, ste, delta, p)
 
     def _lhs_integrand(self, z: np.ndarray) -> np.ndarray:

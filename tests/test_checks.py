@@ -30,6 +30,7 @@ from stefansim.model import (
     NoSource,
     SimilaritySource,
 )
+from stefansim import similarity
 from stefansim.oracle import OracleConfig
 from stefansim.similarity import solve_problem
 
@@ -77,6 +78,19 @@ class TestIndividualChecks:
     def test_agreement_check_only_for_exponential(self, exp_sol):
         assert closed_form_agreement_check(exp_sol) is not None
         assert closed_form_agreement_check(solve(source=NoSource())) is None
+
+    def test_agreement_check_solves_only_the_quadrature_equation(self, exp_sol, monkeypatch):
+        # sol.lam is already the root of the closed-form equation.
+        solves = []
+        find_root = similarity.find_root_increasing
+
+        def counted(*args):
+            solves.append(args)
+            return find_root(*args)
+
+        monkeypatch.setattr(similarity, "find_root_increasing", counted)
+        assert all(r.passed for r in run_checks(exp_sol))
+        assert len(solves) == 1
 
     def test_oracle_checks_pass_on_default_grid(self, exp_sol):
         results = oracle_checks(exp_sol, OracleConfig())

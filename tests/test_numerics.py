@@ -5,7 +5,12 @@ module (Taylor series, Richardson-extrapolated trapezoid sums, plain
 bisection) and are frozen as literals where they pin library behavior.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -13,9 +18,12 @@ import pytest
 from stefansim.errors import (
     BracketExpansionFailed,
     InvalidInput,
+    MaxSubdivisionsExceeded,
     NotBracketed,
 )
 from stefansim.numerics import (
+    MIN_PANEL_CAP,
+    PANELS_PER_SEGMENT,
     Bracket,
     Tolerance,
     erf,
@@ -134,6 +142,96 @@ class TestIntegrateCumulative:
     def test_single_point(self):
         out = integrate_cumulative(np.exp, np.array([0.3]))
         assert out.shape == (1,) and out[0] == 0.0
+
+    def test_zero_length_segments(self):
+        points = np.array([0.0, 0.0, 0.5, 0.5, 1.0])
+        out = integrate_cumulative(np.exp, points)
+        np.testing.assert_allclose(out, np.expm1(points), rtol=1e-14, atol=0)
+        assert integrate_cumulative(np.exp, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+    def test_relative_budget_on_large_integral(self):
+        # The integral is 7.35e9, so an absolute budget of 1e-13 alone is
+        # out of reach; the relative term makes it a 1 ms pass.
+        tol = Tolerance(abs_tol=1e-13, rel_tol=1e-13)
+        out = run_limited(
+            "integrate_cumulative(lambda z: np.exp(z * z), np.linspace(0.0, 5.0, 11), "
+            "Tolerance(abs_tol=1e-13, rel_tol=1e-13))[-1]"
+        )
+        assert out["error"] is None and out["seconds"] < 1.0
+        want = integrate(lambda z: np.exp(z * z), 0.0, 5.0, tol)
+        assert out["value"] == pytest.approx(want, rel=1e-13)
+
+    def test_scalar_only_integrand(self):
+        cum = integrate_cumulative(math.exp, np.array([0.0, 0.5, 1.0]))
+        np.testing.assert_allclose(cum, [0.0, math.expm1(0.5), math.expm1(1.0)], rtol=1e-13)
+
+
+# Address-space limit of the child interpreters below: a quadrature pass
+# that grows without bound hits it as MemoryError instead of exhausting
+# the host.
+CHILD_ADDRESS_LIMIT = 1 << 30
+
+
+def run_limited(call: str) -> dict:
+    """Evaluate call in a child interpreter under CHILD_ADDRESS_LIMIT.
+
+    Returns {"value": float or None, "error": exception name or None,
+    "seconds": wall time of the call alone}.
+    """
+    script = textwrap.dedent(
+        f"""
+        import json, resource, time
+        resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_LIMIT}, {CHILD_ADDRESS_LIMIT}))
+        import numpy as np
+        from stefansim.numerics import Tolerance, integrate, integrate_cumulative
+        out = {{"value": None, "error": None}}
+        start = time.perf_counter()
+        try:
+            out["value"] = float({call})
+        except Exception as exc:
+            out["error"] = type(exc).__name__
+        out["seconds"] = time.perf_counter() - start
+        print(json.dumps(out))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestBoundedPass:
+    # A budget no panel can meet doubles the active panels every round, so
+    # without the active-panel cap a pass exhausts memory long before
+    # MAX_SUBDIVISION_DEPTH.
+    UNREACHABLE = "Tolerance(abs_tol=1e-300, rel_tol=1e-300)"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            f"integrate(lambda z: np.exp(z * z), 0.0, 5.0, {UNREACHABLE})",
+            f"integrate_cumulative(lambda z: np.exp(z * z), np.linspace(0.0, 5.0, 11), "
+            f"{UNREACHABLE})[-1]",
+        ],
+    )
+    def test_unreachable_budget_raises_quickly(self, call):
+        out = run_limited(call)
+        assert out["error"] == MaxSubdivisionsExceeded.__name__
+        assert out["seconds"] < 1.0
+
+    def test_cap_scales_with_segment_count(self):
+        # Nearly every one of the 20000 segments holds 2.5 periods and is
+        # bisected twice, so the third round holds ~80000 active panels:
+        # past MIN_PANEL_CAP, inside PANELS_PER_SEGMENT per segment.
+        n = 20_000
+        w = 16.0 * n
+        out = integrate_cumulative(
+            lambda z: np.cos(w * z), np.linspace(0.0, 1.0, n + 1), Tolerance(1e-10, 1e-10)
+        )
+        assert 4 * n > MIN_PANEL_CAP and 4 <= PANELS_PER_SEGMENT
+        assert out[-1] == pytest.approx(math.sin(w) / w, abs=1e-13)
 
 
 def bisect_oracle(g, target, lo, hi, iters=200):

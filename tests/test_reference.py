@@ -5,7 +5,9 @@ source, written by tools/mp_reference.py.  That script solves the unscaled
 front equation, built from integrals of e^{z^2}, and never uses Dawson's
 function, so it is independent of the scaled form in stefansim.similarity.
 tests/data/reference_closed_forms.json holds the same values for the
-no-source and exponential closed forms, solved with mp.findroot.  These
+no-source and exponential closed forms, solved with mp.findroot, and
+tests/data/reference_custom_beta.json for the similarity source with
+beta(eta) = (1 + eta) e^{-eta^2} / 2, integrated with mp.quad.  These
 tests only read the files; `python tools/mp_reference.py --check`
 recomputes them.
 """
@@ -22,6 +24,7 @@ from stefansim.model import (
     FluxFeedbackSource,
     Material,
     NoSource,
+    SimilaritySource,
 )
 from stefansim.similarity import solve_problem
 
@@ -34,6 +37,9 @@ CLOSED_IDS = [
     f"{c['source']}-ste={c['ste']:g}-delta={c['delta']:g}-p={c['p']:g}" for c in CLOSED_CASES
 ]
 CLOSED_SOURCES = {"none": NoSource(), "exponential": ExponentialSource()}
+CUSTOM_CASES = json.loads((DATA / "reference_custom_beta.json").read_text())["cases"]
+CUSTOM_IDS = [f"ste={c['ste']:g}-delta={c['delta']:g}-p={c['p']:g}" for c in CUSTOM_CASES]
+CUSTOM_SOURCE = SimilaritySource(lambda eta: 0.5 * (1.0 + eta) * np.exp(-eta * eta))
 
 LAM_REL_TOL = 1e-11
 PSI_ABS_TOL = 1e-10
@@ -89,6 +95,22 @@ def test_closed_table_covers_acceptance_corners():
 @pytest.mark.parametrize("case", CLOSED_CASES, ids=CLOSED_IDS)
 def test_closed_form_matches_reference(case):
     sol = solve_case(case, CLOSED_SOURCES[case["source"]])
+    lam_err, psi_err = reference_errors(case, sol.model, sol.lam)
+    assert lam_err <= LAM_REL_TOL
+    assert psi_err <= PSI_ABS_TOL
+    lam_err, psi_err = reference_errors(case, sol.model, sol.lam * (1.0 + 1e-9))
+    assert lam_err > LAM_REL_TOL
+    assert psi_err > PSI_ABS_TOL
+
+
+def test_custom_table_covers_acceptance_corners():
+    rows = {(c["ste"], c["delta"], c["p"]) for c in CUSTOM_CASES}
+    assert len(rows) == 9 and (1.0, 1.0, 1.0) in rows
+
+
+@pytest.mark.parametrize("case", CUSTOM_CASES, ids=CUSTOM_IDS)
+def test_custom_beta_matches_reference(case):
+    sol = solve_case(case, CUSTOM_SOURCE)
     lam_err, psi_err = reference_errors(case, sol.model, sol.lam)
     assert lam_err <= LAM_REL_TOL
     assert psi_err <= PSI_ABS_TOL

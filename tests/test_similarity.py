@@ -13,6 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from stefansim.checks import run_checks
 from stefansim.errors import InvalidInput, OutOfRange
 from stefansim.model import (
     BoundaryData,
@@ -220,6 +221,14 @@ class TestProfiles:
         lam = solve_lambda(model.equation)
         psi = model.psi(lam)
         assert abs(psi.evaluate(lam)) <= 1e-8
+
+    def test_scalar_only_beta(self):
+        # math.exp rejects arrays, so beta is wrapped once by the model.
+        material = unit_material(1.0, 1.0, 1.0)
+        sol = solve_problem(material, UNIT_BD, SimilaritySource(lambda e: 0.5 * math.exp(-e * e)))
+        assert all(r.passed for r in run_checks(sol))
+        closed = solve_problem(material, UNIT_BD, ExponentialSource())
+        assert abs(sol.lam - closed.lam) <= 1e-12
 
 
 class TestSlope:

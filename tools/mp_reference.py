@@ -36,9 +36,26 @@ Psi(eta) = 1 + delta/(p+1) - (sqrt(pi)/Ste) lam (e^{lam^2} + 1) erf(eta)
 + (1 - e^{-eta^2})/Ste.  The float code evaluates the same formulas, so
 these rows check its rounding and its root solve, not the derivation.
 
+The custom-beta table takes beta(eta) = (1 + eta) e^{-eta^2} / 2, which has
+no closed form in the solver, through the general similarity-source
+formulas:
+
+    (sqrt(pi)/Ste) x erf(x) e^{x^2}
+        + (2 sqrt(pi)/Ste) integral_0^x e^{xi^2} erf(xi) beta(xi) dxi
+        = 1 + delta/(p+1),
+    Psi(eta) = 1 + delta/(p+1) - (sqrt(pi)/Ste) erf(eta) B
+               + (2 sqrt(pi)/Ste) (erf(eta) Ibe(eta) - Ibee(eta)),
+    B = lam e^{lam^2} + 2 Ibe(lam),
+    Ibe(x) = integral_0^x beta e^{xi^2} dxi,
+    Ibee(x) = integral_0^x beta e^{xi^2} erf(xi) dxi,
+
+with mp.quad for the integrals and mp.findroot for lam.  These are the
+formulas the float code evaluates with its adaptive quadrature, so the rows
+check its rounding, its quadrature and its root solve, not the derivation.
+
 Usage, from the root of a checkout:
 
-    python tools/mp_reference.py           # write both tables under tests/data
+    python tools/mp_reference.py           # write the tables under tests/data
     python tools/mp_reference.py --check   # recompute and diff against them
 
 --check exits 1 when a recomputed value differs from a file in any of
@@ -60,6 +77,7 @@ STORED_DIGITS = 25
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 OUT = DATA / "reference.json"
 CLOSED_OUT = DATA / "reference_closed_forms.json"
+CUSTOM_OUT = DATA / "reference_custom_beta.json"
 
 # Psi is tabulated at these fractions of lam.
 ETA_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -185,6 +203,48 @@ def closed_reference_case(source, ste, delta, p):
     }
 
 
+def custom_beta(eta):
+    """The custom source of the custom-beta table."""
+    return (1 + eta) * mp.exp(-eta * eta) / 2
+
+
+def custom_integrals(x):
+    """(Ibe(x), Ibee(x)) for the custom beta."""
+    ibe = mp.quad(lambda z: custom_beta(z) * mp.exp(z * z), [0, x])
+    ibee = mp.quad(lambda z: custom_beta(z) * mp.exp(z * z) * mp.erf(z), [0, x])
+    return ibe, ibee
+
+
+def custom_reference_case(ste, delta, p):
+    mp.mp.dps = DIGITS
+    ste, delta, p = (mp.mpf(v) for v in (ste, delta, p))
+    target = 1 + delta / (p + 1)
+    root_pi = mp.sqrt(mp.pi)
+
+    def lhs_minus_target(x):
+        head = root_pi * x * mp.erf(x) * mp.exp(x * x) / ste
+        return head + 2 * root_pi * custom_integrals(x)[1] / ste - target
+
+    lam = bracketed_root(lhs_minus_target)
+    b_coeff = lam * mp.exp(lam * lam) + 2 * custom_integrals(lam)[0]
+
+    def psi_at(eta):
+        ibe, ibee = custom_integrals(eta)
+        er = mp.erf(eta)
+        return target - root_pi * er * b_coeff / ste + 2 * root_pi * (er * ibe - ibee) / ste
+
+    etas = [float(lam * q) for q in ETA_FRACTIONS]
+    return {
+        "source": "custom",
+        "ste": float(ste),
+        "delta": float(delta),
+        "p": float(p),
+        "lam": mp.nstr(lam, STORED_DIGITS),
+        "eta": etas,
+        "psi": [mp.nstr(psi_at(mp.mpf(eta)), STORED_DIGITS) for eta in etas],
+    }
+
+
 def build():
     return {
         "source": "flux-feedback",
@@ -207,7 +267,16 @@ def build_closed():
     }
 
 
-TABLES = ((OUT, build), (CLOSED_OUT, build_closed))
+def build_custom():
+    return {
+        "source": "custom beta (1 + eta) e^{-eta^2} / 2",
+        "digits": DIGITS,
+        "mpmath": mp.__version__,
+        "cases": [custom_reference_case(*case) for case in CLOSED_CASES],
+    }
+
+
+TABLES = ((OUT, build), (CLOSED_OUT, build_closed), (CUSTOM_OUT, build_custom))
 
 
 def _differs(old: str, new: str) -> bool:
