@@ -37,7 +37,7 @@ from .model import (
     stefan_number,
 )
 from .numerics import Tolerance, erf, integrate, integrate_cumulative
-from .oracle import OracleConfig, OracleRun, compare, run_oracle, run_oracle_for
+from .oracle import OracleConfig, OracleRun, compare, run_oracle_for
 from .reconstruct import (
     fixed_face_flux,
     front_position,
@@ -100,7 +100,6 @@ __all__ = [
     "phi_map",
     "phi_map_deriv",
     "run_checks",
-    "run_oracle",
     "run_oracle_for",
     "similarity_coordinate",
     "solve_lambda",

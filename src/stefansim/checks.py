@@ -20,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .model import ExponentialSource, SimilaritySource
-from .numerics import DEFAULT_TOL, Tolerance
 from .oracle import OracleConfig, run_oracle_for
 from .similarity import SimilaritySolution, phi_map, solve_lambda, source_model
 
@@ -144,22 +143,19 @@ def profile_shape_checks(sol: SimilaritySolution, n_points: int = 512) -> list[C
     ]
 
 
-def closed_form_agreement_check(
-    sol: SimilaritySolution, tol: Tolerance = DEFAULT_TOL
-) -> Optional[CheckResult]:
+def closed_form_agreement_check(sol: SimilaritySolution) -> Optional[CheckResult]:
     """Exponential-source closed form vs the general quadrature path.
 
     The exponential source's front coefficient sol.lam is the root of a
     closed-form reduced equation; solving the generic quadrature equation
-    with tol must agree.  Returns None for other sources, where no
-    redundant path exists.
+    must agree.  Returns None for other sources, where no redundant path exists.
     """
     if not isinstance(sol.source, ExponentialSource):
         return None
     groups = sol.dimensionless
     delta, p = sol.psi.delta, sol.psi.p
     quadrature = source_model(SimilaritySource(sol.source.beta), groups.ste, delta, p)
-    lam_quad = solve_lambda(quadrature.equation, tol)
+    lam_quad = solve_lambda(quadrature.equation)
     return _result(
         "closed_form_vs_quadrature", abs(sol.lam - lam_quad), CLOSED_FORM_AGREEMENT_TOL
     )
@@ -178,17 +174,14 @@ def oracle_checks(sol: SimilaritySolution, cfg: OracleConfig) -> list[CheckResul
 
 
 def run_checks(
-    sol: SimilaritySolution,
-    oracle_cfg: Optional[OracleConfig] = None,
-    n_ode_nodes: int = 200,
-    n_profile_points: int = 512,
+    sol: SimilaritySolution, oracle_cfg: Optional[OracleConfig] = None
 ) -> list[CheckResult]:
     """Full verification suite; oracle comparison only when configured."""
     results = [lambda_residual_check(sol)]
     results.extend(boundary_checks(sol))
     results.append(front_slope_check(sol))
-    results.append(ode_residual_check(sol, n_ode_nodes))
-    results.extend(profile_shape_checks(sol, n_profile_points))
+    results.append(ode_residual_check(sol))
+    results.extend(profile_shape_checks(sol))
     agreement = closed_form_agreement_check(sol)
     if agreement is not None:
         results.append(agreement)

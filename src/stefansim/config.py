@@ -3,7 +3,11 @@
 A config file is a sequence of `key = value` lines with `#` comments.
 Keys are dotted (`material.rho`); unknown or duplicated keys are hard
 errors so a misspelled physics parameter can never silently fall back to
-a default.  Two problem modes exist:
+a default.  The keys of the `material`, `boundary`, `solver` and `oracle`
+sections are the fields of Material, BoundaryData, Tolerance and
+OracleConfig, and take their types from them; `solver.*` and `oracle.*`
+keys are optional and default to those dataclasses' defaults.  Two
+problem modes exist:
 
 * dimensional: `material.*`, `boundary.*` and `source.*` give the
   physical problem;
@@ -36,41 +40,31 @@ from .model import (
 from .numerics import Tolerance
 from .oracle import OracleConfig
 
-_FLOAT_KEYS = {
-    "material.rho",
-    "material.c0",
-    "material.k0",
-    "material.latent_heat",
-    "material.delta",
-    "material.p",
-    "boundary.theta0",
-    "boundary.theta_f",
-    "source.lambda0",
-    "source.feedback",
-    "problem.ste",
-    "problem.delta",
-    "problem.p",
-    "solver.abs_tol",
-    "solver.rel_tol",
-    "oracle.t_start",
-    "oracle.t_end",
-    "oracle.theta_scheme",
-    "oracle.picard_tol",
-}
-_INT_KEYS = {
-    "solver.max_iter",
-    "oracle.n_space",
-    "oracle.n_time",
-    "oracle.picard_max_iter",
-}
-_BOOL_KEYS = {"problem.dimensionless", "oracle.enabled"}
-_STRING_KEYS = {"source.kind", "output.dir"}
-_LIST_KEYS = {"sweep.ste", "sweep.delta", "sweep.p", "sweep.feedback"}
-_KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STRING_KEYS | _LIST_KEYS
-
 # Source kinds a config may name.  Only the flux-feedback spec has a
 # parameter: lambda0, or the coupling source.feedback in reduced form.
 _SOURCE_KINDS = {cls.kind: cls for cls in (NoSource, ExponentialSource, FluxFeedbackSource)}
+
+
+def _keys(section: str, cls: type) -> list[str]:
+    """The keys of a section that builds cls: one `section.field` per field."""
+    return [f"{section}.{f.name}" for f in fields(cls)]
+
+
+# The dimensional problem's keys, rejected in dimensionless mode.
+_PHYSICAL_KEYS = [
+    *_keys("material", Material),
+    *_keys("boundary", BoundaryData),
+    *(key for spec in _SOURCE_KINDS.values() for key in _keys("source", spec)),
+]
+# Reduced-problem parameters and their keys, in dimensionless mode only.
+_REDUCED_KEYS = {"ste": "problem.ste", "delta": "problem.delta", "p": "problem.p",
+                 "feedback": "source.feedback"}
+_LIST_KEYS = {"sweep.ste", "sweep.delta", "sweep.p", "sweep.feedback"}
+_KNOWN_KEYS = {
+    *_PHYSICAL_KEYS, *_keys("solver", Tolerance), *_keys("oracle", OracleConfig),
+    *_REDUCED_KEYS.values(), *_LIST_KEYS,
+    "source.kind", "problem.dimensionless", "oracle.enabled", "output.dir",
+}
 
 
 def _takes_feedback(kind: str) -> bool:
@@ -193,11 +187,24 @@ def _get_list(raw: dict[str, str], key: str) -> Optional[list[float]]:
     return values
 
 
-def _require(raw: dict[str, str], key: str) -> float:
-    value = _get_float(raw, key)
-    if value is None:
-        raise ConfigError(f"missing required config key {key!r}")
-    return value
+# Field annotations are strings: every module uses `from __future__ import annotations`.
+_PARSERS = {"float": _get_float, "int": _get_int}
+
+
+def _section(raw: dict[str, str], section: str, cls: type, required: bool = False) -> dict:
+    """Values given for the fields of cls as `section.field` keys, by field name.
+
+    Each is parsed as its field's annotated type; fields without a key keep
+    their dataclass default, or raise ConfigError in field order when required.
+    """
+    values = {}
+    for field, key in zip(fields(cls), _keys(section, cls)):
+        value = _PARSERS[field.type](raw, key)
+        if value is not None:
+            values[field.name] = value
+        elif required:
+            raise ConfigError(f"missing required config key {key!r}")
+    return values
 
 
 def reduced_problem(
@@ -250,93 +257,43 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
         raise ConfigError("sweep.feedback requires source.kind = feedback")
 
     if dimensionless:
-        for key in ("material.rho", "material.c0", "material.k0",
-                    "material.latent_heat", "material.delta", "material.p",
-                    "boundary.theta0", "boundary.theta_f", "source.lambda0"):
+        for key in _PHYSICAL_KEYS:
             if key in raw:
                 raise ConfigError(f"{key} not allowed when problem.dimensionless = true")
+        needed = [name for name in _REDUCED_KEYS if name != "feedback" or takes_feedback]
         base: dict[str, Optional[float]] = {}
-        for name, key in (
-            ("ste", "problem.ste"),
-            ("delta", "problem.delta"),
-            ("p", "problem.p"),
-            ("feedback", "source.feedback"),
-        ):
-            value = _get_float(raw, key)
-            required = name != "feedback" or takes_feedback
-            if value is None and required and name not in sweep:
+        for name, key in _REDUCED_KEYS.items():
+            base[name] = _get_float(raw, key)
+            if base[name] is None and name in needed and name not in sweep:
                 raise ConfigError(f"missing required config key {key!r}")
-            base[name] = value
         if not takes_feedback and base["feedback"] is not None:
             raise ConfigError("source.feedback requires source.kind = feedback")
-        reduced = DimensionlessProblem(
-            ste=base["ste"], delta=base["delta"], p=base["p"],
-            kind=kind, feedback=base["feedback"],
-        )
-        complete = all(
-            getattr(reduced, name) is not None
-            for name in ("ste", "delta", "p")
-        ) and (not takes_feedback or reduced.feedback is not None)
-        if complete:
-            material, boundary, source = reduced_problem(
-                reduced.ste, reduced.delta, reduced.p, kind, reduced.feedback
-            )
+        reduced = DimensionlessProblem(kind=kind, **base)
+        if all(base[name] is not None for name in needed):
+            material, boundary, source = reduced_problem(kind=kind, **base)
         else:
             material = boundary = source = None
     else:
-        for key in ("problem.ste", "problem.delta", "problem.p", "source.feedback"):
+        for key in _REDUCED_KEYS.values():
             if key in raw:
                 raise ConfigError(f"{key} requires problem.dimensionless = true")
-        material = Material(
-            rho=_require(raw, "material.rho"),
-            c0=_require(raw, "material.c0"),
-            k0=_require(raw, "material.k0"),
-            latent_heat=_require(raw, "material.latent_heat"),
-            delta=_require(raw, "material.delta"),
-            p=_require(raw, "material.p"),
-        )
-        boundary = BoundaryData(
-            theta0=_require(raw, "boundary.theta0"),
-            theta_f=_require(raw, "boundary.theta_f"),
-        )
-        if takes_feedback:
-            source = _SOURCE_KINDS[kind](lambda0=_require(raw, "source.lambda0"))
-        elif "source.lambda0" in raw:
+        material = Material(**_section(raw, "material", Material, required=True))
+        boundary = BoundaryData(**_section(raw, "boundary", BoundaryData, required=True))
+        spec = _SOURCE_KINDS[kind]
+        if not takes_feedback and "source.lambda0" in raw:
             raise ConfigError("source.lambda0 requires source.kind = feedback")
-        else:
-            source = _SOURCE_KINDS[kind]()
+        source = spec(**_section(raw, "source", spec, required=True))
         reduced = None
 
-    def _given(value, default):
-        return default if value is None else value
+    tol = Tolerance(**_section(raw, "solver", Tolerance))
 
-    tol = Tolerance(
-        abs_tol=_given(_get_float(raw, "solver.abs_tol"), 1e-10),
-        rel_tol=_given(_get_float(raw, "solver.rel_tol"), 1e-12),
-        max_iter=_given(_get_int(raw, "solver.max_iter"), 200),
-    )
-
-    oracle: Optional[OracleConfig]
+    oracle: Optional[OracleConfig] = None
     if _get_bool(raw, "oracle.enabled", True):
-        defaults = OracleConfig()
-        oracle = OracleConfig(
-            n_space=_given(_get_int(raw, "oracle.n_space"), defaults.n_space),
-            n_time=_given(_get_int(raw, "oracle.n_time"), defaults.n_time),
-            t_start=_given(_get_float(raw, "oracle.t_start"), defaults.t_start),
-            t_end=_given(_get_float(raw, "oracle.t_end"), defaults.t_end),
-            theta_scheme=_given(
-                _get_float(raw, "oracle.theta_scheme"), defaults.theta_scheme
-            ),
-            picard_tol=_given(_get_float(raw, "oracle.picard_tol"), defaults.picard_tol),
-            picard_max_iter=_given(
-                _get_int(raw, "oracle.picard_max_iter"), defaults.picard_max_iter
-            ),
-        )
+        oracle = OracleConfig(**_section(raw, "oracle", OracleConfig))
     else:
         for key in raw:
             if key.startswith("oracle.") and key != "oracle.enabled":
                 raise ConfigError(f"{key} given but oracle.enabled = false")
-        oracle = None
 
     return RunConfig(
         material=material,

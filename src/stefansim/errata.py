@@ -30,16 +30,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from dataclasses import replace
 
 from .model import SimilaritySource
-from .numerics import SQRT_PI, Tolerance, DEFAULT_TOL
-from .similarity import _EXP_ARG_LIMIT, LambdaEquation, PsiProfile, _SimilarityModel, solve_lambda
-
-
-class _FrontTermFlipped(_SimilarityModel):
-    """The similarity-source model with the sign of lam e^{lam^2} flipped."""
-
-    front_term_sign = -1.0
+from .numerics import SQRT_PI, Tolerance, DEFAULT_TOL, erf
+from .similarity import _EXP_ARG_LIMIT, LambdaEquation, PsiProfile, solve_lambda, source_model
 
 
 def variant_psi_front_term_flipped(
@@ -47,12 +42,15 @@ def variant_psi_front_term_flipped(
 ) -> PsiProfile:
     """Variant A: profile with the sign of lam e^{lam^2} flipped in the front term.
 
-    Built through the same machinery as the corrected profile so the only
-    difference under test is the front-term sign itself.  Values may leave
+    Built from the corrected profile so the only difference under test is
+    the front-term sign itself: flipping it in B adds
+    (2 sqrt(pi)/Ste) lam e^{lam^2} erf(eta) to Psi.  Values may leave
     [0, Phi(1)]; invert with clamping (or inspect Psi directly) when
     demonstrating the violation.
     """
-    return _FrontTermFlipped(SimilaritySource(beta), ste, delta, p).psi(lam)
+    correct = source_model(SimilaritySource(beta), ste, delta, p).psi(lam)
+    shift = (2.0 * SQRT_PI / ste) * lam * math.exp(lam * lam)
+    return replace(correct, _kernel=lambda pts: correct.evaluate_many(pts) + shift * erf(pts))
 
 
 def variant_lambda_equation_exponential(

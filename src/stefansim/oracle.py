@@ -46,16 +46,15 @@ operation of the scheme nor their order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import FrontCollapse, InvalidInput, MismatchedProblem, NonConvergence
 from .model import BoundaryData, Material, SourceSpec, dimensionless_groups
-from .numerics import DEFAULT_TOL, Tolerance
 from .reconstruct import front_position, temperature
-from .similarity import SimilaritySolution, solve_problem, source_model
+from .similarity import SimilaritySolution, source_model
 
 
 @dataclass(frozen=True)
@@ -172,10 +171,10 @@ class _Stepper:
         self.xi_inner = self.xi[1:-1]
         self.h = self.xi[1] - self.xi[0]
         self.span = boundary.theta0 - boundary.theta_f
-        self.a = math.sqrt(material.k0 / (material.rho * material.c0))
+        groups = dimensionless_groups(material, boundary, source)
+        self.a = groups.a
         self.rho_c0 = material.rho * material.c0
         self.rho_l = material.rho * material.latent_heat
-        groups = dimensionless_groups(material, boundary, source)
         self.model = source_model(source, groups.ste, material.delta, material.p, groups.feedback)
 
     def _coeff_factor(self, u: np.ndarray) -> np.ndarray:
@@ -295,14 +294,8 @@ class _Stepper:
         return u, s
 
 
-def run_oracle(
-    material: Material,
-    boundary: BoundaryData,
-    source: SourceSpec,
-    cfg: OracleConfig,
-    tol: Tolerance = DEFAULT_TOL,
-) -> OracleRun:
-    """Solve the moving-boundary problem numerically and compare.
+def run_oracle_for(sol: SimilaritySolution, cfg: OracleConfig) -> OracleRun:
+    """Solve the moving-boundary problem of sol numerically and compare.
 
     The initial state at cfg.t_start is sampled from the similarity
     solution; everything afterwards is plain finite differences.  The
@@ -312,12 +305,6 @@ def run_oracle(
         NonConvergence: A time step's Picard sweeps failed to stagnate.
         FrontCollapse: The computed front stopped advancing.
     """
-    sol = solve_problem(material, boundary, source, tol)
-    return run_oracle_for(sol, cfg)
-
-
-def run_oracle_for(sol: SimilaritySolution, cfg: OracleConfig) -> OracleRun:
-    """run_oracle against an already-computed similarity solution."""
     stepper = _Stepper(sol.material, sol.boundary, sol.source, cfg)
     times = np.linspace(cfg.t_start, cfg.t_end, cfg.n_time + 1)
     fronts = np.empty(cfg.n_time + 1)
@@ -343,18 +330,7 @@ def run_oracle_for(sol: SimilaritySolution, cfg: OracleConfig) -> OracleRun:
         temp_max_err=math.nan,
     )
     front_err, temp_err = compare(sol, run)
-    return OracleRun(
-        config=cfg,
-        material=sol.material,
-        boundary=sol.boundary,
-        source=sol.source,
-        xi=stepper.xi,
-        times=times,
-        front=fronts,
-        fields=fields,
-        front_rel_err=front_err,
-        temp_max_err=temp_err,
-    )
+    return replace(run, front_rel_err=front_err, temp_max_err=temp_err)
 
 
 def compare(sol: SimilaritySolution, run: OracleRun) -> tuple[float, float]:

@@ -70,6 +70,7 @@ from .model import (
     SimilaritySource,
     SourceSpec,
     Dimensionless,
+    _require_positive,
     dimensionless_groups,
 )
 from .numerics import (
@@ -102,8 +103,7 @@ _QUAD_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=200)
 
 def _check_groups(ste: float, delta: float, p: float) -> None:
     for name, value in (("ste", ste), ("delta", delta), ("p", p)):
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-            raise InvalidInput(f"{name} must be a finite positive number, got {value!r}")
+        _require_positive(name, value)
 
 
 def phi_map(delta: float, p: float, x):
@@ -356,14 +356,10 @@ class _SimilarityModel(SourceModel):
                + (2 sqrt(pi)/Ste) (erf(eta) Ibe(eta) - Ibee(eta)),
     Ibe(x)  = integral_0^x beta e^{xi^2} dxi,
     Ibee(x) = integral_0^x beta e^{xi^2} erf(xi) dxi,
-    B = front_term_sign * lam e^{lam^2} + 2 Ibe(lam).
-
-    front_term_sign is +1; the errata module's -1 subclass reproduces a
-    circulated but internally inconsistent transcription.
+    B = lam e^{lam^2} + 2 Ibe(lam).
     """
 
     label = "similarity source"
-    front_term_sign = 1.0
 
     def __init__(self, source: SourceSpec, ste: float, delta: float, p: float) -> None:
         # ode_rhs and heat_source call beta on arrays too, so a scalar-only
@@ -393,7 +389,7 @@ class _SimilarityModel(SourceModel):
     def psi(self, lam: float) -> PsiProfile:
         target, ste = self.equation.target, self.ste
         ibe_lam = integrate(self._f_be, 0.0, lam, _QUAD_TOL)
-        b_coeff = self.front_term_sign * lam * math.exp(lam * lam) + 2.0 * ibe_lam
+        b_coeff = lam * math.exp(lam * lam) + 2.0 * ibe_lam
 
         def kernel(pts: np.ndarray) -> np.ndarray:
             nodes = np.concatenate([[0.0], pts])
@@ -469,8 +465,7 @@ class _FeedbackModel(SourceModel):
         self, source: SourceSpec, ste: float, delta: float, p: float, feedback: float
     ) -> None:
         super().__init__(source, ste, delta, p)
-        if not (isinstance(feedback, (int, float)) and math.isfinite(feedback) and feedback > 0.0):
-            raise InvalidInput(f"feedback must be a finite positive number, got {feedback!r}")
+        _require_positive("feedback", feedback)
         self.feedback = feedback
         self._erf_coeff = (1.0 + delta) * (SQRT_PI / 2.0)
 

@@ -5,6 +5,7 @@ codes and emitted files are asserted directly.
 """
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,14 @@ import stefansim.oracle as oracle
 from stefansim.cli import main
 from stefansim.config import build_run_config, load_config, parse_config_text
 from stefansim.errors import ConfigError, InvalidInput
-from stefansim.model import ExponentialSource, FluxFeedbackSource, NoSource
+from stefansim.model import (
+    BoundaryData,
+    ExponentialSource,
+    FluxFeedbackSource,
+    Material,
+    NoSource,
+)
+from stefansim.numerics import Tolerance
 from stefansim.similarity import solve_problem, y_from_psi
 
 EXP_LAM_111 = 0.6457803612217943
@@ -76,6 +84,20 @@ class TestParse:
         with pytest.raises(ConfigError, match="empty value"):
             parse_config_text("problem.ste =\n")
 
+    def test_every_dataclass_field_is_a_key(self):
+        sections = {
+            "material": Material,
+            "boundary": BoundaryData,
+            "solver": Tolerance,
+            "oracle": oracle.OracleConfig,
+        }
+        text = "".join(
+            f"{section}.{field.name} = 1\n"
+            for section, cls in sections.items()
+            for field in dataclasses.fields(cls)
+        )
+        assert len(parse_config_text(text)) == 18
+
 
 class TestBuild:
     def test_dimensionless_problem(self):
@@ -136,6 +158,12 @@ class TestBuild:
         with pytest.raises(InvalidInput, match="theta0"):
             build_run_config(parse_config_text(text))
 
+    def test_solver_and_oracle_defaults_are_the_dataclass_defaults(self):
+        text = DIMLESS_EXP.replace("oracle.enabled = false\n", "")
+        cfg = build_run_config(parse_config_text(text))
+        assert cfg.tol == Tolerance()
+        assert cfg.oracle == oracle.OracleConfig()
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/path.cfg")
@@ -190,6 +218,20 @@ class TestSolveCommand:
         cfg = write_cfg(tmp_path, text)
         assert main(["solve", "--config", cfg]) == 2
         assert "lambda0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("solver.max_iter = 2.5", "not an integer"),
+            ("oracle.n_space = 1e3", "not an integer"),
+            ("oracle.t_end = inf", "must be finite"),
+        ],
+    )
+    def test_exit_2_on_mistyped_field(self, tmp_path, capsys, line, message):
+        text = DIMLESS_EXP.replace("oracle.enabled = false\n", line + "\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["solve", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
 
     def test_exit_2_on_missing_file(self, capsys):
         assert main(["solve", "--config", "/no/such.cfg"]) == 2

@@ -22,7 +22,7 @@ from stefansim.model import (
     Material,
     NoSource,
 )
-from stefansim.oracle import OracleConfig, OracleRun, compare, run_oracle, run_oracle_for
+from stefansim.oracle import OracleConfig, OracleRun, compare, run_oracle_for
 from stefansim.reconstruct import front_position, temperature
 from stefansim.similarity import solve_problem
 
@@ -80,16 +80,6 @@ class TestRunStructure:
         want = temperature(classical_sol, classical_run.xi * s0, cfg.t_start)
         np.testing.assert_array_equal(classical_run.fields[0], want)
         assert classical_run.front[0] == s0
-
-    def test_run_oracle_entry_point_matches(self, classical_sol, classical_run):
-        run = run_oracle(
-            unit_material(delta=1e-12),
-            BD,
-            NoSource(),
-            OracleConfig(n_space=64, n_time=256),
-        )
-        np.testing.assert_array_equal(run.front, classical_run.front)
-        np.testing.assert_array_equal(run.fields, classical_run.fields)
 
 
 class TestAgreement:
@@ -349,7 +339,7 @@ class TestPredictedFrontStart:
         # picard_tol = 1 accepts every step after one sweep, so the start
         # of the iteration becomes part of the scheme.
         cfg = OracleConfig(n_space=48, n_time=128, theta_scheme=theta_scheme, picard_tol=1.0)
-        run = run_oracle(unit_material(ste, delta, p), BD, source, cfg)
+        run = run_oracle_for(solve_problem(unit_material(ste, delta, p), BD, source), cfg)
         assert np.all(np.diff(run.front) > 0.0)
 
     def test_stagnation_failure_names_step_and_moves(self):
@@ -361,7 +351,7 @@ class TestPredictedFrontStart:
             match=r"at step 0, t = 0\.017734375: the last sweep moved the field by "
             r"\S+ and the front by \S+ \(relative; picard_tol = 1e-10\)$",
         ):
-            run_oracle(unit_material(5.0, 0.145, 0.876), BD, NoSource(), cfg)
+            run_oracle_for(solve_problem(unit_material(5.0, 0.145, 0.876), BD, NoSource()), cfg)
 
 
 class TestCompare:
