@@ -2,7 +2,8 @@
 thermal coefficients and heat sources, plus a finite-difference
 moving-boundary solver used to verify them.
 
-Public API is re-exported from the submodules; see README.md for an
+The top level holds what a caller builds, calls, gets back and catches;
+everything else is importable from its submodule.  See README.md for an
 overview and the cli module for the command-line entry points.
 """
 
@@ -13,7 +14,6 @@ from .errors import (
     FrontCollapse,
     InvalidInput,
     MaxSubdivisionsExceeded,
-    MismatchedProblem,
     NonConvergence,
     NotBracketed,
     OutOfDomain,
@@ -22,56 +22,28 @@ from .errors import (
 )
 from .model import (
     BoundaryData,
-    Dimensionless,
     ExponentialSource,
     FluxFeedbackSource,
     Material,
     NoSource,
     SimilaritySource,
-    SourceSpec,
-    conductivity,
-    diffusivity,
-    dimensionless_groups,
-    feedback_coefficient,
-    specific_heat,
-    stefan_number,
 )
-from .numerics import Tolerance, erf, integrate, integrate_cumulative
-from .oracle import OracleConfig, OracleRun, compare, run_oracle_for
-from .reconstruct import (
-    fixed_face_flux,
-    front_position,
-    similarity_coordinate,
-    source_field,
-    temperature,
-)
-from .similarity import (
-    LambdaEquation,
-    PsiProfile,
-    SimilaritySolution,
-    SourceModel,
-    phi_inverse_quadratic,
-    phi_map,
-    phi_map_deriv,
-    solve_lambda,
-    solve_problem,
-    source_model,
-)
+from .numerics import Tolerance
+from .oracle import OracleConfig, OracleRun, run_oracle_for
+from .reconstruct import front_position, temperature
+from .similarity import SimilaritySolution, solve_lambda, solve_problem, source_model
 
 __all__ = [
     "BoundaryData",
     "BracketExpansionFailed",
     "CheckResult",
     "ConfigError",
-    "Dimensionless",
     "ExponentialSource",
     "FluxFeedbackSource",
     "FrontCollapse",
     "InvalidInput",
-    "LambdaEquation",
     "Material",
     "MaxSubdivisionsExceeded",
-    "MismatchedProblem",
     "NoSource",
     "NonConvergence",
     "NotBracketed",
@@ -79,34 +51,15 @@ __all__ = [
     "OracleRun",
     "OutOfDomain",
     "OutOfRange",
-    "PsiProfile",
     "SimilaritySolution",
     "SimilaritySource",
-    "SourceModel",
-    "SourceSpec",
     "StefanError",
     "Tolerance",
-    "compare",
-    "conductivity",
-    "diffusivity",
-    "dimensionless_groups",
-    "erf",
-    "feedback_coefficient",
-    "fixed_face_flux",
     "front_position",
-    "integrate",
-    "integrate_cumulative",
-    "phi_inverse_quadratic",
-    "phi_map",
-    "phi_map_deriv",
     "run_checks",
     "run_oracle_for",
-    "similarity_coordinate",
     "solve_lambda",
     "solve_problem",
-    "source_field",
     "source_model",
-    "specific_heat",
-    "stefan_number",
     "temperature",
 ]

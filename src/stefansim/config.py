@@ -92,13 +92,13 @@ class RunConfig:
 
     material/boundary/source are None exactly when the config is a sweep
     that omits base values for swept parameters; reduced holds the
-    dimensionless base values that were given.
+    dimensionless base values that were given, and is None exactly for a
+    dimensional config.
     """
 
     material: Optional[Material]
     boundary: Optional[BoundaryData]
     source: Optional[SourceSpec]
-    dimensionless: bool
     reduced: Optional[DimensionlessProblem]
     tol: Tolerance
     oracle: Optional[OracleConfig]
@@ -299,7 +299,6 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
         material=material,
         boundary=boundary,
         source=source,
-        dimensionless=dimensionless,
         reduced=reduced,
         tol=tol,
         oracle=oracle,

@@ -164,32 +164,17 @@ class Dimensionless:
             _require_positive("feedback", self.feedback)
 
 
-def stefan_number(material: Material, boundary: BoundaryData) -> float:
-    """Stefan number c0 * (theta0 - theta_f) / latent_heat."""
-    return material.c0 * (boundary.theta0 - boundary.theta_f) / material.latent_heat
-
-
-def diffusivity(material: Material) -> float:
-    """Diffusivity scale a = sqrt(k0 / (rho c0)); s(t) = 2 a lam sqrt(t)."""
-    return math.sqrt(material.k0 / (material.rho * material.c0))
-
-
-def feedback_coefficient(material: Material, lambda0: float) -> float:
-    """Dimensionless coupling 2 * lambda0 / (rho * c0 * a) of the flux-feedback source."""
-    _require_positive("lambda0", lambda0)
-    return 2.0 * lambda0 / (material.rho * material.c0 * diffusivity(material))
-
-
 def dimensionless_groups(
     material: Material, boundary: BoundaryData, source: SourceSpec
 ) -> Dimensionless:
     """Collect the dimensionless groups governing a problem."""
+    a = math.sqrt(material.k0 / (material.rho * material.c0))
     feedback = None
     if isinstance(source, FluxFeedbackSource):
-        feedback = feedback_coefficient(material, source.lambda0)
+        feedback = 2.0 * source.lambda0 / (material.rho * material.c0 * a)
     return Dimensionless(
-        ste=stefan_number(material, boundary),
-        a=diffusivity(material),
+        ste=material.c0 * (boundary.theta0 - boundary.theta_f) / material.latent_heat,
+        a=a,
         feedback=feedback,
     )
 

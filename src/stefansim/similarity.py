@@ -127,14 +127,9 @@ def phi_map(delta: float, p: float, x):
     return float(out) if np.isscalar(x) else out
 
 
-def phi_map_deriv(delta: float, p: float, x):
-    """Derivative Phi'(x) = 1 + delta * x^p (positive, so Phi is invertible)."""
-    _check_groups(1.0, delta, p)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0):
-        raise InvalidInput("phi_map_deriv is defined for x >= 0")
-    out = 1.0 + delta * xa**p
-    return float(out) if np.isscalar(x) else out
+def _phi_inverse_p1(delta: float, w: np.ndarray) -> np.ndarray:
+    """The root form 2 w / (1 + sqrt(1 + 2 delta w)) of Phi^{-1} at p = 1."""
+    return 2.0 * w / (1.0 + np.sqrt(1.0 + 2.0 * delta * w))
 
 
 def phi_inverse_quadratic(delta: float, w):
@@ -147,7 +142,7 @@ def phi_inverse_quadratic(delta: float, w):
     wa = np.asarray(w, dtype=float)
     if np.any(1.0 + 2.0 * delta * wa < 0.0):
         raise OutOfRange("phi_inverse_quadratic: argument below the map's range")
-    out = 2.0 * wa / (1.0 + np.sqrt(1.0 + 2.0 * delta * wa))
+    out = _phi_inverse_p1(delta, wa)
     return float(out) if np.isscalar(w) else out
 
 
@@ -202,7 +197,7 @@ def _phi_inverse_many(delta: float, p: float, w: np.ndarray, clamp: bool) -> np.
         mid = ~(low | high)
     wm = w[mid]
     if p == 1.0:
-        out[mid] = 2.0 * wm / (1.0 + np.sqrt(1.0 + 2.0 * delta * wm))
+        out[mid] = _phi_inverse_p1(delta, wm)
     else:
         out[mid] = _phi_inverse_newton(delta, p, wm)
     if clamp:
@@ -242,7 +237,7 @@ def solve_lambda(eq: LambdaEquation, tol: Tolerance = DEFAULT_TOL) -> float:
 class PsiProfile:
     """Integrated profile Psi(eta) = Phi(y(eta)) on [0, lam].
 
-    Decreases strictly from target = Phi(1) = 1 + delta/(p+1) at eta = 0
+    Decreases strictly from Phi(1) = 1 + delta/(p+1) at eta = 0
     to (up to the front-equation residual) 0 at eta = lam.
 
     evaluate_many computes every requested point in one batched pass whose
@@ -253,10 +248,8 @@ class PsiProfile:
     """
 
     lam: float
-    ste: float
     delta: float
     p: float
-    target: float
     _kernel: Callable[[np.ndarray], np.ndarray]
 
     def evaluate_many(self, etas) -> np.ndarray:
@@ -315,7 +308,7 @@ class SourceModel:
         )
 
     def _profile(self, lam: float, kernel: Callable) -> PsiProfile:
-        return PsiProfile(lam, self.ste, self.delta, self.p, self.equation.target, kernel)
+        return PsiProfile(lam, self.delta, self.p, kernel)
 
 
 class _NoSourceModel(SourceModel):
@@ -367,17 +360,12 @@ class _SimilarityModel(SourceModel):
         self.beta, _ = _call_vectorized(source.beta, np.array([0.25, 0.5]))
         super().__init__(source, ste, delta, p)
 
-    def _lhs_integrand(self, z: np.ndarray) -> np.ndarray:
-        # The product of _f_bee in another order; merging the two would
-        # move lam in its last digits.
-        return np.exp(z * z) * erf(z) * self.beta(z)
-
     def _lhs(self, x: float) -> float:
         if x * x > _EXP_ARG_LIMIT:
             return math.inf
         head = (SQRT_PI / self.ste) * x * math.erf(x) * math.exp(x * x)
         return head + (2.0 * SQRT_PI / self.ste) * integrate(
-            self._lhs_integrand, 0.0, x, _QUAD_TOL
+            self._f_bee, 0.0, x, _QUAD_TOL
         )
 
     def _f_be(self, z: np.ndarray) -> np.ndarray:

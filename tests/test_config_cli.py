@@ -102,7 +102,7 @@ class TestParse:
 class TestBuild:
     def test_dimensionless_problem(self):
         cfg = build_run_config(parse_config_text(DIMLESS_EXP))
-        assert cfg.dimensionless
+        assert cfg.reduced is not None
         assert isinstance(cfg.source, ExponentialSource)
         assert cfg.material.latent_heat == 1.0
         assert cfg.boundary.theta0 == 1.0 and cfg.boundary.theta_f == 0.0
@@ -110,7 +110,7 @@ class TestBuild:
 
     def test_dimensional_problem(self):
         cfg = build_run_config(parse_config_text(DIMENSIONAL_NONE))
-        assert not cfg.dimensionless
+        assert cfg.reduced is None
         assert isinstance(cfg.source, NoSource)
         assert cfg.material.rho == 1000.0
 

@@ -14,11 +14,8 @@ from stefansim.model import (
     NoSource,
     SimilaritySource,
     conductivity,
-    diffusivity,
     dimensionless_groups,
-    feedback_coefficient,
     specific_heat,
-    stefan_number,
 )
 
 WATER_ICE = Material(
@@ -54,26 +51,27 @@ class TestGroups:
     def test_stefan_number_water_ice(self):
         # c0 (theta0 - theta_f) / l with the constants above.
         want = 4200.0 * (285.05 - 273.15) / 334000.0
-        assert stefan_number(WATER_ICE, MELT) == pytest.approx(want, rel=1e-15)
+        got = dimensionless_groups(WATER_ICE, MELT, NoSource()).ste
+        assert got == pytest.approx(want, rel=1e-15)
         assert 0.14 < want < 0.16
 
     def test_diffusivity(self):
         want = math.sqrt(0.6 / (1000.0 * 4200.0))
-        assert diffusivity(WATER_ICE) == pytest.approx(want, rel=1e-15)
+        got = dimensionless_groups(WATER_ICE, MELT, NoSource()).a
+        assert got == pytest.approx(want, rel=1e-15)
 
     def test_feedback_coefficient(self):
         # 2 lambda0 / sqrt(rho c0 k0); frozen value for the constants above.
-        got = feedback_coefficient(WATER_ICE, 10.0)
+        got = dimensionless_groups(WATER_ICE, MELT, FluxFeedbackSource(lambda0=10.0)).feedback
         assert got == pytest.approx(20.0 / math.sqrt(1000.0 * 4200.0 * 0.6), rel=1e-15)
         assert got == pytest.approx(0.012598815766974242, abs=1e-15)
 
     def test_groups_wiring(self):
         groups = dimensionless_groups(WATER_ICE, MELT, NoSource())
         assert groups.feedback is None
-        assert groups.ste == stefan_number(WATER_ICE, MELT)
-        assert groups.a == diffusivity(WATER_ICE)
         fb = dimensionless_groups(WATER_ICE, MELT, FluxFeedbackSource(lambda0=10.0))
-        assert fb.feedback == pytest.approx(feedback_coefficient(WATER_ICE, 10.0))
+        assert (fb.ste, fb.a) == (groups.ste, groups.a)
+        assert fb.feedback == pytest.approx(20.0 / (1000.0 * 4200.0 * groups.a))
 
     def test_dimensionless_normalization(self):
         # Unit material with latent_heat = 1/Ste realizes any Ste with a = 1.

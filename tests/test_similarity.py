@@ -30,7 +30,6 @@ from stefansim.similarity import (
     _phi_inverse_newton,
     phi_inverse_quadratic,
     phi_map,
-    phi_map_deriv,
     solve_lambda,
     solve_problem,
     source_model,
@@ -58,9 +57,10 @@ class TestPhi:
         np.testing.assert_allclose(
             phi_map(2.0, 3.0, xs), xs + 0.5 * xs**4, rtol=1e-15, atol=0
         )
-        np.testing.assert_allclose(
-            phi_map_deriv(2.0, 3.0, xs), 1.0 + 2.0 * xs**3, rtol=1e-15, atol=0
-        )
+        # Phi' = 1 + delta x^p, by central differences of Phi.
+        h, mid = 1e-6, xs[1:-1]
+        slope = (phi_map(2.0, 3.0, mid + h) - phi_map(2.0, 3.0, mid - h)) / (2.0 * h)
+        np.testing.assert_allclose(slope, 1.0 + 2.0 * mid**3, rtol=1e-8, atol=0)
 
     def test_round_trip_random(self):
         # Newton stops at |phi(x_hat) - w| <= 1e-14 Phi(1); with phi' >= 1
