@@ -40,6 +40,9 @@ ORACLE_TEMP_FRACTION_TOL = 1e-2
 # balances it against rounding noise and keeps the worst corner of the
 # acceptance grid a factor of ~2 under FRONT_SLOPE_REL_TOL.
 FRONT_SLOPE_STEP = 1e-10
+# Interior nodes of the ODE residual, and samples of the profile shape checks.
+ODE_RESIDUAL_NODES = 200
+PROFILE_SHAPE_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ def front_slope_check(sol: SimilaritySolution) -> CheckResult:
     return _result("front_slope", abs(slope - target) / abs(target), FRONT_SLOPE_REL_TOL)
 
 
-def ode_residual_check(sol: SimilaritySolution, n_nodes: int = 200) -> CheckResult:
+def ode_residual_check(sol: SimilaritySolution) -> CheckResult:
     """Max-norm residual of the reduced second-order ODE.
 
     The equation in expanded form,
@@ -98,17 +101,17 @@ def ode_residual_check(sol: SimilaritySolution, n_nodes: int = 200) -> CheckResu
         2 eta (1 + delta y^p) y' + delta p y^(p-1) (y')^2
           + (1 + delta y^p) y'' = RHS(eta),
 
-    is evaluated at n_nodes interior nodes with fourth-order five-point
-    stencils of the exact pointwise profile.  The stencil step shrinks
-    near the endpoints where derivatives of y steepen.
+    is evaluated at ODE_RESIDUAL_NODES interior nodes with fourth-order
+    five-point stencils of the exact pointwise profile.  The stencil step
+    shrinks near the endpoints where derivatives of y steepen.
     """
     lam, delta, p = sol.lam, sol.psi.delta, sol.psi.p
-    etas = np.linspace(0.0, lam, n_nodes + 2)[1:-1]
+    etas = np.linspace(0.0, lam, ODE_RESIDUAL_NODES + 2)[1:-1]
     dist = np.minimum(etas, lam - etas)
     h = np.minimum(lam / 200.0, dist / 50.0)
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     pts = etas[:, None] + h[:, None] * offsets[None, :]
-    vals = sol.y_many(pts).reshape(n_nodes, 5)
+    vals = sol.y_many(pts).reshape(ODE_RESIDUAL_NODES, 5)
     d1 = (vals[:, 0] - 8.0 * vals[:, 1] + 8.0 * vals[:, 3] - vals[:, 4]) / (12.0 * h)
     d2 = (
         -vals[:, 0] + 16.0 * vals[:, 1] - 30.0 * vals[:, 2] + 16.0 * vals[:, 3] - vals[:, 4]
@@ -124,12 +127,12 @@ def ode_residual_check(sol: SimilaritySolution, n_nodes: int = 200) -> CheckResu
     return _result("ode_residual", float(np.max(np.abs(residual))), ODE_RESIDUAL_TOL)
 
 
-def profile_shape_checks(sol: SimilaritySolution, n_points: int = 512) -> list[CheckResult]:
+def profile_shape_checks(sol: SimilaritySolution) -> list[CheckResult]:
     """Monotonicity and range of y, and monotonicity of Psi and Phi."""
-    etas = np.linspace(0.0, sol.lam, n_points)
+    etas = np.linspace(0.0, sol.lam, PROFILE_SHAPE_POINTS)
     y = sol.y_many(etas, clamp=False)
     psi = sol.psi.evaluate_many(etas)
-    xs = np.linspace(0.0, 1.0, n_points)
+    xs = np.linspace(0.0, 1.0, PROFILE_SHAPE_POINTS)
     phi = phi_map(sol.psi.delta, sol.psi.p, xs)
     return [
         _result("profile_decreasing", float(np.max(np.diff(y))), MONOTONE_SLACK),

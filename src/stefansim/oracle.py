@@ -38,9 +38,10 @@ Each sweep makes one call to solve_banded, which hands the tridiagonal
 system straight to LAPACK gtsv (the routine scipy.linalg.solve_banded
 uses for (1, 1) bands) and keeps scipy's guards: a non-finite coefficient
 or right-hand side, or a singular matrix, raises NonConvergence, whose
-message names the time of the failing step.  Quantities that do not change
-within a step are computed once per step; this changes no floating-point
-operation of the scheme nor their order.
+message names the time of the failing step.  The spatial operator is
+written once, as the three bands of its stencil (_Stepper._operator): the
+Picard sweep takes its matrix from them, and the Crank-Nicolson old-time
+half applies them to differences of the old field.
 """
 
 from __future__ import annotations
@@ -186,22 +187,25 @@ class _Stepper:
         np.minimum(y, 1.0, out=y)
         return 1.0 + self.mat.delta * y**self.mat.p
 
-    def _source_interior(self, u: np.ndarray, s: float, t: float) -> np.ndarray:
-        """H at the interior nodes, from the discrete state only."""
-        eta = self.xi_inner * s / (2.0 * self.a * math.sqrt(t))
-        return self.model.heat_source(self.mat, eta, t, _face_gradient(u, self.h) / s)
+    def _operator(self, u: np.ndarray, s: float, sdot: float, t: float) -> tuple[np.ndarray, ...]:
+        """Stencil of c rho xi (s'/s) u_xi + (1/s^2)(k u_xi)_xi - H.
 
-    def _spatial_operator(self, u: np.ndarray, s: float, sdot: float, t: float) -> np.ndarray:
-        """c rho xi (s'/s) u_xi + (1/s^2)(k u_xi)_xi - H at interior nodes."""
+        Returns (rho c, lo, mid, hi, H), all at the interior nodes, with the
+        operator lo u_{i-1} - mid u_i + hi u_{i+1} - H and mid = lo + hi up
+        to rounding.  H comes from the discrete state only.
+        """
         fac = self._coeff_factor(u)
-        c_rho = self.rho_c0 * fac
+        rho_c = self.rho_c0 * fac[1:-1]
         k = self.mat.k0 * fac
         kf = 0.5 * (k[:-1] + k[1:])
-        adv = c_rho[1:-1] * self.xi_inner * (sdot / s) * (u[2:] - u[:-2]) / (2.0 * self.h)
-        dif = (kf[1:] * (u[2:] - u[1:-1]) - kf[:-1] * (u[1:-1] - u[:-2])) / (
-            self.h * self.h * s * s
-        )
-        return adv + dif - self._source_interior(u, s, t)
+        adv = rho_c * self.xi_inner * (sdot / s) / (2.0 * self.h)
+        dif = 1.0 / (self.h * self.h * s * s)
+        # kf[i-1] couples u_{i-1}, kf[i] couples u_{i+1} (i = 1..n-2).
+        lo = kf[:-1] * dif - adv
+        hi = adv + kf[1:] * dif
+        eta = self.xi_inner * s / (2.0 * self.a * math.sqrt(t))
+        source = self.model.heat_source(self.mat, eta, t, _face_gradient(u, self.h) / s)
+        return rho_c, lo, (kf[:-1] + kf[1:]) * dif, hi, source
 
     def front_speed(self, u: np.ndarray, s: float) -> float:
         """Stefan condition s' = -k0 theta_x(s, t) / (rho latent_heat)."""
@@ -231,14 +235,14 @@ class _Stepper:
         s_old = fronts[k]
         w = cfg.theta_scheme
         dt = t1 - t0
-        h, n, span = self.h, self.n, self.span
         theta0, theta_f = self.bd.theta0, self.bd.theta_f
-        rho_c0, k0, xi_inner = self.rho_c0, self.mat.k0, self.xi_inner
-        two_h, h_sq = 2.0 * h, h * h
         sdot_old = self.front_speed(v, s_old)
         if w < 1.0:
-            c_old_part = ((1.0 - w) * (rho_c0 * self._coeff_factor(v)))[1:-1]
-            rhs_old = (1.0 - w) * self._spatial_operator(v, s_old, sdot_old, t0)
+            # On differences of v the advection terms cancel (lo + hi = mid)
+            # and a common temperature such as 273 K drops out before rounding.
+            rho_c, lo, _, hi, source = self._operator(v, s_old, sdot_old, t0)
+            c_old_part = (1.0 - w) * rho_c
+            rhs_old = (1.0 - w) * (lo * (v[:-2] - v[1:-1]) + hi * (v[2:] - v[1:-1]) - source)
         else:
             # Backward Euler has no old-time terms.
             c_old_part = rhs_old = 0.0
@@ -253,29 +257,22 @@ class _Stepper:
             s_new = s_old + dt * (w * sdot_new + (1.0 - w) * sdot_old)
             if s_new <= 0.0:
                 raise FrontCollapse(f"front position went nonpositive at t = {t1}")
-            fac = self._coeff_factor(u)
-            c_new = rho_c0 * fac
-            k_new = k0 * fac
-            kf = 0.5 * (k_new[:-1] + k_new[1:])
-            coef_time = (w * c_new[1:-1] + c_old_part) / dt
-            adv_c = c_new[1:-1] * xi_inner * (sdot_new / s_new) / two_h
-            dif_c = 1.0 / (h_sq * s_new * s_new)
-            # kf[i-1] couples U_{i-1}, kf[i] couples U_{i+1} (i = 1..n-2).
-            kf_lo, kf_hi = kf[:-1], kf[1:]
-            sub = -w * (kf_lo * dif_c - adv_c)
-            sup = -w * (adv_c + kf_hi * dif_c)
-            diag = coef_time + w * (kf_lo + kf_hi) * dif_c
-            rhs = coef_time * v_inner - w * self._source_interior(u, s_new, t1) + rhs_old
+            rho_c, lo, mid, hi, source = self._operator(u, s_new, sdot_new, t1)
+            coef_time = (w * rho_c + c_old_part) / dt
+            sub = -w * lo
+            sup = -w * hi
+            diag = coef_time + w * mid
+            rhs = coef_time * v_inner - w * source + rhs_old
             rhs[0] -= sub[0] * theta0
             rhs[-1] -= sup[-1] * theta_f
-            u_new = np.empty(n)
+            u_new = np.empty(self.n)
             u_new[0] = theta0
             u_new[-1] = theta_f
             try:
                 u_new[1:-1] = solve_banded(sub[1:], diag, sup[:-1], rhs)
             except NonConvergence as exc:
                 raise NonConvergence(f"{exc} at t = {t1}") from exc
-            moved = float(np.maximum.reduce(np.abs(u_new - u))) / span
+            moved = float(np.maximum.reduce(np.abs(u_new - u))) / self.span
             front_moved = abs(s_new - s) / s_new
             u, s = u_new, s_new
             if moved <= cfg.picard_tol and front_moved <= cfg.picard_tol:

@@ -57,14 +57,14 @@ def temperature(sol: SimilaritySolution, x, t: float):
         theta matching the shape of x.
 
     Raises:
-        OutOfDomain: x < 0 or x beyond the front by more than the slack.
+        OutOfDomain: x < 0, x NaN, or x beyond the front by more than the slack.
         InvalidInput: t <= 0.
     """
     if not (math.isfinite(t) and t > 0.0):
         raise InvalidInput(f"temperature needs t > 0, got {t!r}")
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0):
-        raise OutOfDomain("temperature query at x < 0")
+    if not np.all(xa >= 0.0):
+        raise OutOfDomain("temperature query at x < 0 or NaN")
     s = front_position(sol, t)
     if np.any(xa > s * (1.0 + FRONT_DOMAIN_SLACK)):
         raise OutOfDomain(
@@ -101,8 +101,8 @@ def source_field(sol: SimilaritySolution, x, t: float):
     if not (math.isfinite(t) and t > 0.0):
         raise InvalidInput(f"source_field needs t > 0, got {t!r}")
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0):
-        raise OutOfDomain("source_field query at x < 0")
+    if not np.all(xa >= 0.0):
+        raise OutOfDomain("source_field query at x < 0 or NaN")
     eta = np.asarray(similarity_coordinate(sol, xa, t), dtype=float)
     out = sol.model.heat_source(sol.material, eta, t, fixed_face_flux(sol, t))
     return float(out) if np.isscalar(x) else out

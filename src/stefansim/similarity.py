@@ -258,7 +258,8 @@ class PsiProfile:
         if flat.size == 0:
             return arr.astype(float).copy()
         slack = 1e-9 * max(1.0, self.lam)
-        if np.any(flat < -slack) or np.any(flat > self.lam + slack):
+        # Written so that NaN fails it too.
+        if not np.all((flat >= -slack) & (flat <= self.lam + slack)):
             raise InvalidInput(
                 f"profile query outside [0, {self.lam!r}] beyond the rounding slack"
             )

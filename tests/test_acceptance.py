@@ -206,7 +206,7 @@ def test_criterion_3_ode_residual(grid):
     t0 = time.perf_counter()
     worst = 0.0
     for case in grid.cases:
-        worst = max(worst, ode_residual_check(case.sol, n_nodes=200).value)
+        worst = max(worst, ode_residual_check(case.sol).value)
     elapsed = grid.build_seconds + (time.perf_counter() - t0)
 
     ok = worst <= 1e-4 and elapsed < 60.0

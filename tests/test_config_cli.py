@@ -168,6 +168,45 @@ class TestBuild:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/path.cfg")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (DIMLESS_EXP.replace("problem.ste = 1.0", "problem.ste = abc"), "not a number"),
+            (DIMLESS_EXP.replace("= true", "= yes"), "expected true or false"),
+            (DIMLESS_EXP + "sweep.ste = 1.0,,2.0\n", "empty entry in list"),
+            (DIMLESS_EXP + "sweep.ste = 1.0, x\n", "not a number list"),
+            (DIMLESS_EXP + "sweep.ste = 1.0, inf\n", "entries must be finite"),
+            (
+                DIMENSIONAL_NONE.replace("material.k0 = 0.6\n", ""),
+                "missing required config key 'material.k0'",
+            ),
+            (
+                DIMLESS_EXP.replace("source.kind = exponential\n", ""),
+                "missing required config key 'source.kind'",
+            ),
+            (
+                DIMLESS_EXP.replace("= exponential", "= solar"),
+                "source.kind: expected one of none, exponential, feedback, got 'solar'",
+            ),
+            (
+                DIMLESS_EXP + "sweep.feedback = 1.0, 2.0\n",
+                "sweep.feedback requires source.kind = feedback",
+            ),
+            (
+                DIMENSIONAL_NONE + "source.lambda0 = 1.0\n",
+                "source.lambda0 requires source.kind = feedback",
+            ),
+            (
+                DIMLESS_EXP + "oracle.n_space = 64\n",
+                "oracle.n_space given but oracle.enabled = false",
+            ),
+        ],
+    )
+    def test_config_error_messages(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            build_run_config(parse_config_text(text))
+        assert message in str(err.value)
+
 
 class TestSolveCommand:
     def test_writes_summary(self, tmp_path, capsys):
@@ -182,6 +221,16 @@ class TestSolveCommand:
         assert float(record["y_prime0"]) < 0.0
         out = capsys.readouterr().out
         assert "lam = " in out
+
+    def test_feedback_coupling_printed(self, tmp_path, capsys):
+        text = DIMLESS_EXP.replace("source.kind = exponential",
+                                   "source.kind = feedback\nsource.feedback = 1.0")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        feedback = [line for line in lines if line.startswith("feedback = ")]
+        assert len(feedback) == 1
+        assert float(feedback[0].split("=", 1)[1]) == pytest.approx(1.0, rel=1e-12)
 
     def test_classical_summary_value(self, tmp_path):
         text = DIMLESS_EXP.replace("problem.delta = 1.0", "problem.delta = 1e-12")

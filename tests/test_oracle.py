@@ -1,6 +1,8 @@
 """Tests for the finite-difference moving-boundary solver."""
 
+import ast
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -21,6 +23,7 @@ from stefansim.model import (
     FluxFeedbackSource,
     Material,
     NoSource,
+    SimilaritySource,
 )
 from stefansim.oracle import OracleConfig, OracleRun, compare, run_oracle_for
 from stefansim.reconstruct import front_position, temperature
@@ -200,11 +203,20 @@ class TestSweepCounter:
 # digits, without any change to the scheme.
 GOLDEN_ERRORS = {
     ("none", 1.0): ("0.016397222570188434", "0.01715265444546493"),
-    ("none", 0.5): ("0.0011604121980063828", "0.0011943662859372536"),
+    ("none", 0.5): ("0.001160412198006905", "0.0011943662859375485"),
     ("exponential", 1.0): ("0.014944787769553977", "0.012525978501812635"),
-    ("exponential", 0.5): ("0.0011036004583229024", "0.0009092143302782667"),
+    ("exponential", 0.5): ("0.001103600458323225", "0.00090921433027886"),
     ("feedback", 1.0): ("0.016894170609169062", "0.02057633117388678"),
-    ("feedback", 0.5): ("0.0011822880046261717", "0.0014147936533935486"),
+    ("feedback", 0.5): ("0.0011822880046266546", "0.0014147936533942633"),
+}
+# The Crank-Nicolson errors when the old-time half evaluated its own copy of
+# the spatial operator, advection and diffusion differenced separately.  It
+# now applies the Picard bands to differences of the old field, which moves
+# them by at most 6.6e-13 relative; backward Euler never evaluates it.
+SEPARATE_OPERATOR_GOLDEN_ERRORS = {
+    ("none", 0.5): (0.0011604121980063828, 0.0011943662859372536),
+    ("exponential", 0.5): (0.0011036004583229024, 0.0009092143302782667),
+    ("feedback", 0.5): (0.0011822880046261717, 0.0014147936533935486),
 }
 # The same errors when lam came from plain bisection.  Its lam differed from
 # the Brent root by at most 8.3e-13 relative (exponential source), which
@@ -294,6 +306,13 @@ class TestGoldenErrors:
         run, _ = golden_runs[kind, theta_scheme]
         got = (run.front_rel_err, run.temp_max_err)
         assert got == pytest.approx(BISECTION_GOLDEN_ERRORS[kind, theta_scheme], rel=1e-8)
+
+    @pytest.mark.parametrize("kind, theta_scheme", sorted(SEPARATE_OPERATOR_GOLDEN_ERRORS))
+    def test_errors_match_separate_operator(self, golden_runs, kind, theta_scheme):
+        run, _ = golden_runs[kind, theta_scheme]
+        got = (run.front_rel_err, run.temp_max_err)
+        want = SEPARATE_OPERATOR_GOLDEN_ERRORS[kind, theta_scheme]
+        assert got == pytest.approx(want, rel=1e-11)
 
     @pytest.mark.parametrize("kind, theta_scheme", sorted(UNSCALED_FEEDBACK_GOLDEN_ERRORS))
     def test_feedback_errors_match_unscaled_form(self, kind, theta_scheme):
@@ -406,3 +425,85 @@ class TestCompare:
                 fields=np.full((2, cfg.n_space), 2.0),
                 **common,
             )
+
+
+def separate_spatial_operator(stepper, u, s, sdot, t):
+    """c rho xi (s'/s) u_xi + (1/s^2)(k u_xi)_xi - H at interior nodes.
+
+    The old-time half as its own formula, advection and diffusion
+    differenced separately, with H from the discrete face gradient.
+    """
+    mat, h, xi_inner = stepper.mat, stepper.h, stepper.xi[1:-1]
+    fac = stepper._coeff_factor(u)
+    c_rho = mat.rho * mat.c0 * fac
+    k = mat.k0 * fac
+    kf = 0.5 * (k[:-1] + k[1:])
+    adv = c_rho[1:-1] * xi_inner * (sdot / s) * (u[2:] - u[:-2]) / (2.0 * h)
+    dif = (kf[1:] * (u[2:] - u[1:-1]) - kf[:-1] * (u[1:-1] - u[:-2])) / (h * h * s * s)
+    eta = xi_inner * s / (2.0 * stepper.a * math.sqrt(t))
+    face_gradient = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
+    return adv + dif - stepper.model.heat_source(mat, eta, t, face_gradient / s)
+
+
+# A dimensional problem whose temperatures sit near 273 K, where an operator
+# applied to u itself rather than to its differences would lose digits.
+DIM_MATERIAL = Material(rho=1000.0, c0=4200.0, k0=0.6, latent_heat=334000.0, delta=0.5, p=0.7)
+DIM_BD = BoundaryData(theta0=285.05, theta_f=273.15)
+
+
+class TestOperator:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            NoSource(),
+            ExponentialSource(),
+            SimilaritySource(lambda eta: (1.0 + eta) * np.exp(-eta * eta) / 2.0),
+            FluxFeedbackSource(lambda0=800.0),
+        ],
+        ids=lambda source: source.kind,
+    )
+    def test_old_time_half_matches_separate_formula(self, source):
+        sol = solve_problem(DIM_MATERIAL, DIM_BD, source)
+        cfg = OracleConfig(n_space=64, n_time=256, theta_scheme=0.5)
+        stepper = oracle._Stepper(sol.material, sol.boundary, sol.source, cfg)
+        span = DIM_BD.theta0 - DIM_BD.theta_f
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            t = rng.uniform(cfg.t_start, cfg.t_end)
+            s = front_position(sol, t) * rng.uniform(0.8, 1.2)
+            v = DIM_BD.theta_f + span * np.sort(rng.random(cfg.n_space))[::-1]
+            v[0], v[-1] = DIM_BD.theta0, DIM_BD.theta_f
+            sdot = stepper.front_speed(v, s)
+            _, lo, mid, hi, h_src = stepper._operator(v, s, sdot, t)
+            got = lo * (v[:-2] - v[1:-1]) + hi * (v[2:] - v[1:-1]) - h_src
+            want = separate_spatial_operator(stepper, v, s, sdot, t)
+            scale = float(np.max(np.abs(want)))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+            rounding = 4.0 * np.finfo(float).eps * (np.abs(lo) + np.abs(hi))
+            assert np.all(np.abs(mid - (lo + hi)) <= rounding)
+
+
+class TestIndependence:
+    """The oracle takes nothing from the similarity layer but its inputs."""
+
+    SOLUTION_ONLY = {"lam", "psi", "y_prime0", "y_many", "equation"}
+
+    def test_imports_from_similarity(self):
+        tree = ast.parse(inspect.getsource(oracle))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any("similarity" in alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if "similarity" in (node.module or ""):
+                    imported |= names
+                else:
+                    assert "similarity" not in names
+        assert imported == {"SimilaritySolution", "source_model"}
+
+    def test_stepper_reads_no_solution_quantity(self):
+        tree = ast.parse(inspect.getsource(oracle._Stepper))
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not read & self.SOLUTION_ONLY

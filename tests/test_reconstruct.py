@@ -200,3 +200,30 @@ class TestSourceField:
     def test_rejects_nonpositive_time(self, sol):
         with pytest.raises(InvalidInput):
             source_field(sol, 0.0, -2.0)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        NoSource(),
+        ExponentialSource(),
+        FluxFeedbackSource(lambda0=0.5),
+        SimilaritySource(lambda eta: 0.5 * np.exp(-eta * eta)),
+    ],
+    ids=lambda source: source.kind,
+)
+def test_nan_queries_rejected(source):
+    # NaN compares false with every bound, so each range check must fail it
+    # rather than pass it on to the profile quadrature.
+    unit = Material(rho=1.0, c0=1.0, k0=1.0, latent_heat=1.0, delta=1.0, p=1.0)
+    s = solve_problem(unit, BoundaryData(theta0=1.0, theta_f=0.0), source)
+    with pytest.raises(InvalidInput):
+        s.y_many([math.nan])
+    with pytest.raises(InvalidInput):
+        s.psi.evaluate_many([0.1, math.nan])
+    with pytest.raises(OutOfDomain):
+        temperature(s, math.nan, 1.0)
+    with pytest.raises(OutOfDomain):
+        temperature(s, [0.1, math.nan], 1.0)
+    with pytest.raises(OutOfDomain):
+        source_field(s, [0.1, math.nan], 1.0)
