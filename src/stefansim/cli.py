@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -111,8 +112,8 @@ def _parse_times(text: str) -> list[float]:
         raise ConfigError(f"--t: not a number list: {text!r}") from exc
     if not times:
         raise ConfigError("--t: empty time list")
-    if any(t <= 0.0 for t in times):
-        raise ConfigError("--t: times must be positive")
+    if any(not (0.0 < t < math.inf) for t in times):
+        raise ConfigError("--t: times must be finite and positive")
     return sorted(times)
 
 

@@ -238,7 +238,9 @@ class PsiProfile:
     """Integrated profile Psi(eta) = Phi(y(eta)) on [0, lam].
 
     Decreases strictly from Phi(1) = 1 + delta/(p+1) at eta = 0
-    to (up to the front-equation residual) 0 at eta = lam.
+    to (up to the front-equation residual) 0 at eta = lam.  y_prime0 is
+    the fixed-face slope y'(0) (negative); it comes from the same first
+    integral at lam as the profile.
 
     evaluate_many computes every requested point in one batched pass whose
     quadrature segments are shared between neighboring points, so
@@ -250,6 +252,7 @@ class PsiProfile:
     lam: float
     delta: float
     p: float
+    y_prime0: float
     _kernel: Callable[[np.ndarray], np.ndarray]
 
     def evaluate_many(self, etas) -> np.ndarray:
@@ -287,8 +290,8 @@ class SourceModel:
     reconstruct and the oracle never test the spec's type:
 
     * equation: reduced equation whose root is the front coefficient lam;
-    * psi(lam): integrated profile Psi at front coefficient lam;
-    * y_prime0(lam): fixed-face slope y'(0);
+    * psi(lam): integrated profile Psi at front coefficient lam, carrying
+      the fixed-face slope y'(0) as psi(lam).y_prime0;
     * ode_rhs(etas, y_prime0): right-hand side r(eta) of the reduced ODE;
     * heat_source(material, eta, t, face_gradient): physical source H at
       similarity coordinates eta and time t, given the fixed-face
@@ -308,9 +311,6 @@ class SourceModel:
             self._lhs, 1.0 + delta / (p + 1.0), f"front equation ({self.label})"
         )
 
-    def _profile(self, lam: float, kernel: Callable) -> PsiProfile:
-        return PsiProfile(lam, self.delta, self.p, kernel)
-
 
 class _NoSourceModel(SourceModel):
     """r = 0: (sqrt(pi)/Ste) x erf(x) e^{x^2} = 1 + delta/(p+1)."""
@@ -325,14 +325,12 @@ class _NoSourceModel(SourceModel):
     def psi(self, lam: float) -> PsiProfile:
         target = self.equation.target
         coeff = (SQRT_PI / self.ste) * lam * math.exp(lam * lam)
+        slope = -(2.0 / (self.ste * (1.0 + self.delta))) * (lam * math.exp(lam * lam))
 
         def kernel(pts: np.ndarray) -> np.ndarray:
             return target - coeff * erf(pts)
 
-        return self._profile(lam, kernel)
-
-    def y_prime0(self, lam: float) -> float:
-        return -(2.0 / (self.ste * (1.0 + self.delta))) * (lam * math.exp(lam * lam))
+        return PsiProfile(lam, self.delta, self.p, slope, kernel)
 
     def ode_rhs(self, etas: np.ndarray, y_prime0: float) -> np.ndarray:
         return np.zeros_like(etas)
@@ -379,6 +377,7 @@ class _SimilarityModel(SourceModel):
         target, ste = self.equation.target, self.ste
         ibe_lam = integrate(self._f_be, 0.0, lam, _QUAD_TOL)
         b_coeff = lam * math.exp(lam * lam) + 2.0 * ibe_lam
+        slope = -(2.0 / (ste * (1.0 + self.delta))) * b_coeff
 
         def kernel(pts: np.ndarray) -> np.ndarray:
             nodes = np.concatenate([[0.0], pts])
@@ -391,13 +390,7 @@ class _SimilarityModel(SourceModel):
                 + (2.0 * SQRT_PI / ste) * (er * ibe - ibee)
             )
 
-        return self._profile(lam, kernel)
-
-    def y_prime0(self, lam: float) -> float:
-        ibe_lam = integrate(self._f_be, 0.0, lam, _QUAD_TOL)
-        return -(2.0 / (self.ste * (1.0 + self.delta))) * (
-            lam * math.exp(lam * lam) + 2.0 * ibe_lam
-        )
+        return PsiProfile(lam, self.delta, self.p, slope, kernel)
 
     def ode_rhs(self, etas: np.ndarray, y_prime0: float) -> np.ndarray:
         return (4.0 / self.ste) * self.beta(etas)
@@ -424,14 +417,12 @@ class _ExponentialModel(_SimilarityModel):
     def psi(self, lam: float) -> PsiProfile:
         target, ste = self.equation.target, self.ste
         coeff = (SQRT_PI / ste) * lam * (math.exp(lam * lam) + 1.0)
+        slope = -(2.0 / (ste * (1.0 + self.delta))) * lam * (math.exp(lam * lam) + 1.0)
 
         def kernel(pts: np.ndarray) -> np.ndarray:
             return target - coeff * erf(pts) - np.expm1(-pts * pts) / ste
 
-        return self._profile(lam, kernel)
-
-    def y_prime0(self, lam: float) -> float:
-        return -(2.0 / (self.ste * (1.0 + self.delta))) * lam * (math.exp(lam * lam) + 1.0)
+        return PsiProfile(lam, self.delta, self.p, slope, kernel)
 
 
 class _FeedbackModel(SourceModel):
@@ -469,17 +460,14 @@ class _FeedbackModel(SourceModel):
 
     def psi(self, lam: float) -> PsiProfile:
         feedback, erf_coeff, target = self.feedback, self._erf_coeff, self.equation.target
-        slope = self.y_prime0(lam)
+        slope = -2.0 * lam / (self.ste * self._den(lam))
 
         def kernel(pts: np.ndarray) -> np.ndarray:
             nodes = np.concatenate([[0.0], pts])
             f = integrate_cumulative(dawsn, nodes, _QUAD_TOL)[1:]
             return target + slope * (feedback * f + erf_coeff * erf(pts))
 
-        return self._profile(lam, kernel)
-
-    def y_prime0(self, lam: float) -> float:
-        return -2.0 * lam / (self.ste * self._den(lam))
+        return PsiProfile(lam, self.delta, self.p, slope, kernel)
 
     def ode_rhs(self, etas: np.ndarray, y_prime0: float) -> np.ndarray:
         return np.full_like(etas, self.feedback * y_prime0)
@@ -524,10 +512,10 @@ class SimilaritySolution:
         material, boundary, source: The problem definition.
         dimensionless: Its dimensionless groups.
         lam: Front coefficient; s(t) = 2 a lam sqrt(t).
-        y_prime0: Fixed-face slope y'(0) (negative).
         model: Source model; model.equation is the reduced equation whose
             root lam is.
-        psi: Exact integrated profile.
+        psi: Exact integrated profile; the fixed-face slope y_prime0 is
+            read from it.
     """
 
     material: Material
@@ -535,9 +523,13 @@ class SimilaritySolution:
     source: SourceSpec
     dimensionless: Dimensionless
     lam: float
-    y_prime0: float
     model: SourceModel
     psi: PsiProfile
+
+    @property
+    def y_prime0(self) -> float:
+        """Fixed-face slope y'(0) (negative), carried by the profile."""
+        return self.psi.y_prime0
 
     def lambda_residual(self) -> float:
         """Signed defect of lam in its reduced equation."""
@@ -588,7 +580,6 @@ def solve_problem(
         source=source,
         dimensionless=groups,
         lam=lam,
-        y_prime0=model.y_prime0(lam),
         model=model,
         psi=model.psi(lam),
     )

@@ -427,3 +427,23 @@ class TestSweepCommand:
     def test_sweep_without_lists_rejected(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, DIMLESS_EXP)
         assert main(["sweep", "--config", cfg]) == 2
+
+
+SWEEP_NO_BASE = DIMLESS_EXP.replace("problem.ste = 1.0\n", "") + "sweep.ste = 0.5, 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        (DIMLESS_EXP, ["profile", "--t", "0.5,nan"], "--t: times must be finite and positive"),
+        (DIMLESS_EXP, ["profile", "--t", "0.5,inf"], "--t: times must be finite and positive"),
+        (DIMLESS_EXP, ["profile", "--t", ","], "--t: empty time list"),
+        (SWEEP_NO_BASE, ["solve"], "config leaves swept parameters without base values"),
+        (SWEEP_NO_BASE, ["sweep", "--workers", "0"], "--workers must be at least 1"),
+    ],
+    ids=["t-nan", "t-inf", "t-empty", "solve-sweep-config", "workers-0"],
+)
+def test_usage_errors_exit_2(tmp_path, capsys, text, argv, message):
+    cfg = write_cfg(tmp_path, text)
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")

@@ -104,7 +104,7 @@ class TestSlopePrefactor:
         """(1 + delta) y'(0) = -(2/Ste)(lam e^{lam^2} + 2 Ibe(lam)); the
         circulated 4/Ste variant is exactly a factor 2 off."""
         quadrature = source_model(SimilaritySource(ExponentialSource.beta), STE, DELTA, P)
-        got = quadrature.y_prime0(lam)
+        got = quadrature.psi(lam).y_prime0
         psi = EXPONENTIAL.psi(lam)
         h = 1e-6
         etas = np.array([0.0, h, 2.0 * h])

@@ -320,9 +320,7 @@ class TestGoldenErrors:
         # errors were recorded with.
         sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
         lam, model = BISECTION_FEEDBACK_LAM, sol.model
-        sol = dataclasses.replace(
-            sol, lam=lam, y_prime0=model.y_prime0(lam), psi=model.psi(lam)
-        )
+        sol = dataclasses.replace(sol, lam=lam, psi=model.psi(lam))
         run = run_oracle_for(sol, OracleConfig(n_space=64, n_time=256, theta_scheme=theta_scheme))
         got = (run.front_rel_err, run.temp_max_err)
         want = UNSCALED_FEEDBACK_GOLDEN_ERRORS[kind, theta_scheme]

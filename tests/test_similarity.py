@@ -24,7 +24,9 @@ from stefansim.model import (
     SimilaritySource,
 )
 from stefansim import similarity
-from stefansim.numerics import Tolerance, erf
+from stefansim.numerics import Bracket, Tolerance, erf, find_root_increasing, integrate_cumulative
+from stefansim.oracle import OracleConfig
+from stefansim.reconstruct import similarity_coordinate
 from stefansim.similarity import (
     _phi_inverse_many,
     _phi_inverse_newton,
@@ -45,6 +47,9 @@ UNIT_BD = BoundaryData(theta0=1.0, theta_f=0.0)
 # At the dimensionless level the coupling A is passed to source_model;
 # lambda0 enters only the physical source field.
 FEEDBACK = FluxFeedbackSource(lambda0=0.5)
+
+# A smooth custom source with no closed form in the solver.
+CUSTOM_BETA = lambda eta: 0.5 * (1.0 + eta) * np.exp(-eta * eta)
 
 
 def unit_material(ste: float, delta: float, p: float) -> Material:
@@ -238,7 +243,7 @@ class TestSlope:
         for p in (1.0, 2.0, 3.0):
             lam = solve_lambda(source_model(ExponentialSource(), 1.0, 1.0, p).equation)
             quadrature = source_model(SimilaritySource(ExponentialSource.beta), 1.0, 1.0, p)
-            got = quadrature.y_prime0(lam)
+            got = quadrature.psi(lam).y_prime0
             h = 1e-6
             etas = np.array([0.0, h, 2.0 * h])
             y = y_from_psi(quadrature.psi(lam), etas)
@@ -248,7 +253,7 @@ class TestSlope:
     def test_slope_feedback_form(self):
         model = source_model(FEEDBACK, 1.0, 1.0, 1.0, 1.0)
         lam = solve_lambda(model.equation)
-        got = model.y_prime0(lam)
+        got = model.psi(lam).y_prime0
         h = 1e-6
         etas = np.array([0.0, h, 2.0 * h])
         y = y_from_psi(model.psi(lam), etas)
@@ -304,7 +309,7 @@ class TestSolveProblem:
 
     def test_feedback_quadrature_counts(self, monkeypatch):
         # The scaled feedback form integrates Dawson's function once per
-        # root evaluation; psi(lam) and y_prime0(lam) need no quadrature.
+        # root evaluation; psi(lam), which carries y'(0), needs no quadrature.
         counts = Counter()
 
         def counted(name, fn):
@@ -329,6 +334,21 @@ class TestSolveProblem:
         sol.y_many(np.linspace(0.0, sol.lam, 5))
         assert counts["integrate"] == counts["root_evals"]
         assert counts["integrate_cumulative"] == 1
+
+    def test_custom_beta_front_integral_once(self, monkeypatch):
+        # psi(lam) takes Ibe(lam) once and derives both the profile's front
+        # term and y'(0) from it.
+        counts = Counter()
+        integrate = similarity.integrate
+
+        def counted(f, *args):
+            counts[f.__name__] += 1
+            return integrate(f, *args)
+
+        monkeypatch.setattr(similarity, "integrate", counted)
+        solve_problem(unit_material(1.0, 1.0, 1.0), UNIT_BD, SimilaritySource(CUSTOM_BETA))
+        assert counts["_f_be"] == 1
+        assert counts["_f_bee"] > 0
 
     def test_custom_tolerance_threads_through(self):
         tol = Tolerance(abs_tol=1e-6, rel_tol=1e-8, max_iter=200)
@@ -357,3 +377,43 @@ class TestScalingLaws:
             for A in (0.5, 1.0, 2.0)
         ]
         assert all(a < b for a, b in zip(lams, lams[1:]))
+
+
+def _unit_solution():
+    return solve_problem(unit_material(1.0, 1.0, 1.0), UNIT_BD, ExponentialSource())
+
+
+def _unit_front_lhs(source, x):
+    return source_model(source, 1.0, 1.0, 1.0).equation.evaluate(x)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: phi_map(1.0, 1.0, -0.5), InvalidInput),
+        (lambda: phi_inverse_quadratic(1.0, -1.0), OutOfRange),
+        (lambda: source_model(object(), 1.0, 1.0, 1.0), InvalidInput),
+        (lambda: _unit_solution().y_many(np.array([])).shape, (0,)),
+        (lambda: similarity_coordinate(_unit_solution(), 0.1, 0.0), InvalidInput),
+        (lambda: BoundaryData(theta0=math.nan, theta_f=0.0), InvalidInput),
+        (lambda: OracleConfig(picard_tol=0.0), InvalidInput),
+        (lambda: find_root_increasing(lambda x: x, 0.5, Bracket(0.0, 1.0)), InvalidInput),
+        (lambda: integrate_cumulative(lambda z: z, np.zeros((2, 2))), InvalidInput),
+        # Past _EXP_ARG_LIMIT the e^{x^2} front equations read +inf.
+        (lambda: _unit_front_lhs(NoSource(), 30.0), math.inf),
+        (lambda: _unit_front_lhs(ExponentialSource(), 30.0), math.inf),
+        (lambda: _unit_front_lhs(SimilaritySource(CUSTOM_BETA), 30.0), math.inf),
+    ],
+    ids=[
+        "phi_map-negative", "phi_inverse_quadratic-below-range", "source_model-unknown-spec",
+        "y_many-empty", "similarity_coordinate-t0", "boundary-nan", "oracle-picard_tol-0",
+        "find_root-lo-0", "integrate_cumulative-2d", "none-front-inf", "exponential-front-inf",
+        "custom-front-inf",
+    ],
+)
+def test_edge_contracts(call, expected):
+    if isinstance(expected, type) and issubclass(expected, Exception):
+        with pytest.raises(expected):
+            call()
+    else:
+        assert call() == expected
