@@ -21,7 +21,7 @@ import numpy as np
 
 from .model import ExponentialSource, SimilaritySource
 from .oracle import OracleConfig, run_oracle_for
-from .similarity import SimilaritySolution, phi_map, solve_lambda, source_model
+from .similarity import SimilaritySolution, _phi_inverse_many, phi_map, solve_lambda, source_model
 
 LAMBDA_RESIDUAL_TOL = 1e-8
 FIXED_FACE_VALUE_TOL = 1e-10
@@ -49,18 +49,22 @@ PROFILE_SHAPE_POINTS = 512
 class CheckResult:
     """One verification measurement.
 
-    value is the measured magnitude (error, residual, defect) and the
-    check passes when value <= threshold.
+    value is the measured magnitude (error, residual, defect); passed is
+    derived from it, so a result cannot disagree with its own numbers.
     """
 
     name: str
     value: float
     threshold: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """True when value <= threshold."""
+        return bool(self.value <= self.threshold)
 
 
 def _result(name: str, value: float, threshold: float) -> CheckResult:
-    return CheckResult(name, float(value), float(threshold), bool(value <= threshold))
+    return CheckResult(name, float(value), float(threshold))
 
 
 def lambda_residual_check(sol: SimilaritySolution) -> CheckResult:
@@ -130,8 +134,8 @@ def ode_residual_check(sol: SimilaritySolution) -> CheckResult:
 def profile_shape_checks(sol: SimilaritySolution) -> list[CheckResult]:
     """Monotonicity and range of y, and monotonicity of Psi and Phi."""
     etas = np.linspace(0.0, sol.lam, PROFILE_SHAPE_POINTS)
-    y = sol.y_many(etas, clamp=False)
     psi = sol.psi.evaluate_many(etas)
+    y = _phi_inverse_many(sol.psi.delta, sol.psi.p, psi, clamp=False)
     xs = np.linspace(0.0, 1.0, PROFILE_SHAPE_POINTS)
     phi = phi_map(sol.psi.delta, sol.psi.p, xs)
     return [

@@ -31,13 +31,16 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .checks import run_checks
-from .config import RunConfig, load_config, reduced_problem
+from .config import DimensionlessProblem, RunConfig, load_config, reduced_problem
 from .errors import ConfigError, InvalidInput, StefanError
+from .numerics import Tolerance
 from .reconstruct import front_position, similarity_coordinate
 from .similarity import SimilaritySolution, solve_problem
 
@@ -158,24 +161,20 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_case(case: tuple) -> tuple[str, str, str, str]:
-    """One sweep tuple -> (lam, y_prime0, residual, status) as CSV strings.
+def _sweep_case(problem: DimensionlessProblem, tol: Tolerance) -> list[str]:
+    """The sweep.csv row of one case: its parameters, lam, y_prime0, residual, status.
 
     Top-level so process pools can pickle it; never raises, failures are
     recorded in the status column.
     """
-    ste, delta, p, feedback, kind, tol = case
+    feedback = "" if problem.feedback is None else _fmt(problem.feedback)
+    row = [_fmt(problem.ste), _fmt(problem.delta), _fmt(problem.p), feedback]
     try:
-        material, boundary, source = reduced_problem(ste, delta, p, kind, feedback)
+        material, boundary, source = reduced_problem(**asdict(problem))
         sol = solve_problem(material, boundary, source, tol)
-        return (
-            _fmt(sol.lam),
-            _fmt(sol.y_prime0),
-            _fmt(abs(sol.lambda_residual())),
-            "ok",
-        )
+        return row + [_fmt(sol.lam), _fmt(sol.y_prime0), _fmt(abs(sol.lambda_residual())), "ok"]
     except StefanError as exc:
-        return ("nan", "nan", "nan", f"error: {type(exc).__name__}: {exc}")
+        return row + ["nan", "nan", "nan", f"error: {type(exc).__name__}: {exc}"]
 
 
 def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -183,45 +182,19 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("sweep command requires at least one sweep.* key")
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
-    reduced = cfg.reduced
-    assert reduced is not None  # sweep keys force dimensionless mode
-    axes: list[list[Optional[float]]] = []
-    for name in ("ste", "delta", "p", "feedback"):
-        if name in cfg.sweep:
-            axes.append(list(cfg.sweep[name]))
-        else:
-            axes.append([getattr(reduced, name)])
-    cases = [
-        (ste, delta, p, feedback, reduced.kind, cfg.tol)
-        for ste in axes[0]
-        for delta in axes[1]
-        for p in axes[2]
-        for feedback in axes[3]
-    ]
+    run_case = partial(_sweep_case, tol=cfg.tol)
     if args.workers == 1:
-        outcomes = [_sweep_case(case) for case in cases]
+        rows = [run_case(problem) for problem in cfg.sweep]
     else:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            outcomes = list(pool.map(_sweep_case, cases))
-    rows = []
-    for case, outcome in zip(cases, outcomes):
-        ste, delta, p, feedback = case[:4]
-        rows.append(
-            [
-                _fmt(ste),
-                _fmt(delta),
-                _fmt(p),
-                "" if feedback is None else _fmt(feedback),
-                *outcome,
-            ]
-        )
+            rows = list(pool.map(run_case, cfg.sweep))
     path = _out_path(cfg, args, "sweep.csv")
     _write_csv(
         path,
         ["ste", "delta", "p", "feedback", "lam", "y_prime0", "lambda_residual", "status"],
         rows,
     )
-    n_failed = sum(1 for outcome in outcomes if outcome[3] != "ok")
+    n_failed = sum(1 for row in rows if row[-1] != "ok")
     print(f"wrote {path} ({len(rows)} rows, {n_failed} failed)")
     if rows and n_failed == len(rows):
         print("all sweep tuples failed", file=sys.stderr)

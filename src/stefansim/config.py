@@ -19,13 +19,15 @@ problem modes exist:
 
 Sweeps (`sweep.ste`, `sweep.delta`, `sweep.p`, `sweep.feedback`) list
 parameter values and are available in dimensionless mode only; a swept
-parameter may omit its base value.
+parameter may omit its base value.  The reduced keys are derived from
+the fields of DimensionlessProblem, and a sweep is built into a list of it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .errors import ConfigError
@@ -56,13 +58,30 @@ _PHYSICAL_KEYS = [
     *_keys("boundary", BoundaryData),
     *(key for spec in _SOURCE_KINDS.values() for key in _keys("source", spec)),
 ]
-# Reduced-problem parameters and their keys, in dimensionless mode only.
-_REDUCED_KEYS = {"ste": "problem.ste", "delta": "problem.delta", "p": "problem.p",
-                 "feedback": "source.feedback"}
-_LIST_KEYS = {"sweep.ste", "sweep.delta", "sweep.p", "sweep.feedback"}
+
+
+@dataclass(frozen=True)
+class DimensionlessProblem:
+    """One reduced problem of a dimensionless config.
+
+    Each field but kind is a parameter with the base key `<section>.<field>`
+    (section `problem` unless its metadata names another) and the list key
+    `sweep.<field>`.  feedback is None for sources other than flux feedback.
+    """
+
+    ste: float
+    delta: float
+    p: float
+    kind: str
+    feedback: Optional[float] = field(default=None, metadata={"section": "source"})
+
+
+# Base key of each reduced parameter, in dimensionless mode only.
+_BASE_KEYS = {f.name: f"{f.metadata.get('section', 'problem')}.{f.name}"
+              for f in fields(DimensionlessProblem) if f.name != "kind"}
 _KNOWN_KEYS = {
     *_PHYSICAL_KEYS, *_keys("solver", Tolerance), *_keys("oracle", OracleConfig),
-    *_REDUCED_KEYS.values(), *_LIST_KEYS,
+    *_BASE_KEYS.values(), *(f"sweep.{name}" for name in _BASE_KEYS),
     "source.kind", "problem.dimensionless", "oracle.enabled", "output.dir",
 }
 
@@ -72,37 +91,21 @@ def _takes_feedback(kind: str) -> bool:
 
 
 @dataclass(frozen=True)
-class DimensionlessProblem:
-    """Reduced problem parameters as given in a dimensionless config.
-
-    ste/delta/p/feedback are None when the config sweeps them instead of
-    fixing a base value.
-    """
-
-    ste: Optional[float]
-    delta: Optional[float]
-    p: Optional[float]
-    kind: str
-    feedback: Optional[float]
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything a CLI command needs, already validated.
 
     material/boundary/source are None exactly when the config is a sweep
-    that omits base values for swept parameters; reduced holds the
-    dimensionless base values that were given, and is None exactly for a
-    dimensional config.
+    that omits base values for swept parameters.  sweep holds the cases of
+    a sweep in lexicographic (ste, delta, p, feedback) order, base values
+    filling the axes not swept; it is empty for any other config.
     """
 
     material: Optional[Material]
     boundary: Optional[BoundaryData]
     source: Optional[SourceSpec]
-    reduced: Optional[DimensionlessProblem]
     tol: Tolerance
     oracle: Optional[OracleConfig]
-    sweep: dict[str, list[float]]
+    sweep: list[DimensionlessProblem]
     out_dir: Optional[str]
 
 
@@ -198,10 +201,10 @@ def _section(raw: dict[str, str], section: str, cls: type, required: bool = Fals
     their dataclass default, or raise ConfigError in field order when required.
     """
     values = {}
-    for field, key in zip(fields(cls), _keys(section, cls)):
-        value = _PARSERS[field.type](raw, key)
+    for f, key in zip(fields(cls), _keys(section, cls)):
+        value = _PARSERS[f.type](raw, key)
         if value is not None:
-            values[field.name] = value
+            values[f.name] = value
         elif required:
             raise ConfigError(f"missing required config key {key!r}")
     return values
@@ -245,36 +248,40 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
             f"source.kind: expected one of {', '.join(_SOURCE_KINDS)}, got {kind!r}"
         )
 
-    sweep: dict[str, list[float]] = {}
-    for key in sorted(_LIST_KEYS):
-        values = _get_list(raw, key)
+    swept: dict[str, list[float]] = {}
+    for name in sorted(_BASE_KEYS):
+        values = _get_list(raw, f"sweep.{name}")
         if values is not None:
-            sweep[key.split(".", 1)[1]] = sorted(values)
-    if sweep and not dimensionless:
+            swept[name] = sorted(values)
+    if swept and not dimensionless:
         raise ConfigError("sweep.* keys require problem.dimensionless = true")
     takes_feedback = _takes_feedback(kind)
-    if "feedback" in sweep and not takes_feedback:
+    if "feedback" in swept and not takes_feedback:
         raise ConfigError("sweep.feedback requires source.kind = feedback")
 
+    sweep: list[DimensionlessProblem] = []
     if dimensionless:
         for key in _PHYSICAL_KEYS:
             if key in raw:
                 raise ConfigError(f"{key} not allowed when problem.dimensionless = true")
-        needed = [name for name in _REDUCED_KEYS if name != "feedback" or takes_feedback]
+        needed = [name for name in _BASE_KEYS if name != "feedback" or takes_feedback]
         base: dict[str, Optional[float]] = {}
-        for name, key in _REDUCED_KEYS.items():
+        for name, key in _BASE_KEYS.items():
             base[name] = _get_float(raw, key)
-            if base[name] is None and name in needed and name not in sweep:
+            if base[name] is None and name in needed and name not in swept:
                 raise ConfigError(f"missing required config key {key!r}")
         if not takes_feedback and base["feedback"] is not None:
             raise ConfigError("source.feedback requires source.kind = feedback")
-        reduced = DimensionlessProblem(kind=kind, **base)
+        if swept:
+            axes = (swept.get(name, [value]) for name, value in base.items())
+            sweep = [DimensionlessProblem(kind=kind, **dict(zip(base, values)))
+                     for values in itertools.product(*axes)]
         if all(base[name] is not None for name in needed):
             material, boundary, source = reduced_problem(kind=kind, **base)
         else:
             material = boundary = source = None
     else:
-        for key in _REDUCED_KEYS.values():
+        for key in _BASE_KEYS.values():
             if key in raw:
                 raise ConfigError(f"{key} requires problem.dimensionless = true")
         material = Material(**_section(raw, "material", Material, required=True))
@@ -283,7 +290,6 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
         if not takes_feedback and "source.lambda0" in raw:
             raise ConfigError("source.lambda0 requires source.kind = feedback")
         source = spec(**_section(raw, "source", spec, required=True))
-        reduced = None
 
     tol = Tolerance(**_section(raw, "solver", Tolerance))
 
@@ -299,7 +305,6 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
         material=material,
         boundary=boundary,
         source=source,
-        reduced=reduced,
         tol=tol,
         oracle=oracle,
         sweep=sweep,

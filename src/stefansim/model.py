@@ -19,8 +19,9 @@ kind, the label that config files and CSV output use for it.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar, Union
 
 import numpy as np
@@ -33,9 +34,22 @@ from .errors import InvalidInput
 TEMPERATURE_RANGE_SLACK = 1e-9
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+def _require_finite(name: str, value) -> float:
+    """value as a float, for any finite real number (numpy scalars too)."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise InvalidInput(f"{name} must be finite, got {value!r}")
+    return float(value)
+
+
+def _require_positive(name: str, value) -> float:
+    """value as a float, for any finite real number > 0 (numpy scalars too).
+
+    The float conversion keeps a numpy float32 from carrying single
+    precision into every group computed from the stored value.
+    """
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
         raise InvalidInput(f"{name} must be a finite positive number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -59,12 +73,8 @@ class Material:
     p: float
 
     def __post_init__(self) -> None:
-        _require_positive("rho", self.rho)
-        _require_positive("c0", self.c0)
-        _require_positive("k0", self.k0)
-        _require_positive("latent_heat", self.latent_heat)
-        _require_positive("delta", self.delta)
-        _require_positive("p", self.p)
+        for f in fields(self):
+            object.__setattr__(self, f.name, _require_positive(f.name, getattr(self, f.name)))
 
 
 @dataclass(frozen=True)
@@ -75,10 +85,8 @@ class BoundaryData:
     theta_f: float
 
     def __post_init__(self) -> None:
-        for name in ("theta0", "theta_f"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise InvalidInput(f"{name} must be finite, got {v!r}")
+        for f in fields(self):
+            object.__setattr__(self, f.name, _require_finite(f.name, getattr(self, f.name)))
         if not self.theta0 > self.theta_f:
             raise InvalidInput(
                 f"theta0 must exceed theta_f, got theta0={self.theta0}, theta_f={self.theta_f}"
@@ -135,7 +143,7 @@ class FluxFeedbackSource:
     lambda0: float
 
     def __post_init__(self) -> None:
-        _require_positive("lambda0", self.lambda0)
+        object.__setattr__(self, "lambda0", _require_positive("lambda0", self.lambda0))
 
 
 SourceSpec = Union[NoSource, SimilaritySource, ExponentialSource, FluxFeedbackSource]

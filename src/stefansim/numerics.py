@@ -23,6 +23,7 @@ of the evaluations bisection needs.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -79,6 +80,8 @@ class Tolerance:
             raise InvalidInput(f"abs_tol must be finite and > 0, got {self.abs_tol}")
         if not (self.rel_tol > 0.0) or not math.isfinite(self.rel_tol):
             raise InvalidInput(f"rel_tol must be finite and > 0, got {self.rel_tol}")
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise InvalidInput(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise InvalidInput(f"max_iter must be >= 1, got {self.max_iter}")
 

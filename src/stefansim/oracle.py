@@ -47,15 +47,16 @@ half applies them to differences of the old field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import FrontCollapse, InvalidInput, MismatchedProblem, NonConvergence
-from .model import BoundaryData, Material, SourceSpec, dimensionless_groups
+from .model import BoundaryData, Material, SourceSpec
 from .reconstruct import front_position, temperature
-from .similarity import SimilaritySolution, source_model
+from .similarity import SimilaritySolution, problem_model
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,10 @@ class OracleConfig:
     picard_max_iter: int = 50
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not isinstance(value, numbers.Integral):
+                raise InvalidInput(f"{f.name} must be an integer, got {value!r}")
         if self.n_space < 16:
             raise InvalidInput(f"n_space must be >= 16, got {self.n_space}")
         if self.n_time < 16:
@@ -172,11 +177,10 @@ class _Stepper:
         self.xi_inner = self.xi[1:-1]
         self.h = self.xi[1] - self.xi[0]
         self.span = boundary.theta0 - boundary.theta_f
-        groups = dimensionless_groups(material, boundary, source)
+        groups, self.model = problem_model(material, boundary, source)
         self.a = groups.a
         self.rho_c0 = material.rho * material.c0
         self.rho_l = material.rho * material.latent_heat
-        self.model = source_model(source, groups.ste, material.delta, material.p, groups.feedback)
 
     def _coeff_factor(self, u: np.ndarray) -> np.ndarray:
         """1 + delta y^p with y clipped to [0, 1]; shared by k and c."""

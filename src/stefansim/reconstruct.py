@@ -10,6 +10,7 @@ and the source field each model induces.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -20,6 +21,12 @@ from .similarity import SimilaritySolution
 # rejected; overshoots inside the margin report the phase-change
 # temperature, since they come from rounding in callers' front arithmetic.
 FRONT_DOMAIN_SLACK = 1e-9
+
+
+def _require_time(what: str, t) -> None:
+    """Raise InvalidInput unless t is a finite real scalar > 0."""
+    if not (isinstance(t, numbers.Real) and math.isfinite(t) and t > 0.0):
+        raise InvalidInput(f"{what} needs t > 0, got {t!r}")
 
 
 def front_position(sol: SimilaritySolution, t) -> float:
@@ -33,8 +40,7 @@ def front_position(sol: SimilaritySolution, t) -> float:
 
 def similarity_coordinate(sol: SimilaritySolution, x, t: float):
     """Similarity coordinate eta = x / (2 a sqrt(t)) for t > 0."""
-    if not (math.isfinite(t) and t > 0.0):
-        raise InvalidInput(f"similarity coordinate needs t > 0, got {t!r}")
+    _require_time("similarity coordinate", t)
     xa = np.asarray(x, dtype=float)
     out = xa / (2.0 * sol.dimensionless.a * math.sqrt(t))
     return float(out) if np.isscalar(x) else out
@@ -60,8 +66,7 @@ def temperature(sol: SimilaritySolution, x, t: float):
         OutOfDomain: x < 0, x NaN, or x beyond the front by more than the slack.
         InvalidInput: t <= 0.
     """
-    if not (math.isfinite(t) and t > 0.0):
-        raise InvalidInput(f"temperature needs t > 0, got {t!r}")
+    _require_time("temperature", t)
     xa = np.asarray(x, dtype=float)
     if not np.all(xa >= 0.0):
         raise OutOfDomain("temperature query at x < 0 or NaN")
@@ -98,8 +103,7 @@ def source_field(sol: SimilaritySolution, x, t: float):
     for the flux-feedback source H = (lambda0 / sqrt(t)) dtheta/dx(0, t),
     independent of x; without a source H = 0.
     """
-    if not (math.isfinite(t) and t > 0.0):
-        raise InvalidInput(f"source_field needs t > 0, got {t!r}")
+    _require_time("source_field", t)
     xa = np.asarray(x, dtype=float)
     if not np.all(xa >= 0.0):
         raise OutOfDomain("source_field query at x < 0 or NaN")

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import dawsn
@@ -504,27 +504,45 @@ def source_model(
     raise InvalidInput(f"unknown source spec {source!r}")
 
 
+def problem_model(
+    material: Material, boundary: BoundaryData, source: SourceSpec
+) -> tuple[Dimensionless, SourceModel]:
+    """Dimensionless groups of a problem and its source model at those groups."""
+    groups = dimensionless_groups(material, boundary, source)
+    return groups, source_model(source, groups.ste, material.delta, material.p, groups.feedback)
+
+
 @dataclass(frozen=True)
 class SimilaritySolution:
     """Explicit solution of a melting problem in similarity variables.
 
+    Only the problem and lam are stored; the rest is derived from them at
+    construction, so dataclasses.replace(sol, lam=x) is the consistent
+    solution at x.  Equality and hashing compare the stored fields.
+
     Attributes:
         material, boundary, source: The problem definition.
-        dimensionless: Its dimensionless groups.
         lam: Front coefficient; s(t) = 2 a lam sqrt(t).
-        model: Source model; model.equation is the reduced equation whose
-            root lam is.
-        psi: Exact integrated profile; the fixed-face slope y_prime0 is
-            read from it.
+        dimensionless: Its dimensionless groups (derived).
+        model: Source model (derived); model.equation is the reduced
+            equation whose root lam is.
+        psi: Exact integrated profile model.psi(lam) (derived); the
+            fixed-face slope y_prime0 is read from it.
     """
 
     material: Material
     boundary: BoundaryData
     source: SourceSpec
-    dimensionless: Dimensionless
     lam: float
-    model: SourceModel
-    psi: PsiProfile
+    dimensionless: Dimensionless = field(init=False, repr=False, compare=False)
+    model: SourceModel = field(init=False, repr=False, compare=False)
+    psi: PsiProfile = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        groups, model = problem_model(self.material, self.boundary, self.source)
+        object.__setattr__(self, "dimensionless", groups)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "psi", model.psi(self.lam))
 
     @property
     def y_prime0(self) -> float:
@@ -564,22 +582,12 @@ def solve_problem(
         tol: Root tolerance for the front coefficient.
 
     Returns:
-        The assembled SimilaritySolution.
+        The SimilaritySolution at the root lam of the reduced equation.
 
     Raises:
         InvalidInput: Malformed problem data.
         BracketExpansionFailed / NotBracketed / NonConvergence: Front
             coefficient could not be bracketed or resolved.
     """
-    groups = dimensionless_groups(material, boundary, source)
-    model = source_model(source, groups.ste, material.delta, material.p, groups.feedback)
-    lam = solve_lambda(model.equation, tol)
-    return SimilaritySolution(
-        material=material,
-        boundary=boundary,
-        source=source,
-        dimensionless=groups,
-        lam=lam,
-        model=model,
-        psi=model.psi(lam),
-    )
+    _, model = problem_model(material, boundary, source)
+    return SimilaritySolution(material, boundary, source, solve_lambda(model.equation, tol))

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from stefansim.checks import (
+    PROFILE_SHAPE_POINTS,
+    CheckResult,
     boundary_checks,
     closed_form_agreement_check,
     front_slope_check,
@@ -106,6 +108,27 @@ class TestIndividualChecks:
             *profile_shape_checks(sol),
         ]:
             assert r.passed, f"{r.name}: {r.value} > {r.threshold}"
+
+
+class TestCheckResult:
+    def test_verdict_is_derived(self):
+        assert [f.name for f in dataclasses.fields(CheckResult)] == ["name", "value", "threshold"]
+        assert CheckResult("x", 1.0, 1.0).passed
+        assert not CheckResult("x", 1.5, 1.0).passed
+        assert not CheckResult("x", float("nan"), 1.0).passed
+
+    def test_profile_shape_evaluates_psi_once(self, monkeypatch):
+        sol = solve(source=FluxFeedbackSource(lambda0=0.5))
+        calls = []
+        evaluate_many = similarity.PsiProfile.evaluate_many
+
+        def counted(psi, etas):
+            calls.append(np.size(etas))
+            return evaluate_many(psi, etas)
+
+        monkeypatch.setattr(similarity.PsiProfile, "evaluate_many", counted)
+        profile_shape_checks(sol)
+        assert calls == [PROFILE_SHAPE_POINTS]
 
 
 class TestCorruptedSolutionFails:

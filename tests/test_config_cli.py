@@ -11,9 +11,15 @@ import math
 import numpy as np
 import pytest
 
+import stefansim.config as config
 import stefansim.oracle as oracle
 from stefansim.cli import main
-from stefansim.config import build_run_config, load_config, parse_config_text
+from stefansim.config import (
+    DimensionlessProblem,
+    build_run_config,
+    load_config,
+    parse_config_text,
+)
 from stefansim.errors import ConfigError, InvalidInput
 from stefansim.model import (
     BoundaryData,
@@ -97,12 +103,21 @@ class TestParse:
             for field in dataclasses.fields(cls)
         )
         assert len(parse_config_text(text)) == 18
+        # The reduced problem's base and sweep keys, from its fields' metadata.
+        reduced = [f for f in dataclasses.fields(DimensionlessProblem) if f.name != "kind"]
+        derived = {f"{f.metadata.get('section', 'problem')}.{f.name}" for f in reduced}
+        derived |= {f"sweep.{f.name}" for f in reduced}
+        known = {
+            key for key in config._KNOWN_KEYS
+            if key.startswith(("problem.", "sweep.")) or key == "source.feedback"
+        }
+        assert derived == known - {"problem.dimensionless"}
 
 
 class TestBuild:
     def test_dimensionless_problem(self):
         cfg = build_run_config(parse_config_text(DIMLESS_EXP))
-        assert cfg.reduced is not None
+        assert cfg.sweep == []
         assert isinstance(cfg.source, ExponentialSource)
         assert cfg.material.latent_heat == 1.0
         assert cfg.boundary.theta0 == 1.0 and cfg.boundary.theta_f == 0.0
@@ -110,7 +125,7 @@ class TestBuild:
 
     def test_dimensional_problem(self):
         cfg = build_run_config(parse_config_text(DIMENSIONAL_NONE))
-        assert cfg.reduced is None
+        assert cfg.sweep == []
         assert isinstance(cfg.source, NoSource)
         assert cfg.material.rho == 1000.0
 
@@ -145,12 +160,14 @@ class TestBuild:
         text = DIMLESS_EXP.replace("problem.ste = 1.0\n", "") + "sweep.ste = 0.5, 1\n"
         cfg = build_run_config(parse_config_text(text))
         assert cfg.material is None
-        assert cfg.sweep == {"ste": [0.5, 1.0]}
-        assert cfg.reduced.ste is None
+        assert cfg.sweep == [
+            DimensionlessProblem(ste=ste, delta=1.0, p=1.0, kind="exponential")
+            for ste in (0.5, 1.0)
+        ]
 
     def test_sweep_lists_sorted(self):
         cfg = build_run_config(parse_config_text(DIMLESS_EXP + "sweep.ste = 2, 0.5, 1\n"))
-        assert cfg.sweep["ste"] == [0.5, 1.0, 2.0]
+        assert [case.ste for case in cfg.sweep] == [0.5, 1.0, 2.0]
 
     def test_model_invariants_surface(self):
         text = DIMENSIONAL_NONE.replace("boundary.theta0 = 285.05",

@@ -1,5 +1,6 @@
 """Tests for problem-definition types and dimensionless groups."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from stefansim.model import (
     dimensionless_groups,
     specific_heat,
 )
+from stefansim.similarity import solve_problem
 
 WATER_ICE = Material(
     rho=1000.0, c0=4200.0, k0=0.6, latent_heat=334000.0, delta=0.5, p=1.0
@@ -39,6 +41,26 @@ class TestMaterialValidation:
             BoundaryData(theta0=273.15, theta_f=273.15)
         with pytest.raises(InvalidInput):
             BoundaryData(theta0=270.0, theta_f=273.15)
+
+    @pytest.mark.parametrize("typ", [np.int64, np.float32, np.float64])
+    def test_numpy_scalars_are_stored_as_floats(self, typ):
+        # Integral values, so every numpy type holds them exactly.
+        material = dict(rho=1000, c0=4200, k0=1, latent_heat=334000, delta=2, p=3)
+        boundary = dict(theta0=285, theta_f=273)
+        plain = (
+            Material(**{k: float(v) for k, v in material.items()}),
+            BoundaryData(**{k: float(v) for k, v in boundary.items()}),
+            FluxFeedbackSource(lambda0=2.0),
+        )
+        got = (
+            Material(**{k: typ(v) for k, v in material.items()}),
+            BoundaryData(**{k: typ(v) for k, v in boundary.items()}),
+            FluxFeedbackSource(lambda0=typ(2)),
+        )
+        assert got == plain
+        for spec in got:
+            assert all(type(getattr(spec, f.name)) is float for f in dataclasses.fields(spec))
+        assert solve_problem(*got).lam == solve_problem(*plain).lam
 
     def test_feedback_source_requires_positive_coupling(self):
         with pytest.raises(InvalidInput):

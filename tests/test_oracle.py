@@ -319,8 +319,7 @@ class TestGoldenErrors:
         # Both forms at one lam: the Dawson profile at the lam the unscaled
         # errors were recorded with.
         sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
-        lam, model = BISECTION_FEEDBACK_LAM, sol.model
-        sol = dataclasses.replace(sol, lam=lam, psi=model.psi(lam))
+        sol = dataclasses.replace(sol, lam=BISECTION_FEEDBACK_LAM)
         run = run_oracle_for(sol, OracleConfig(n_space=64, n_time=256, theta_scheme=theta_scheme))
         got = (run.front_rel_err, run.temp_max_err)
         want = UNSCALED_FEEDBACK_GOLDEN_ERRORS[kind, theta_scheme]
@@ -498,7 +497,7 @@ class TestIndependence:
                     imported |= names
                 else:
                     assert "similarity" not in names
-        assert imported == {"SimilaritySolution", "source_model"}
+        assert imported == {"SimilaritySolution", "problem_model"}
 
     def test_stepper_reads_no_solution_quantity(self):
         tree = ast.parse(inspect.getsource(oracle._Stepper))

@@ -7,6 +7,7 @@ grids so the whole admissible region gets sampled over time without
 flaky randomness.
 """
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -22,12 +23,14 @@ from stefansim.model import (
     Material,
     NoSource,
     SimilaritySource,
+    dimensionless_groups,
 )
 from stefansim import similarity
 from stefansim.numerics import Bracket, Tolerance, erf, find_root_increasing, integrate_cumulative
 from stefansim.oracle import OracleConfig
-from stefansim.reconstruct import similarity_coordinate
+from stefansim.reconstruct import similarity_coordinate, source_field, temperature
 from stefansim.similarity import (
+    SimilaritySolution,
     _phi_inverse_many,
     _phi_inverse_newton,
     phi_inverse_quadratic,
@@ -379,6 +382,36 @@ class TestScalingLaws:
         assert all(a < b for a, b in zip(lams, lams[1:]))
 
 
+class TestStoredFacts:
+    """A solution stores its problem and lam; groups, model and Psi follow."""
+
+    SOURCES = (NoSource(), ExponentialSource(), SimilaritySource(CUSTOM_BETA), FEEDBACK)
+
+    def test_init_fields_are_problem_and_lam(self):
+        init = [f.name for f in dataclasses.fields(SimilaritySolution) if f.init]
+        assert init == ["material", "boundary", "source", "lam"]
+
+    @pytest.mark.parametrize("source", SOURCES, ids=lambda source: source.kind)
+    def test_replaced_lam_rebuilds_profile(self, source):
+        sol = solve_problem(unit_material(1.0, 1.0, 1.0), UNIT_BD, source)
+        x = sol.lam - 0.05
+        moved = dataclasses.replace(sol, lam=x)
+        assert moved.psi.lam == x
+        assert moved.y_prime0 == sol.model.psi(x).y_prime0
+        failed = {r.name for r in run_checks(moved) if not r.passed}
+        assert {"lambda_residual", "front_value"} <= failed
+
+    def test_replaced_material_rebuilds_groups(self):
+        sol = solve_problem(unit_material(1.0, 1.0, 1.0), UNIT_BD, FEEDBACK)
+        material = Material(rho=2.0, c0=3.0, k0=5.0, latent_heat=0.5, delta=2.0, p=1.5)
+        moved = dataclasses.replace(sol, material=material)
+        assert moved.dimensionless == dimensionless_groups(material, UNIT_BD, FEEDBACK)
+        assert (moved.model.ste, moved.model.delta, moved.model.p) == (
+            moved.dimensionless.ste, 2.0, 1.5
+        )
+        assert moved.model.feedback == moved.dimensionless.feedback
+
+
 def _unit_solution():
     return solve_problem(unit_material(1.0, 1.0, 1.0), UNIT_BD, ExponentialSource())
 
@@ -403,12 +436,23 @@ def _unit_front_lhs(source, x):
         (lambda: _unit_front_lhs(NoSource(), 30.0), math.inf),
         (lambda: _unit_front_lhs(ExponentialSource(), 30.0), math.inf),
         (lambda: _unit_front_lhs(SimilaritySource(CUSTOM_BETA), 30.0), math.inf),
+        # Integer fields reject floats up front, not deep inside a run.
+        (lambda: OracleConfig(n_space=64.0), InvalidInput),
+        (lambda: OracleConfig(n_time=256.0), InvalidInput),
+        (lambda: OracleConfig(picard_max_iter=2.5), InvalidInput),
+        (lambda: Tolerance(max_iter=2.5), InvalidInput),
+        # Time is a scalar; front_position alone takes an array t.
+        (lambda: temperature(_unit_solution(), 0.1, np.array([1.0, 2.0])), InvalidInput),
+        (lambda: similarity_coordinate(_unit_solution(), 0.1, np.array([1.0, 2.0])), InvalidInput),
+        (lambda: source_field(_unit_solution(), 0.1, np.array([1.0, 2.0])), InvalidInput),
     ],
     ids=[
         "phi_map-negative", "phi_inverse_quadratic-below-range", "source_model-unknown-spec",
         "y_many-empty", "similarity_coordinate-t0", "boundary-nan", "oracle-picard_tol-0",
         "find_root-lo-0", "integrate_cumulative-2d", "none-front-inf", "exponential-front-inf",
-        "custom-front-inf",
+        "custom-front-inf", "oracle-n_space-float", "oracle-n_time-float",
+        "oracle-picard_max_iter-float", "tolerance-max_iter-float", "temperature-t-array",
+        "similarity_coordinate-t-array", "source_field-t-array",
     ],
 )
 def test_edge_contracts(call, expected):
