@@ -14,23 +14,33 @@ domain into the fixed strip [0, 1]:
 
     rho c(u) [u_t - xi (s'/s) u_xi] = (1/s^2) (k(u) u_xi)_xi - H(xi s, t).
 
-Time stepping is a theta-weighted scheme (default backward Euler,
-theta_scheme = 1) whose nonlinear coefficients are resolved by Picard
-iteration: coefficients and the front speed are lagged, each sweep solves
-one tridiagonal system, and sweeps repeat until the field and front
-stagnate to 1e-10 (relative).  Each step's iteration starts from the
-previous field and from a predicted front: s^2, which grows linearly in t
-for a similarity front, is extrapolated quadratically through the last
-three accepted fronts (the first two steps take an explicit Euler front
-step instead).  The field is not extrapolated: the first sweep's front
-speed would then come from an extrapolated gradient, and runs with a loose
-picard_tol collapse.  The start sets how many sweeps a step takes; a
-converged step matches any other start to the level of picard_tol.
+Time stepping is a theta-weighted scheme (default Crank-Nicolson,
+theta_scheme = 0.5; 1 is backward Euler) on times uniform in sqrt(t), so a
+similarity front s = 2 lam a sqrt(t) advances by the same amount every
+step and the first steps out of t_start stay short (Landau, 1950).  The
+nonlinear coefficients are resolved by Picard iteration: coefficients and
+the front speed are lagged, each sweep solves one tridiagonal system, and
+sweeps repeat until the field and front stagnate to 1e-10 (relative).
+Each step's iteration starts from the previous field and from a predicted
+front: s^2, quadratic in the step index for a similarity front, is
+extrapolated through the last three accepted fronts (the first two steps
+take an explicit Euler front step instead).  The field is not
+extrapolated: the first sweep's front speed would then come from an
+extrapolated gradient, and runs with a loose picard_tol collapse.  The
+start sets how many sweeps a step takes; a converged step matches any
+other start to the level of picard_tol.
 
-Space is second order: conservative differencing with interface-mean
-conductivities, central advection, a 4-point one-sided front gradient for
-the Stefan condition and the 3-point one-sided fixed-face gradient that the
-flux-feedback source prescribes.
+Space is second order in the Kirchhoff form.  k and c share the factor
+1 + delta y^p, y = (theta - theta_f) / span with span = theta0 - theta_f,
+whose integral Phi(y) = y + delta/(p+1) y^{p+1} is smooth at the front
+where y is not (Carslaw & Jaeger, 1959; Alexiades & Solomon, 1993).  The
+oracle takes Phi from the material alone.  Each interface conducts with
+the secant k0 (Phi(y_{i+1}) - Phi(y_i)) / (y_{i+1} - y_i), so the flux is
+the exact difference of the Kirchhoff variable w = span Phi(y); the Stefan
+condition takes a 4-point one-sided gradient of w, which is theta_x at the
+front because Phi'(0) = 1.  Advection is central, and the flux-feedback
+source takes the 3-point one-sided fixed-face gradient of theta that it
+prescribes.
 The flux-feedback source is fed from the discrete field, never from the
 closed-form slope, so the comparison stays two-sided.
 
@@ -65,20 +75,21 @@ class OracleConfig:
 
     Attributes:
         n_space: Spatial nodes on [0, 1] (>= 16).
-        n_time: Time steps from t_start to t_end (>= 16).
+        n_time: Time steps from t_start to t_end (>= 16), uniform in
+            sqrt(t).
         t_start: Initialization time, > 0 (the front must have left x = 0).
         t_end: Final time, > t_start.
-        theta_scheme: Implicitness weight in [0.5, 1]; 1 is backward
-            Euler, 0.5 Crank-Nicolson.
+        theta_scheme: Implicitness weight in [0.5, 1]; 0.5 is
+            Crank-Nicolson, 1 backward Euler.
         picard_tol: Relative stagnation tolerance of the Picard sweeps.
         picard_max_iter: Sweep budget per time step.
     """
 
-    n_space: int = 128
-    n_time: int = 1024
+    n_space: int = 64
+    n_time: int = 128
     t_start: float = 0.01
     t_end: float = 1.0
-    theta_scheme: float = 1.0
+    theta_scheme: float = 0.5
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
 
@@ -165,6 +176,13 @@ def solve_banded(
     return x
 
 
+# |y_{i+1} - y_i| at or below which an interface conducts with the mean
+# factor instead of the secant of Phi.  The secant's relative rounding error,
+# about eps (1 + delta) / |dy|, reaches ~1e-8 (1 + delta) there, and the flux
+# across so small a difference is itself of order 1e-8.
+_MERGED_DY = 1.5e-8
+
+
 class _Stepper:
     """One theta-weighted Picard-resolved time step of the front-fixed system."""
 
@@ -182,26 +200,47 @@ class _Stepper:
         self.rho_c0 = material.rho * material.c0
         self.rho_l = material.rho * material.latent_heat
 
-    def _coeff_factor(self, u: np.ndarray) -> np.ndarray:
-        """1 + delta y^p with y clipped to [0, 1]; shared by k and c."""
+    def _coefficients(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """y clipped to [0, 1], the factor 1 + delta y^p of k and c, and Phi(y).
+
+        Phi(y) = y + delta/(p+1) y^{p+1} is the integral of the factor.  One
+        call per sweep serves both the front speed and the operator.
+        """
         y = (u - self.bd.theta_f) / self.span
         # np.clip without its wrapper; a -0.0 that clip would make +0.0
         # gives the factor 1.0 either way.
         np.maximum(y, 0.0, out=y)
         np.minimum(y, 1.0, out=y)
-        return 1.0 + self.mat.delta * y**self.mat.p
+        excess = self.mat.delta * y**self.mat.p
+        phi = y + y * excess / (self.mat.p + 1.0)
+        return y, 1.0 + excess, phi
 
-    def _operator(self, u: np.ndarray, s: float, sdot: float, t: float) -> tuple[np.ndarray, ...]:
+    def _conductivity(self, coeffs: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Interface conductivities k0 (Phi(y_{i+1}) - Phi(y_i)) / (y_{i+1} - y_i).
+
+        Wherever y stays in [0, 1] they make k (u_{i+1} - u_i) =
+        k0 (w_{i+1} - w_i): the flux is the exact difference of
+        w = span Phi(y).  Where the nodes nearly merge the mean factor
+        stands in.  coeffs is _coefficients(u).
+        """
+        y, fac, phi = coeffs
+        dy = y[1:] - y[:-1]
+        factor = 0.5 * (fac[:-1] + fac[1:])
+        np.divide(phi[1:] - phi[:-1], dy, out=factor, where=np.abs(dy) > _MERGED_DY)
+        return self.mat.k0 * factor
+
+    def _operator(
+        self, u: np.ndarray, coeffs: tuple[np.ndarray, ...], s: float, sdot: float, t: float
+    ) -> tuple[np.ndarray, ...]:
         """Stencil of c rho xi (s'/s) u_xi + (1/s^2)(k u_xi)_xi - H.
 
-        Returns (rho c, lo, mid, hi, H), all at the interior nodes, with the
-        operator lo u_{i-1} - mid u_i + hi u_{i+1} - H and mid = lo + hi up
-        to rounding.  H comes from the discrete state only.
+        coeffs is _coefficients(u).  Returns (rho c, lo, mid, hi, H), all at
+        the interior nodes, with the operator lo u_{i-1} - mid u_i +
+        hi u_{i+1} - H and mid = lo + hi up to rounding.  H comes from the
+        discrete state only.
         """
-        fac = self._coeff_factor(u)
-        rho_c = self.rho_c0 * fac[1:-1]
-        k = self.mat.k0 * fac
-        kf = 0.5 * (k[:-1] + k[1:])
+        rho_c = self.rho_c0 * coeffs[1][1:-1]
+        kf = self._conductivity(coeffs)
         adv = rho_c * self.xi_inner * (sdot / s) / (2.0 * self.h)
         dif = 1.0 / (self.h * self.h * s * s)
         # kf[i-1] couples u_{i-1}, kf[i] couples u_{i+1} (i = 1..n-2).
@@ -211,20 +250,25 @@ class _Stepper:
         source = self.model.heat_source(self.mat, eta, t, _face_gradient(u, self.h) / s)
         return rho_c, lo, (kf[:-1] + kf[1:]) * dif, hi, source
 
-    def front_speed(self, u: np.ndarray, s: float) -> float:
-        """Stefan condition s' = -k0 theta_x(s, t) / (rho latent_heat)."""
-        return -self.mat.k0 * _front_gradient(u, self.h) / (self.rho_l * s)
+    def front_speed(self, phi: np.ndarray, s: float) -> float:
+        """Stefan condition s' = -k0 theta_x(s, t) / (rho latent_heat).
+
+        theta_x at the front is the gradient of w = span Phi(y), since
+        Phi'(0) = 1; phi is Phi(y) at the nodes.
+        """
+        return -self.mat.k0 * self.span * _front_gradient(phi, self.h) / (self.rho_l * s)
 
     def advance(
         self, v: np.ndarray, fronts: np.ndarray, k: int, t0: float, t1: float
     ) -> tuple[np.ndarray, float]:
         """Advance step k from (v, fronts[k]) at t0 to t1.
 
-        fronts[:k + 1] are the fronts accepted so far, at uniformly spaced
-        times.  The Picard iteration starts from the field v and, for
-        k >= 2, from the front sqrt(3 s_k^2 - 3 s_{k-1}^2 + s_{k-2}^2):
-        s^2 is nearly linear in t, so its quadratic extrapolation leaves the
-        first sweep little to correct.  Steps 0 and 1 start from the
+        fronts[:k + 1] are the fronts accepted so far, at times uniform in
+        sqrt(t).  The Picard iteration starts from the field v and, for
+        k >= 2, from the front sqrt(3 s_k^2 - 3 s_{k-1}^2 + s_{k-2}^2): s is
+        linear in the step index for a similarity front, so this quadratic
+        extrapolation of s^2 is exact for it and leaves the first sweep only
+        the discretization error to correct.  Steps 0 and 1 start from the
         explicit Euler front s_k + dt s'(v).
 
         With picard_tol = 1 every step takes one sweep, so the start becomes
@@ -237,16 +281,17 @@ class _Stepper:
         """
         cfg = self.cfg
         s_old = fronts[k]
-        w = cfg.theta_scheme
+        weight = cfg.theta_scheme
         dt = t1 - t0
         theta0, theta_f = self.bd.theta0, self.bd.theta_f
-        sdot_old = self.front_speed(v, s_old)
-        if w < 1.0:
+        coeffs = self._coefficients(v)
+        sdot_old = self.front_speed(coeffs[2], s_old)
+        if weight < 1.0:
             # On differences of v the advection terms cancel (lo + hi = mid)
             # and a common temperature such as 273 K drops out before rounding.
-            rho_c, lo, _, hi, source = self._operator(v, s_old, sdot_old, t0)
-            c_old_part = (1.0 - w) * rho_c
-            rhs_old = (1.0 - w) * (lo * (v[:-2] - v[1:-1]) + hi * (v[2:] - v[1:-1]) - source)
+            rho_c, lo, _, hi, source = self._operator(v, coeffs, s_old, sdot_old, t0)
+            c_old_part = (1.0 - weight) * rho_c
+            rhs_old = (1.0 - weight) * (lo * (v[:-2] - v[1:-1]) + hi * (v[2:] - v[1:-1]) - source)
         else:
             # Backward Euler has no old-time terms.
             c_old_part = rhs_old = 0.0
@@ -257,16 +302,17 @@ class _Stepper:
         else:
             s = s_old + dt * sdot_old
         for _ in range(cfg.picard_max_iter):
-            sdot_new = self.front_speed(u, s)
-            s_new = s_old + dt * (w * sdot_new + (1.0 - w) * sdot_old)
+            coeffs = self._coefficients(u)
+            sdot_new = self.front_speed(coeffs[2], s)
+            s_new = s_old + dt * (weight * sdot_new + (1.0 - weight) * sdot_old)
             if s_new <= 0.0:
                 raise FrontCollapse(f"front position went nonpositive at t = {t1}")
-            rho_c, lo, mid, hi, source = self._operator(u, s_new, sdot_new, t1)
-            coef_time = (w * rho_c + c_old_part) / dt
-            sub = -w * lo
-            sup = -w * hi
-            diag = coef_time + w * mid
-            rhs = coef_time * v_inner - w * source + rhs_old
+            rho_c, lo, mid, hi, source = self._operator(u, coeffs, s_new, sdot_new, t1)
+            coef_time = (weight * rho_c + c_old_part) / dt
+            sub = -weight * lo
+            sup = -weight * hi
+            diag = coef_time + weight * mid
+            rhs = coef_time * v_inner - weight * source + rhs_old
             rhs[0] -= sub[0] * theta0
             rhs[-1] -= sup[-1] * theta_f
             u_new = np.empty(self.n)
@@ -307,7 +353,8 @@ def run_oracle_for(sol: SimilaritySolution, cfg: OracleConfig) -> OracleRun:
         FrontCollapse: The computed front stopped advancing.
     """
     stepper = _Stepper(sol.material, sol.boundary, sol.source, cfg)
-    times = np.linspace(cfg.t_start, cfg.t_end, cfg.n_time + 1)
+    times = np.linspace(math.sqrt(cfg.t_start), math.sqrt(cfg.t_end), cfg.n_time + 1) ** 2
+    times[0], times[-1] = cfg.t_start, cfg.t_end
     fronts = np.empty(cfg.n_time + 1)
     fields = np.empty((cfg.n_time + 1, cfg.n_space))
     s = front_position(sol, cfg.t_start)

@@ -362,7 +362,7 @@ class TestVerifyCommand:
     def test_exit_4_when_check_fails(self, tmp_path, capsys):
         # A deliberately coarse oracle grid cannot meet the fixed gates.
         text = DIMLESS_EXP.replace(
-            "oracle.enabled = false", "oracle.n_space = 16\noracle.n_time = 256"
+            "oracle.enabled = false", "oracle.n_space = 16\noracle.n_time = 16"
         )
         cfg = write_cfg(tmp_path, text)
         assert main(["verify", "--config", cfg, "--out", str(tmp_path)]) == 4

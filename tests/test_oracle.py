@@ -8,8 +8,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import special
 
 import stefansim.oracle as oracle
+from stefansim.checks import oracle_checks
+from stefansim.config import reduced_problem
 from stefansim.errors import (
     FrontCollapse,
     InvalidInput,
@@ -25,6 +28,7 @@ from stefansim.model import (
     NoSource,
     SimilaritySource,
 )
+from stefansim.numerics import Tolerance, integrate, integrate_cumulative
 from stefansim.oracle import OracleConfig, OracleRun, compare, run_oracle_for
 from stefansim.reconstruct import front_position, temperature
 from stefansim.similarity import solve_problem
@@ -43,7 +47,7 @@ def classical_sol():
 
 @pytest.fixture(scope="module")
 def classical_run(classical_sol):
-    return run_oracle_for(classical_sol, OracleConfig(n_space=64, n_time=256))
+    return run_oracle_for(classical_sol, OracleConfig(n_space=64, n_time=256, theta_scheme=1.0))
 
 
 class TestConfigValidation:
@@ -96,7 +100,9 @@ class TestAgreement:
         assert classical_run.temp_max_err <= 0.02
 
     def test_refinement_shrinks_error(self, classical_sol, classical_run):
-        finer = run_oracle_for(classical_sol, OracleConfig(n_space=128, n_time=1024))
+        finer = run_oracle_for(
+            classical_sol, OracleConfig(n_space=128, n_time=1024, theta_scheme=1.0)
+        )
         ratio = classical_run.front_rel_err / finer.front_rel_err
         assert 3.0 <= ratio <= 5.0
 
@@ -202,57 +208,31 @@ class TestSweepCounter:
 # path can move exp, power and erf in the last ulp, and with them these
 # digits, without any change to the scheme.
 GOLDEN_ERRORS = {
-    ("none", 1.0): ("0.016397222570188434", "0.01715265444546493"),
-    ("none", 0.5): ("0.001160412198006905", "0.0011943662859375485"),
-    ("exponential", 1.0): ("0.014944787769553977", "0.012525978501812635"),
-    ("exponential", 0.5): ("0.001103600458323225", "0.00090921433027886"),
-    ("feedback", 1.0): ("0.016894170609169062", "0.02057633117388678"),
-    ("feedback", 0.5): ("0.0011822880046266546", "0.0014147936533942633"),
+    ("none", 1.0): ("0.004333066905995005", "0.004532687205934479"),
+    ("none", 0.5): ("5.3123992948522293e-05", "5.4521058985523146e-05"),
+    ("exponential", 1.0): ("0.003881265964814139", "0.0032413607662790224"),
+    ("exponential", 0.5): ("4.88735813379829e-05", "4.012127195613703e-05"),
+    ("feedback", 1.0): ("0.004489576966052378", "0.00548425134359937"),
+    ("feedback", 0.5): ("5.4017422770995554e-05", "6.445161254907059e-05"),
 }
-# The Crank-Nicolson errors when the old-time half evaluated its own copy of
-# the spatial operator, advection and diffusion differenced separately.  It
-# now applies the Picard bands to differences of the old field, which moves
-# them by at most 6.6e-13 relative; backward Euler never evaluates it.
-SEPARATE_OPERATOR_GOLDEN_ERRORS = {
-    ("none", 0.5): (0.0011604121980063828, 0.0011943662859372536),
-    ("exponential", 0.5): (0.0011036004583229024, 0.0009092143302782667),
-    ("feedback", 0.5): (0.0011822880046261717, 0.0014147936533935486),
-}
-# The same errors when lam came from plain bisection.  Its lam differed from
-# the Brent root by at most 8.3e-13 relative (exponential source), which
-# moves the errors by at most 1.4e-9 relative.
-BISECTION_GOLDEN_ERRORS = {
-    ("none", 1.0): (0.01639722257026269, 0.017152654445263437),
-    ("none", 0.5): (0.0011604121980804604, 0.0011943662866086679),
-    ("exponential", 1.0): (0.014944787770406526, 0.012525978499611104),
-    ("exponential", 0.5): (0.0011036004578136686, 0.0009092143290002994),
-    ("feedback", 1.0): (0.016894170609304114, 0.020576331173534534),
-    ("feedback", 0.5): (0.0011822880048404662, 0.0014147936550544839),
-}
-# The flux-feedback lam that bisection found for the golden feedback case.
-BISECTION_FEEDBACK_LAM = 0.7819448915152327
-# The feedback errors at BISECTION_FEEDBACK_LAM with Psi built from the two
-# unscaled integrals of e^{z^2} instead of the Dawson form.  The exact
-# profile differs by ~1e-15, so the errors agree to rounding.
-UNSCALED_FEEDBACK_GOLDEN_ERRORS = {
-    ("feedback", 1.0): (0.016894170609302456, 0.02057633117353214),
-    ("feedback", 0.5): (0.0011822880048413117, 0.0014147936550541855),
-}
-# The same errors when every step started from the explicit Euler front.
-# The Picard iteration stagnates at the same fixed point from either start,
-# so the two sets differ only at the level of picard_tol.
-PARENT_GOLDEN_ERRORS = {
-    ("none", 1.0): (0.01639722257238677, 0.01715265444748508),
-    ("none", 0.5): (0.0011604121904293416, 0.001194366279052575),
-    ("exponential", 1.0): (0.014944787790130934, 0.012525978516223894),
-    ("exponential", 0.5): (0.0011036004578136686, 0.0009092143290002994),
-    ("feedback", 1.0): (0.0168941706334704, 0.020576331202850063),
-    ("feedback", 0.5): (0.0011822880175134775, 0.0014147936692942807),
+# The same errors with interface-mean conductivities, a front gradient of
+# theta itself and uniform time steps.  The Kirchhoff fluxes and the steps
+# uniform in sqrt(t) may only lower them.
+MEAN_CONDUCTIVITY_GOLDEN_ERRORS = {
+    ("none", 1.0): (0.016397222570188434, 0.01715265444546493),
+    ("none", 0.5): (0.001160412198006905, 0.0011943662859375485),
+    ("exponential", 1.0): (0.014944787769553977, 0.012525978501812635),
+    ("exponential", 0.5): (0.001103600458323225, 0.00090921433027886),
+    ("feedback", 1.0): (0.016894170609169062, 0.02057633117388678),
+    ("feedback", 0.5): (0.0011822880046266546, 0.0014147936533942633),
 }
 # solve_banded calls (sweeps) of each golden run.  Every step starting from
-# the explicit Euler front took 1344, 1327 and 1403 sweeps at theta_scheme 1
-# and 1148, 1134 and 1174 at 0.5 (none, exponential, feedback); the
-# predicted front start takes 681, 1119 and 1244, and 686, 841 and 872.
+# the explicit Euler front takes 1457, 1429 and 1504 sweeps at theta_scheme 1
+# and 1224, 1209 and 1248 at 0.5 (none, exponential, feedback); the
+# predicted front start takes 380, 1105 and 1188, and 733, 767 and 837.  The
+# budgets were set under uniform time steps and interface-mean
+# conductivities, when the predicted start took 681, 1119 and 1244, and
+# 686, 841 and 872.
 SWEEP_BUDGET = {
     ("none", 1.0): 950,
     ("none", 0.5): 890,
@@ -288,6 +268,55 @@ def golden_runs():
     return out
 
 
+def bisection_lam(equation):
+    """The front coefficient by plain bisection, run until the bracket is one ulp."""
+    lo, hi = 1e-8, 10.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if equation.evaluate(mid) < equation.target:
+            lo = mid
+        else:
+            hi = mid
+
+
+def unscaled_feedback_solution(sol):
+    """sol with Psi built from the two unscaled integrals of e^{z^2}.
+
+    Psi(eta) = target - C (A J(eta) + (1 + delta) erf(eta)), with
+    C = sqrt(pi) lam e^{lam^2} / (Ste (1 + delta + A E(lam))),
+    E(x) = integral_0^x e^{z^2} dz and J(x) = erf(x) E(x) - I(x),
+    I(x) = integral_0^x e^{z^2} erf(z) dz: the form the library used before
+    its e^{x^2}-scaled Dawson form.
+    """
+    model, lam = sol.model, sol.lam
+    feedback, delta, target = model.feedback, model.delta, model.equation.target
+    tol = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=200)
+
+    def exp_sq(z):
+        return np.exp(z * z)
+
+    def exp_sq_erf(z):
+        return np.exp(z * z) * special.erf(z)
+
+    e_lam = integrate(exp_sq, 0.0, lam, tol)
+    coeff = math.sqrt(math.pi) * lam * math.exp(lam * lam) / (
+        model.ste * (1.0 + delta + feedback * e_lam)
+    )
+
+    def kernel(pts):
+        nodes = np.concatenate([[0.0], pts])
+        big_e = integrate_cumulative(exp_sq, nodes, tol)[1:]
+        big_i = integrate_cumulative(exp_sq_erf, nodes, tol)[1:]
+        er = special.erf(pts)
+        return target - coeff * (feedback * (er * big_e - big_i) + (1.0 + delta) * er)
+
+    out = dataclasses.replace(sol)
+    object.__setattr__(out, "psi", dataclasses.replace(sol.psi, _kernel=kernel))
+    return out
+
+
 class TestGoldenErrors:
     @pytest.mark.parametrize("kind, theta_scheme", sorted(GOLDEN_ERRORS))
     def test_errors_pinned(self, golden_runs, kind, theta_scheme):
@@ -296,34 +325,53 @@ class TestGoldenErrors:
         assert got == GOLDEN_ERRORS[kind, theta_scheme]
 
     @pytest.mark.parametrize("kind, theta_scheme", sorted(GOLDEN_ERRORS))
-    def test_errors_match_euler_start(self, golden_runs, kind, theta_scheme):
+    def test_errors_below_mean_conductivity_scheme(self, golden_runs, kind, theta_scheme):
         run, _ = golden_runs[kind, theta_scheme]
-        got = (run.front_rel_err, run.temp_max_err)
-        assert got == pytest.approx(PARENT_GOLDEN_ERRORS[kind, theta_scheme], rel=1e-7)
+        front_err, temp_err = MEAN_CONDUCTIVITY_GOLDEN_ERRORS[kind, theta_scheme]
+        assert run.front_rel_err <= front_err
+        assert run.temp_max_err <= temp_err
+
+    @pytest.mark.parametrize("kind, theta_scheme", sorted(GOLDEN_ERRORS))
+    def test_errors_match_euler_start(self, golden_runs, monkeypatch, kind, theta_scheme):
+        # Every step started from the explicit Euler front: the Picard
+        # iteration stagnates at the same fixed point from either start, so
+        # the errors differ only at the level of picard_tol.
+        run, _ = golden_runs[kind, theta_scheme]
+        advance = oracle._Stepper.advance
+
+        def euler_start(stepper, v, fronts, k, t0, t1):
+            return advance(stepper, v, fronts[k:k + 1], 0, t0, t1)
+
+        monkeypatch.setattr(oracle._Stepper, "advance", euler_start)
+        sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
+        euler = run_oracle_for(sol, run.config)
+        got = (euler.front_rel_err, euler.temp_max_err)
+        want = (run.front_rel_err, run.temp_max_err)
+        assert got == pytest.approx(want, rel=0.0, abs=run.config.picard_tol)
 
     @pytest.mark.parametrize("kind, theta_scheme", sorted(GOLDEN_ERRORS))
     def test_errors_match_bisection_lam(self, golden_runs, kind, theta_scheme):
+        # A bisection root differs from the library's root in the last
+        # digits; the errors, relative front and absolute temperature of a
+        # unit drop, move by no more than ten times that relative change.
         run, _ = golden_runs[kind, theta_scheme]
-        got = (run.front_rel_err, run.temp_max_err)
-        assert got == pytest.approx(BISECTION_GOLDEN_ERRORS[kind, theta_scheme], rel=1e-8)
-
-    @pytest.mark.parametrize("kind, theta_scheme", sorted(SEPARATE_OPERATOR_GOLDEN_ERRORS))
-    def test_errors_match_separate_operator(self, golden_runs, kind, theta_scheme):
-        run, _ = golden_runs[kind, theta_scheme]
-        got = (run.front_rel_err, run.temp_max_err)
-        want = SEPARATE_OPERATOR_GOLDEN_ERRORS[kind, theta_scheme]
-        assert got == pytest.approx(want, rel=1e-11)
-
-    @pytest.mark.parametrize("kind, theta_scheme", sorted(UNSCALED_FEEDBACK_GOLDEN_ERRORS))
-    def test_feedback_errors_match_unscaled_form(self, kind, theta_scheme):
-        # Both forms at one lam: the Dawson profile at the lam the unscaled
-        # errors were recorded with.
         sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
-        sol = dataclasses.replace(sol, lam=BISECTION_FEEDBACK_LAM)
-        run = run_oracle_for(sol, OracleConfig(n_space=64, n_time=256, theta_scheme=theta_scheme))
-        got = (run.front_rel_err, run.temp_max_err)
-        want = UNSCALED_FEEDBACK_GOLDEN_ERRORS[kind, theta_scheme]
-        assert got == pytest.approx(want, rel=1e-12)
+        lam = bisection_lam(sol.model.equation)
+        shift = abs(lam / sol.lam - 1.0)
+        assert shift <= 1e-12
+        moved = run_oracle_for(dataclasses.replace(sol, lam=lam), run.config)
+        got = (moved.front_rel_err, moved.temp_max_err)
+        want = (run.front_rel_err, run.temp_max_err)
+        assert got == pytest.approx(want, rel=0.0, abs=10.0 * shift + 1e-15)
+
+    @pytest.mark.parametrize("kind, theta_scheme", [("feedback", 1.0), ("feedback", 0.5)])
+    def test_feedback_errors_match_unscaled_form(self, golden_runs, kind, theta_scheme):
+        # The Dawson profile and the unscaled one agree to ~1e-15, so the
+        # comparison of one run against either agrees to rounding.
+        run, _ = golden_runs[kind, theta_scheme]
+        sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
+        got = compare(unscaled_feedback_solution(sol), run)
+        assert got == pytest.approx((run.front_rel_err, run.temp_max_err), rel=0.0, abs=1e-14)
 
 
 class TestPredictedFrontStart:
@@ -359,15 +407,26 @@ class TestPredictedFrontStart:
         assert np.all(np.diff(run.front) > 0.0)
 
     def test_stagnation_failure_names_step_and_moves(self):
-        # The first step of this coarse run moves the front by about 40 %,
-        # and its sweeps never stagnate.
+        # At Ste = 100, delta = 10, p = 0.1 the first step's sweeps never
+        # stagnate on this coarse grid.
         cfg = OracleConfig(n_space=48, n_time=128)
         with pytest.raises(
             NonConvergence,
-            match=r"at step 0, t = 0\.017734375: the last sweep moved the field by "
+            match=r"at step 0, t = 0\.011455688476562502: the last sweep moved the field by "
             r"\S+ and the front by \S+ \(relative; picard_tol = 1e-10\)$",
         ):
-            run_oracle_for(solve_problem(unit_material(5.0, 0.145, 0.876), BD, NoSource()), cfg)
+            run_oracle_for(solve_problem(unit_material(100.0, 10.0, 0.1), BD, NoSource()), cfg)
+
+    def test_coarse_first_step_converges_at_large_ste(self):
+        # With uniform time steps the first step moved this front by about
+        # 40 % and its sweeps never stagnated; steps uniform in sqrt(t) move
+        # it by the same amount every step.
+        cfg = OracleConfig(n_space=48, n_time=128, theta_scheme=1.0)
+        sol = solve_problem(unit_material(5.0, 0.145, 0.876), BD, NoSource())
+        run = run_oracle_for(sol, cfg)
+        exact = np.diff(front_position(sol, run.times))
+        assert np.diff(run.front) == pytest.approx(exact, rel=0.05)
+        assert run.front_rel_err <= 0.01
 
 
 class TestCompare:
@@ -427,19 +486,42 @@ class TestCompare:
 def separate_spatial_operator(stepper, u, s, sdot, t):
     """c rho xi (s'/s) u_xi + (1/s^2)(k u_xi)_xi - H at interior nodes.
 
-    The old-time half as its own formula, advection and diffusion
-    differenced separately, with H from the discrete face gradient.
+    The old-time half as its own formula: central advection of u, diffusion
+    as the second difference of the Kirchhoff variable
+    w = span (y + delta/(p+1) y^{p+1}), and H from the discrete face
+    gradient.  It equals the secant form wherever y stays in [0, 1] and no
+    two neighbouring nodes merge.
     """
     mat, h, xi_inner = stepper.mat, stepper.h, stepper.xi[1:-1]
-    fac = stepper._coeff_factor(u)
-    c_rho = mat.rho * mat.c0 * fac
-    k = mat.k0 * fac
-    kf = 0.5 * (k[:-1] + k[1:])
+    y = (u - stepper.bd.theta_f) / stepper.span
+    c_rho = mat.rho * mat.c0 * (1.0 + mat.delta * y**mat.p)
+    w = stepper.span * (y + mat.delta / (mat.p + 1.0) * y ** (mat.p + 1.0))
     adv = c_rho[1:-1] * xi_inner * (sdot / s) * (u[2:] - u[:-2]) / (2.0 * h)
-    dif = (kf[1:] * (u[2:] - u[1:-1]) - kf[:-1] * (u[1:-1] - u[:-2])) / (h * h * s * s)
+    dif = mat.k0 * (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (h * h * s * s)
     eta = xi_inner * s / (2.0 * stepper.a * math.sqrt(t))
     face_gradient = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
     return adv + dif - stepper.model.heat_source(mat, eta, t, face_gradient / s)
+
+
+def old_time_half(stepper, v, s, t):
+    """The old-time half of the bands at (v, s, t), the separate formula, and
+    the size of the largest sum of the bands' terms."""
+    coeffs = stepper._coefficients(v)
+    sdot = stepper.front_speed(coeffs[2], s)
+    _, lo, mid, hi, h_src = stepper._operator(v, coeffs, s, sdot, t)
+    rounding = 4.0 * np.finfo(float).eps * (np.abs(lo) + np.abs(hi))
+    assert np.all(np.abs(mid - (lo + hi)) <= rounding)
+    terms = (lo * (v[:-2] - v[1:-1]), hi * (v[2:] - v[1:-1]), -h_src)
+    term_scale = float(np.max(sum(np.abs(term) for term in terms)))
+    return sum(terms), separate_spatial_operator(stepper, v, s, sdot, t), term_scale
+
+
+def secant_and_mean(stepper, y):
+    """The interface factor of the oracle and the mean of its node factors."""
+    u = stepper.bd.theta_f + stepper.span * y
+    coeffs = stepper._coefficients(u)
+    fac = coeffs[1]
+    return stepper._conductivity(coeffs) / stepper.mat.k0, 0.5 * (fac[:-1] + fac[1:])
 
 
 # A dimensional problem whose temperatures sit near 273 K, where an operator
@@ -470,14 +552,48 @@ class TestOperator:
             s = front_position(sol, t) * rng.uniform(0.8, 1.2)
             v = DIM_BD.theta_f + span * np.sort(rng.random(cfg.n_space))[::-1]
             v[0], v[-1] = DIM_BD.theta0, DIM_BD.theta_f
-            sdot = stepper.front_speed(v, s)
-            _, lo, mid, hi, h_src = stepper._operator(v, s, sdot, t)
-            got = lo * (v[:-2] - v[1:-1]) + hi * (v[2:] - v[1:-1]) - h_src
-            want = separate_spatial_operator(stepper, v, s, sdot, t)
+            got, want, _ = old_time_half(stepper, v, s, t)
             scale = float(np.max(np.abs(want)))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
-            rounding = 4.0 * np.finfo(float).eps * (np.abs(lo) + np.abs(hi))
-            assert np.all(np.abs(mid - (lo + hi)) <= rounding)
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_SOURCES))
+    def test_old_time_half_along_golden_run(self, golden_runs, kind):
+        # Every accepted state of a Crank-Nicolson golden run.  Near a
+        # similarity state the terms nearly cancel, so the rounding scale is
+        # the size of the terms, not of the result.
+        run, _ = golden_runs[kind, 0.5]
+        stepper = oracle._Stepper(run.material, run.boundary, run.source, run.config)
+        for v, s, t in zip(run.fields, run.front, run.times):
+            got, want, term_scale = old_time_half(stepper, v, s, t)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * term_scale)
+
+    @pytest.mark.parametrize("p", [0.7, 2.5])
+    def test_secant_tends_to_mean_factor(self, p):
+        # Nodes dy apart near y = 0.3: the secant of Phi is the mean of the
+        # factor over the interval, so it differs from the mean of the two
+        # node factors by f'' dy^2 / 12, and below the merge gap it is the mean.
+        cfg = OracleConfig(n_space=16)
+        stepper = oracle._Stepper(unit_material(delta=2.0, p=p), BD, NoSource(), cfg)
+        gaps = []
+        for dy in (1e-2, 1e-3, 1e-4):
+            secant, mean = secant_and_mean(stepper, 0.3 + dy * np.arange(cfg.n_space))
+            gaps.append(float(np.max(np.abs(secant - mean))))
+        assert gaps[1] <= gaps[0] / 50.0
+        assert gaps[2] <= gaps[1] / 50.0
+        merged = 0.3 + 0.5 * oracle._MERGED_DY * np.arange(cfg.n_space)
+        secant, mean = secant_and_mean(stepper, merged)
+        np.testing.assert_array_equal(secant, mean)
+
+    @pytest.mark.parametrize("delta", [1e-3, 1.0, 10.0])
+    def test_secant_is_mean_factor_at_p_one(self, delta):
+        # At p = 1 the factor is linear in y, so its secant mean is the mean
+        # of its end values; only the rounding of Phi differences remains.
+        cfg = OracleConfig(n_space=64)
+        stepper = oracle._Stepper(unit_material(delta=delta, p=1.0), BD, NoSource(), cfg)
+        y = np.sort(np.random.default_rng(5).random(cfg.n_space))[::-1]
+        secant, mean = secant_and_mean(stepper, y)
+        rounding = 4.0 * np.finfo(float).eps * (1.0 + delta) * (1.0 + 1.0 / np.abs(np.diff(y)))
+        assert np.all(np.abs(secant - mean) <= rounding)
 
 
 class TestIndependence:
@@ -499,8 +615,60 @@ class TestIndependence:
                     assert "similarity" not in names
         assert imported == {"SimilaritySolution", "problem_model"}
 
+    def test_no_closed_form_phi_map(self):
+        # The oracle builds its own Phi from the material; it may not take
+        # the similarity layer's phi_map or any phi_inverse, by any route.
+        names = set()
+        for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+        assert "phi_map" not in names
+        assert not {name for name in names if name.startswith("phi_inverse")}
+
     def test_stepper_reads_no_solution_quantity(self):
         tree = ast.parse(inspect.getsource(oracle._Stepper))
         read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert not read & self.SOLUTION_ONLY
+
+
+# (source kind, Ste, delta, p, feedback) of the 18 seeded verify configs of
+# seeds 3 and 101-110 whose oracle checks failed at the former default,
+# backward Euler on 128 x 1024 uniform steps with interface-mean
+# conductivities; the worst read 4.15 times its threshold.
+FORMER_MISSES = [
+    ("exponential", 0.11818710754069348, 2.649628004392267, 0.5913422115901557, None),
+    ("exponential", 0.4409045573084443, 4.921076229223259, 0.6493640631088082, None),
+    ("none", 0.46416439154374806, 3.530997795925275, 0.5713483187626, None),
+    ("none", 0.6065364695087798, 2.7704997025274527, 0.6838494043200407, None),
+    ("exponential", 0.35253840388478175, 4.591305373457054, 0.5126432144525602, None),
+    ("feedback", 0.17135084410127824, 3.2878977961263294, 0.899774676588901, 0.555829918032812),
+    ("none", 0.17677494422037113, 4.3725825764311885, 0.8417038855690839, None),
+    ("none", 0.3534787948042381, 2.4530613569698874, 0.7144030529174838, None),
+    ("none", 0.29116724354066553, 1.289741851537952, 0.5323496346585197, None),
+    ("none", 0.2979446413368709, 4.8638149195690925, 1.179906164748595, None),
+    ("none", 0.1320514074726403, 1.1985272818514072, 0.5576671806933092, None),
+    ("feedback", 0.1661327632433266, 1.94941458444847, 0.5888778648590655, 1.1572590639055353),
+    ("none", 0.4182615907200485, 2.541824621819711, 0.5898380919548881, None),
+    ("none", 0.11012262258072449, 3.7185883856704427, 1.020685734170057, None),
+    ("none", 0.27087371413904304, 3.203970774798992, 0.5109860892155483, None),
+    ("exponential", 0.3715756305429213, 4.560165799347803, 0.5783249728524966, None),
+    ("none", 1.292616419147048, 3.353408047111828, 0.5463582425690953, None),
+    ("none", 1.5922815078591408, 4.777338138696497, 0.6344821684110533, None),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, ste, delta, p, feedback",
+    FORMER_MISSES,
+    ids=[f"{case[0]}-ste{case[1]:.4g}-delta{case[2]:.4g}-p{case[3]:.4g}" for case in FORMER_MISSES],
+)
+def test_former_seeded_misses_pass_at_default(kind, ste, delta, p, feedback):
+    sol = solve_problem(*reduced_problem(ste, delta, p, kind, feedback))
+    results = oracle_checks(sol, OracleConfig())
+    assert [result.name for result in results] == ["oracle_front_rel_err", "oracle_temp_max_err"]
+    assert all(result.passed for result in results)
