@@ -38,11 +38,9 @@ oracle takes Phi from the material alone.  Each interface conducts with
 the secant k0 (Phi(y_{i+1}) - Phi(y_i)) / (y_{i+1} - y_i), so the flux is
 the exact difference of the Kirchhoff variable w = span Phi(y); the Stefan
 condition takes a 4-point one-sided gradient of w, which is theta_x at the
-front because Phi'(0) = 1.  Advection is central, and the flux-feedback
-source takes the 3-point one-sided fixed-face gradient of theta that it
-prescribes.
-The flux-feedback source is fed from the discrete field, never from the
-closed-form slope, so the comparison stays two-sided.
+front because Phi'(0) = 1.  Advection is central.  The flux-feedback source
+takes its fixed-face gradient of theta (3-point, one-sided) from the discrete
+field, never from the closed-form slope, so the comparison stays two-sided.
 
 Each sweep makes one call to solve_banded, which hands the tridiagonal
 system straight to LAPACK gtsv (the routine scipy.linalg.solve_banded
@@ -50,15 +48,17 @@ uses for (1, 1) bands) and keeps scipy's guards: a non-finite coefficient
 or right-hand side, or a singular matrix, raises NonConvergence, whose
 message names the time of the failing step.  The spatial operator is
 written once, as the three bands of its stencil (_Stepper._operator): the
-Picard sweep takes its matrix from them, and the Crank-Nicolson old-time
-half applies them to differences of the old field.
+Picard sweep takes its matrix from them, and the old-time half applies
+them to differences of the old field, weighted by 1 - theta_scheme (backward
+Euler skips them).  A run stores its trajectory and the solution it started
+from, and derives its grid and errors (OracleRun).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -117,30 +117,52 @@ class OracleRun:
     """Trajectory produced by the finite-difference solver.
 
     fields[k, i] approximates theta(xi[i] * front[k], times[k]); front[k]
-    approximates s(times[k]).  front_rel_err and temp_max_err hold the
-    comparison against the similarity solution used for initialization
-    (front error relative, temperature error absolute in K).
+    approximates s(times[k]).  Only config, solution, front and fields are
+    stored; xi, times = _grid(config) and front_rel_err, temp_max_err =
+    compare(solution, run) (relative, and absolute in K) are derived.  The
+    solution is the run's only record of its problem: nothing checks it,
+    while compare(sol, run) checks sol's problem against it.
     """
 
     config: OracleConfig
-    material: Material
-    boundary: BoundaryData
-    source: SourceSpec
-    xi: np.ndarray
-    times: np.ndarray
+    solution: SimilaritySolution
     front: np.ndarray
     fields: np.ndarray
-    front_rel_err: float
-    temp_max_err: float
+    xi: np.ndarray = field(init=False, repr=False, compare=False)
+    times: np.ndarray = field(init=False, repr=False, compare=False)
+    front_rel_err: float = field(init=False, compare=False)
+    temp_max_err: float = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        cfg = self.config
+        want = ((cfg.n_time + 1,), (cfg.n_time + 1, cfg.n_space))
+        if (self.front.shape, self.fields.shape) != want:
+            raise InvalidInput(
+                f"oracle trajectory has front shape {self.front.shape} and fields shape "
+                f"{self.fields.shape}; its config needs {want[0]} and {want[1]}"
+            )
         if np.any(np.diff(self.front) <= 0.0):
             raise FrontCollapse("oracle front trajectory is not strictly increasing")
-        eps = 1e-6 * (self.boundary.theta0 - self.boundary.theta_f)
-        if self.fields.min() < self.boundary.theta_f - eps or self.fields.max() > self.boundary.theta0 + eps:
+        bd = self.solution.boundary
+        eps = 1e-6 * (bd.theta0 - bd.theta_f)
+        if self.fields.min() < bd.theta_f - eps or self.fields.max() > bd.theta0 + eps:
             raise InvalidInput(
                 "oracle temperatures leave the [theta_f, theta0] band beyond the 1e-6 slack"
             )
+        xi, times = _grid(cfg)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "times", times)
+        # compare is read as a module global, so a rebound oracle.compare sees this call.
+        front_rel_err, temp_max_err = compare(self.solution, self)
+        object.__setattr__(self, "front_rel_err", front_rel_err)
+        object.__setattr__(self, "temp_max_err", temp_max_err)
+
+
+def _grid(cfg: OracleConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes xi on [0, 1] and n_time + 1 times uniform in sqrt(t), ends exact."""
+    times = np.linspace(math.sqrt(cfg.t_start), math.sqrt(cfg.t_end), cfg.n_time + 1) ** 2
+    times[0], times[-1] = cfg.t_start, cfg.t_end
+    return np.linspace(0.0, 1.0, cfg.n_space), times
 
 
 def _front_gradient(u: np.ndarray, h: float) -> float:
@@ -191,7 +213,7 @@ class _Stepper:
         self.bd = boundary
         self.cfg = cfg
         self.n = cfg.n_space
-        self.xi = np.linspace(0.0, 1.0, self.n)
+        self.xi, self.times = _grid(cfg)
         self.xi_inner = self.xi[1:-1]
         self.h = self.xi[1] - self.xi[0]
         self.span = boundary.theta0 - boundary.theta_f
@@ -346,39 +368,20 @@ def run_oracle_for(sol: SimilaritySolution, cfg: OracleConfig) -> OracleRun:
 
     The initial state at cfg.t_start is sampled from the similarity
     solution; everything afterwards is plain finite differences.  The
-    returned run carries the comparison errors against that solution.
+    returned run keeps sol, and with it the comparison errors against sol.
 
     Raises:
         NonConvergence: A time step's Picard sweeps failed to stagnate.
         FrontCollapse: The computed front stopped advancing.
     """
     stepper = _Stepper(sol.material, sol.boundary, sol.source, cfg)
-    times = np.linspace(math.sqrt(cfg.t_start), math.sqrt(cfg.t_end), cfg.n_time + 1) ** 2
-    times[0], times[-1] = cfg.t_start, cfg.t_end
     fronts = np.empty(cfg.n_time + 1)
     fields = np.empty((cfg.n_time + 1, cfg.n_space))
-    s = front_position(sol, cfg.t_start)
-    u = np.asarray(temperature(sol, stepper.xi * s, cfg.t_start), dtype=float)
-    fronts[0] = s
-    fields[0] = u
-    for k in range(cfg.n_time):
-        u, s = stepper.advance(u, fronts, k, times[k], times[k + 1])
-        fronts[k + 1] = s
-        fields[k + 1] = u
-    run = OracleRun(
-        config=cfg,
-        material=sol.material,
-        boundary=sol.boundary,
-        source=sol.source,
-        xi=stepper.xi,
-        times=times,
-        front=fronts,
-        fields=fields,
-        front_rel_err=math.nan,
-        temp_max_err=math.nan,
-    )
-    front_err, temp_err = compare(sol, run)
-    return replace(run, front_rel_err=front_err, temp_max_err=temp_err)
+    fronts[0] = front_position(sol, cfg.t_start)
+    fields[0] = temperature(sol, stepper.xi * fronts[0], cfg.t_start)
+    for k, (t0, t1) in enumerate(zip(stepper.times[:-1], stepper.times[1:])):
+        fields[k + 1], fronts[k + 1] = stepper.advance(fields[k], fronts, k, t0, t1)
+    return OracleRun(cfg, sol, fronts, fields)
 
 
 def compare(sol: SimilaritySolution, run: OracleRun) -> tuple[float, float]:
@@ -392,16 +395,12 @@ def compare(sol: SimilaritySolution, run: OracleRun) -> tuple[float, float]:
         against theta_f, the exact solid-side value).
 
     Raises:
-        MismatchedProblem: The run was produced from a different problem.
+        MismatchedProblem: sol poses another problem than run.solution
+            (another lam is allowed).
     """
-    if (
-        run.material != sol.material
-        or run.boundary != sol.boundary
-        or run.source != sol.source
-    ):
-        raise MismatchedProblem(
-            "oracle run and similarity solution describe different problems"
-        )
+    ran = run.solution
+    if (ran.material, ran.boundary, ran.source) != (sol.material, sol.boundary, sol.source):
+        raise MismatchedProblem("oracle run and similarity solution describe different problems")
     s_exact = front_position(sol, run.times)
     front_rel_err = float(np.max(np.abs(run.front - s_exact) / s_exact))
     denom = 2.0 * sol.dimensionless.a * np.sqrt(run.times)

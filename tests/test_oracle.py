@@ -430,26 +430,18 @@ class TestPredictedFrontStart:
 
 
 class TestCompare:
-    def test_initialized_never_stepped_is_exact(self, classical_sol):
+    def test_exact_trajectory_compares_exact(self, classical_sol):
+        # The exact trajectory on the run's own grid compares as exact.
         cfg = OracleConfig(n_space=64, n_time=256)
-        s0 = front_position(classical_sol, cfg.t_start)
-        xi = np.linspace(0.0, 1.0, cfg.n_space)
-        u0 = np.asarray(temperature(classical_sol, xi * s0, cfg.t_start), dtype=float)
-        run = OracleRun(
-            config=cfg,
-            material=classical_sol.material,
-            boundary=classical_sol.boundary,
-            source=classical_sol.source,
-            xi=xi,
-            times=np.array([cfg.t_start]),
-            front=np.array([s0]),
-            fields=u0[None, :],
-            front_rel_err=math.nan,
-            temp_max_err=math.nan,
+        xi, times = oracle._grid(cfg)
+        front = front_position(classical_sol, times)
+        fields = np.array(
+            [temperature(classical_sol, xi * s, t) for s, t in zip(front, times)], dtype=float
         )
-        front_err, temp_err = compare(classical_sol, run)
-        assert front_err == 0.0
-        assert temp_err <= 1e-12
+        run = OracleRun(cfg, classical_sol, front, fields)
+        assert run.front_rel_err == 0.0
+        assert run.temp_max_err <= 1e-12
+        assert compare(classical_sol, run) == (run.front_rel_err, run.temp_max_err)
 
     def test_mismatched_problem_rejected(self, classical_sol, classical_run):
         other = solve_problem(unit_material(ste=2.0, delta=1e-12), BD, NoSource())
@@ -457,30 +449,67 @@ class TestCompare:
             compare(other, classical_run)
 
     def test_run_invariants_enforced(self, classical_sol):
-        cfg = OracleConfig(n_space=64, n_time=256)
-        xi = np.linspace(0.0, 1.0, cfg.n_space)
-        common = dict(
-            config=cfg,
-            material=classical_sol.material,
-            boundary=classical_sol.boundary,
-            source=classical_sol.source,
-            xi=xi,
-            times=np.array([0.01, 0.02]),
-            front_rel_err=math.nan,
-            temp_max_err=math.nan,
-        )
+        cfg = OracleConfig(n_space=64, n_time=16)
+        rows = cfg.n_time + 1
+        shape = (rows, cfg.n_space)
         with pytest.raises(FrontCollapse):
-            OracleRun(
-                front=np.array([0.2, 0.1]),
-                fields=np.zeros((2, cfg.n_space)),
-                **common,
-            )
+            OracleRun(cfg, classical_sol, np.linspace(0.2, 0.1, rows), np.zeros(shape))
         with pytest.raises(InvalidInput):
-            OracleRun(
-                front=np.array([0.1, 0.2]),
-                fields=np.full((2, cfg.n_space), 2.0),
-                **common,
-            )
+            OracleRun(cfg, classical_sol, np.linspace(0.1, 0.2, rows), np.full(shape, 2.0))
+
+    @pytest.mark.parametrize(
+        "front_rows, field_shape",
+        [(17, (17, 63)), (17, (16, 64)), (16, (17, 64)), (17, (17 * 64,))],
+    )
+    def test_misshapen_trajectory_rejected(self, classical_sol, front_rows, field_shape):
+        # A trajectory off the config's grid is refused with both shapes
+        # named, before compare could fail to broadcast it.
+        cfg = OracleConfig(n_space=64, n_time=16)
+        front = np.linspace(0.1, 0.2, front_rows)
+        fields = np.zeros(field_shape)
+        with pytest.raises(InvalidInput) as info:
+            OracleRun(cfg, classical_sol, front, fields)
+        assert str(front.shape) in str(info.value)
+        assert str(fields.shape) in str(info.value)
+
+    def test_grid(self):
+        cfg = OracleConfig(n_space=48, n_time=100, t_start=0.03, t_end=2.7)
+        xi, times = oracle._grid(cfg)
+        assert times.shape == (cfg.n_time + 1,)
+        assert (times[0], times[-1]) == (cfg.t_start, cfg.t_end)
+        steps = np.diff(np.sqrt(times))
+        assert steps == pytest.approx(np.full(cfg.n_time, steps.mean()), rel=1e-12)
+        np.testing.assert_array_equal(xi, np.linspace(0.0, 1.0, cfg.n_space))
+
+    def test_run_derives_grid(self, classical_run):
+        xi, times = oracle._grid(classical_run.config)
+        np.testing.assert_array_equal(classical_run.xi, xi)
+        np.testing.assert_array_equal(classical_run.times, times)
+        init = {f.name for f in dataclasses.fields(OracleRun) if f.init}
+        assert init == {"config", "solution", "front", "fields"}
+
+    def test_replaced_solution_is_compared(self, classical_sol, classical_run):
+        # The errors follow the stored solution: replacing it with one at
+        # another lam gives that solution's comparison of the same trajectory.
+        other = dataclasses.replace(classical_sol, lam=classical_sol.lam * (1.0 - 1e-10))
+        moved = dataclasses.replace(classical_run, solution=other)
+        assert moved.front is classical_run.front
+        assert (moved.front_rel_err, moved.temp_max_err) == compare(other, classical_run)
+
+    def test_one_compare_per_run(self, classical_sol, monkeypatch):
+        # The errors come from one call of the module's compare, the call a
+        # wrapper of oracle.compare times.
+        calls = [0]
+        plain = oracle.compare
+
+        def counting(*args):
+            calls[0] += 1
+            return plain(*args)
+
+        monkeypatch.setattr(oracle, "compare", counting)
+        run = run_oracle_for(classical_sol, OracleConfig(n_space=32, n_time=16))
+        assert calls[0] == 1
+        assert (run.front_rel_err, run.temp_max_err) == plain(classical_sol, run)
 
 
 def separate_spatial_operator(stepper, u, s, sdot, t):
@@ -562,7 +591,8 @@ class TestOperator:
         # similarity state the terms nearly cancel, so the rounding scale is
         # the size of the terms, not of the result.
         run, _ = golden_runs[kind, 0.5]
-        stepper = oracle._Stepper(run.material, run.boundary, run.source, run.config)
+        sol = run.solution
+        stepper = oracle._Stepper(sol.material, sol.boundary, sol.source, run.config)
         for v, s, t in zip(run.fields, run.front, run.times):
             got, want, term_scale = old_time_half(stepper, v, s, t)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * term_scale)
@@ -599,7 +629,7 @@ class TestOperator:
 class TestIndependence:
     """The oracle takes nothing from the similarity layer but its inputs."""
 
-    SOLUTION_ONLY = {"lam", "psi", "y_prime0", "y_many", "equation"}
+    SOLUTION_ONLY = {"solution", "lam", "psi", "y_prime0", "y_many", "equation"}
 
     def test_imports_from_similarity(self):
         tree = ast.parse(inspect.getsource(oracle))
