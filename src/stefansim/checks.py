@@ -93,7 +93,7 @@ def front_slope_check(sol: SimilaritySolution) -> CheckResult:
     pts = np.array([lam, lam - step, lam - 2.0 * step])
     y = sol.y_many(pts, clamp=False)
     slope = (3.0 * y[0] - 4.0 * y[1] + y[2]) / (2.0 * step)
-    target = -2.0 * lam / sol.dimensionless.ste
+    target = -2.0 * lam / sol.model.ste
     return _result("front_slope", abs(slope - target) / abs(target), FRONT_SLOPE_REL_TOL)
 
 
@@ -109,7 +109,7 @@ def ode_residual_check(sol: SimilaritySolution) -> CheckResult:
     five-point stencils of the exact pointwise profile.  The stencil step
     shrinks near the endpoints where derivatives of y steepen.
     """
-    lam, delta, p = sol.lam, sol.psi.delta, sol.psi.p
+    lam, delta, p = sol.lam, sol.material.delta, sol.material.p
     etas = np.linspace(0.0, lam, ODE_RESIDUAL_NODES + 2)[1:-1]
     dist = np.minimum(etas, lam - etas)
     h = np.minimum(lam / 200.0, dist / 50.0)
@@ -135,9 +135,10 @@ def profile_shape_checks(sol: SimilaritySolution) -> list[CheckResult]:
     """Monotonicity and range of y, and monotonicity of Psi and Phi."""
     etas = np.linspace(0.0, sol.lam, PROFILE_SHAPE_POINTS)
     psi = sol.psi.evaluate_many(etas)
-    y = _phi_inverse_many(sol.psi.delta, sol.psi.p, psi, clamp=False)
+    delta, p = sol.material.delta, sol.material.p
+    y = _phi_inverse_many(delta, p, psi, clamp=False)
     xs = np.linspace(0.0, 1.0, PROFILE_SHAPE_POINTS)
-    phi = phi_map(sol.psi.delta, sol.psi.p, xs)
+    phi = phi_map(delta, p, xs)
     return [
         _result("profile_decreasing", float(np.max(np.diff(y))), MONOTONE_SLACK),
         _result(
@@ -159,9 +160,9 @@ def closed_form_agreement_check(sol: SimilaritySolution) -> Optional[CheckResult
     """
     if not isinstance(sol.source, ExponentialSource):
         return None
-    groups = sol.dimensionless
-    delta, p = sol.psi.delta, sol.psi.p
-    quadrature = source_model(SimilaritySource(sol.source.beta), groups.ste, delta, p)
+    quadrature = source_model(
+        SimilaritySource(sol.source.beta), sol.model.ste, sol.material.delta, sol.material.p
+    )
     lam_quad = solve_lambda(quadrature.equation)
     return _result(
         "closed_form_vs_quadrature", abs(sol.lam - lam_quad), CLOSED_FORM_AGREEMENT_TOL

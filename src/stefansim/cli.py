@@ -72,8 +72,8 @@ def _solve_from_config(cfg: RunConfig) -> SimilaritySolution:
 
 
 def _summary_row(sol: SimilaritySolution) -> tuple[list[str], list[str]]:
-    groups = sol.dimensionless
-    feedback = "" if groups.feedback is None else _fmt(groups.feedback)
+    model = sol.model
+    feedback = "" if model.feedback is None else _fmt(model.feedback)
     front_defect = abs(float(sol.y_many(np.array([sol.lam]), clamp=False)[0]))
     header = [
         "source", "ste", "delta", "p", "feedback",
@@ -81,7 +81,7 @@ def _summary_row(sol: SimilaritySolution) -> tuple[list[str], list[str]]:
     ]
     row = [
         sol.source.kind,
-        _fmt(groups.ste),
+        _fmt(model.ste),
         _fmt(sol.material.delta),
         _fmt(sol.material.p),
         feedback,
@@ -99,9 +99,9 @@ def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
     path = _out_path(cfg, args, "summary.csv")
     _write_csv(path, header, [row])
     print(f"lam = {_fmt(sol.lam)}")
-    print(f"ste = {_fmt(sol.dimensionless.ste)}")
-    if sol.dimensionless.feedback is not None:
-        print(f"feedback = {_fmt(sol.dimensionless.feedback)}")
+    print(f"ste = {_fmt(sol.model.ste)}")
+    if sol.model.feedback is not None:
+        print(f"feedback = {_fmt(sol.model.feedback)}")
     print(f"y_prime0 = {_fmt(sol.y_prime0)}")
     print(f"lambda_residual = {_fmt(abs(sol.lambda_residual()))}")
     print(f"wrote {path}")

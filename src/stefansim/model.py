@@ -14,6 +14,10 @@ special case beta(eta) = exp(-eta^2) / 2 of that family, and a source
 proportional to the instantaneous heat flux at the fixed face,
 H = (lambda0 / sqrt(t)) * dtheta/dx(0, t).  Each source spec carries its
 kind, the label that config files and CSV output use for it.
+
+The diffusivity scale a is a property of the material; the groups Ste and
+A, which also need the boundary or the source, are computed once per
+problem by similarity.problem_model and held by its source model.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ class Material:
         latent_heat: Latent heat per unit mass (J/kg), > 0.
         delta: Amplitude of the nonlinear coefficient factor, > 0.
         p: Exponent of the nonlinear coefficient factor, > 0.
+        a: Diffusivity scale sqrt(k0 / (rho c0)) (m / s^(1/2)), derived;
+            the front moves as s(t) = 2 a lam sqrt(t).
     """
 
     rho: float
@@ -75,6 +81,16 @@ class Material:
     def __post_init__(self) -> None:
         for f in fields(self):
             object.__setattr__(self, f.name, _require_positive(f.name, getattr(self, f.name)))
+
+    @property
+    def a(self) -> float:
+        """sqrt(k0 / (rho c0)); inf where rho c0 underflows to 0.
+
+        Not checked here: problem_model rejects a = 0 or inf as a solver
+        error of the problem, not as malformed material data.
+        """
+        rho_c0 = self.rho * self.c0
+        return math.sqrt(self.k0 / rho_c0) if rho_c0 > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -147,44 +163,6 @@ class FluxFeedbackSource:
 
 
 SourceSpec = Union[NoSource, SimilaritySource, ExponentialSource, FluxFeedbackSource]
-
-
-@dataclass(frozen=True)
-class Dimensionless:
-    """Dimensionless groups of a problem.
-
-    Attributes:
-        ste: Stefan number c0 * (theta0 - theta_f) / latent_heat.
-        a: Diffusivity scale sqrt(k0 / (rho c0)) (m / s^(1/2)); the front
-            moves as s(t) = 2 a lam sqrt(t).
-        feedback: Coupling 2 lambda0 / (rho c0 a) of the flux-feedback
-            source; None for the other source models.
-    """
-
-    ste: float
-    a: float
-    feedback: float | None = None
-
-    def __post_init__(self) -> None:
-        _require_positive("ste", self.ste)
-        _require_positive("a", self.a)
-        if self.feedback is not None:
-            _require_positive("feedback", self.feedback)
-
-
-def dimensionless_groups(
-    material: Material, boundary: BoundaryData, source: SourceSpec
-) -> Dimensionless:
-    """Collect the dimensionless groups governing a problem."""
-    a = math.sqrt(material.k0 / (material.rho * material.c0))
-    feedback = None
-    if isinstance(source, FluxFeedbackSource):
-        feedback = 2.0 * source.lambda0 / (material.rho * material.c0 * a)
-    return Dimensionless(
-        ste=material.c0 * (boundary.theta0 - boundary.theta_f) / material.latent_heat,
-        a=a,
-        feedback=feedback,
-    )
 
 
 def _normalized_temperature(material: Material, boundary: BoundaryData, theta):

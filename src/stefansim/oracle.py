@@ -217,8 +217,8 @@ class _Stepper:
         self.xi_inner = self.xi[1:-1]
         self.h = self.xi[1] - self.xi[0]
         self.span = boundary.theta0 - boundary.theta_f
-        groups, self.model = problem_model(material, boundary, source)
-        self.a = groups.a
+        self.model = problem_model(material, boundary, source)
+        self.a = material.a
         self.rho_c0 = material.rho * material.c0
         self.rho_l = material.rho * material.latent_heat
 
@@ -403,7 +403,7 @@ def compare(sol: SimilaritySolution, run: OracleRun) -> tuple[float, float]:
         raise MismatchedProblem("oracle run and similarity solution describe different problems")
     s_exact = front_position(sol, run.times)
     front_rel_err = float(np.max(np.abs(run.front - s_exact) / s_exact))
-    denom = 2.0 * sol.dimensionless.a * np.sqrt(run.times)
+    denom = 2.0 * sol.material.a * np.sqrt(run.times)
     eta = (run.xi[None, :] * run.front[:, None]) / denom[:, None]
     y = sol.y_many(np.clip(eta, 0.0, sol.lam))
     theta_exact = sol.boundary.theta_f + (sol.boundary.theta0 - sol.boundary.theta_f) * y

@@ -34,7 +34,7 @@ def front_position(sol: SimilaritySolution, t) -> float:
     ta = np.asarray(t, dtype=float)
     if np.any(ta < 0.0) or not np.all(np.isfinite(ta)):
         raise InvalidInput("front_position needs finite t >= 0")
-    out = 2.0 * sol.dimensionless.a * sol.lam * np.sqrt(ta)
+    out = 2.0 * sol.material.a * sol.lam * np.sqrt(ta)
     return float(out) if np.isscalar(t) else out
 
 
@@ -42,7 +42,7 @@ def similarity_coordinate(sol: SimilaritySolution, x, t: float):
     """Similarity coordinate eta = x / (2 a sqrt(t)) for t > 0."""
     _require_time("similarity coordinate", t)
     xa = np.asarray(x, dtype=float)
-    out = xa / (2.0 * sol.dimensionless.a * math.sqrt(t))
+    out = xa / (2.0 * sol.material.a * math.sqrt(t))
     return float(out) if np.isscalar(x) else out
 
 
@@ -92,7 +92,7 @@ def fixed_face_flux(sol: SimilaritySolution, t) -> float:
     if np.any(ta <= 0.0) or not np.all(np.isfinite(ta)):
         raise InvalidInput("fixed_face_flux needs finite t > 0")
     span = sol.boundary.theta0 - sol.boundary.theta_f
-    out = span * sol.y_prime0 / (2.0 * sol.dimensionless.a * np.sqrt(ta))
+    out = span * sol.y_prime0 / (2.0 * sol.material.a * np.sqrt(ta))
     return float(out) if np.isscalar(t) else out
 
 

@@ -48,7 +48,8 @@ the unique root, and the sign-changing bracket that the Brent-Dekker solve
 keeps around it is a proof of existence in the computed interval.
 
 The per-source formulas live on one SourceModel subclass per source kind;
-source_model is the only place that maps a source spec to its formulas.
+source_model is the only place that maps a source spec to its formulas, and
+problem_model the only place that maps a physical problem to its groups.
 """
 
 from __future__ import annotations
@@ -69,9 +70,7 @@ from .model import (
     NoSource,
     SimilaritySource,
     SourceSpec,
-    Dimensionless,
     _require_positive,
-    dimensionless_groups,
 )
 from .numerics import (
     DEFAULT_TOL,
@@ -285,7 +284,9 @@ def y_from_psi(psi: PsiProfile, etas, clamp: bool = True) -> np.ndarray:
 class SourceModel:
     """The per-source parts of the similarity reduction at fixed (Ste, delta, p).
 
-    source_model builds the subclass for a source spec.  Every formula that
+    source_model builds the subclass for a source spec and holds the groups
+    it was built at: ste, delta, p, and feedback, the coupling A of the
+    flux-feedback source (None for the other sources).  Every formula that
     differs between sources is a member, so the solver, the checks,
     reconstruct and the oracle never test the spec's type:
 
@@ -302,6 +303,7 @@ class SourceModel:
     """
 
     label = ""
+    feedback: float | None = None
 
     def __init__(self, source: SourceSpec, ste: float, delta: float, p: float) -> None:
         _check_groups(ste, delta, p)
@@ -484,9 +486,8 @@ def source_model(
     Args:
         source: One of the four source specs.
         ste, delta, p: Dimensionless groups, each finite and > 0.
-        feedback: Coupling A of the flux-feedback source (see
-            Dimensionless.feedback); required for that source and
-            rejected for the others.
+        feedback: Coupling A = 2 lambda0 / (rho c0 a) of the flux-feedback
+            source; required for that source and rejected for the others.
 
     Raises:
         InvalidInput: Malformed groups, coupling or source spec.
@@ -504,12 +505,23 @@ def source_model(
     raise InvalidInput(f"unknown source spec {source!r}")
 
 
-def problem_model(
-    material: Material, boundary: BoundaryData, source: SourceSpec
-) -> tuple[Dimensionless, SourceModel]:
-    """Dimensionless groups of a problem and its source model at those groups."""
-    groups = dimensionless_groups(material, boundary, source)
-    return groups, source_model(source, groups.ste, material.delta, material.p, groups.feedback)
+def problem_model(material: Material, boundary: BoundaryData, source: SourceSpec) -> SourceModel:
+    """The source model of a physical problem, at its dimensionless groups.
+
+    The one map from a problem to its groups: the Stefan number
+    Ste = c0 (theta0 - theta_f) / latent_heat, the factor (delta, p) and,
+    for the flux-feedback source, the coupling A = 2 lambda0 / (rho c0 a).
+
+    Raises:
+        InvalidInput: The diffusivity scale material.a, Ste or A is 0 or
+            not finite (each field valid, but a group under- or overflows).
+    """
+    a = _require_positive("a", material.a)
+    ste = material.c0 * (boundary.theta0 - boundary.theta_f) / material.latent_heat
+    feedback = None
+    if isinstance(source, FluxFeedbackSource):
+        feedback = 2.0 * source.lambda0 / (material.rho * material.c0 * a)
+    return source_model(source, ste, material.delta, material.p, feedback)
 
 
 @dataclass(frozen=True)
@@ -522,10 +534,10 @@ class SimilaritySolution:
 
     Attributes:
         material, boundary, source: The problem definition.
-        lam: Front coefficient; s(t) = 2 a lam sqrt(t).
-        dimensionless: Its dimensionless groups (derived).
-        model: Source model (derived); model.equation is the reduced
-            equation whose root lam is.
+        lam: Front coefficient; s(t) = 2 a lam sqrt(t), with a = material.a.
+        model: Source model problem_model(material, boundary, source)
+            (derived); it holds the groups ste and feedback, and
+            model.equation is the reduced equation whose root lam is.
         psi: Exact integrated profile model.psi(lam) (derived); the
             fixed-face slope y_prime0 is read from it.
     """
@@ -534,13 +546,11 @@ class SimilaritySolution:
     boundary: BoundaryData
     source: SourceSpec
     lam: float
-    dimensionless: Dimensionless = field(init=False, repr=False, compare=False)
     model: SourceModel = field(init=False, repr=False, compare=False)
     psi: PsiProfile = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        groups, model = problem_model(self.material, self.boundary, self.source)
-        object.__setattr__(self, "dimensionless", groups)
+        model = problem_model(self.material, self.boundary, self.source)
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "psi", model.psi(self.lam))
 
@@ -589,5 +599,5 @@ def solve_problem(
         BracketExpansionFailed / NotBracketed / NonConvergence: Front
             coefficient could not be bracketed or resolved.
     """
-    _, model = problem_model(material, boundary, source)
+    model = problem_model(material, boundary, source)
     return SimilaritySolution(material, boundary, source, solve_lambda(model.equation, tol))

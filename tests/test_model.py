@@ -1,4 +1,4 @@
-"""Tests for problem-definition types and dimensionless groups."""
+"""Tests for problem-definition types and the dimensionless groups they give."""
 
 import dataclasses
 import math
@@ -15,10 +15,10 @@ from stefansim.model import (
     NoSource,
     SimilaritySource,
     conductivity,
-    dimensionless_groups,
     specific_heat,
 )
-from stefansim.similarity import solve_problem
+from stefansim.cli import main
+from stefansim.similarity import problem_model, solve_problem
 
 WATER_ICE = Material(
     rho=1000.0, c0=4200.0, k0=0.6, latent_heat=334000.0, delta=0.5, p=1.0
@@ -73,35 +73,62 @@ class TestGroups:
     def test_stefan_number_water_ice(self):
         # c0 (theta0 - theta_f) / l with the constants above.
         want = 4200.0 * (285.05 - 273.15) / 334000.0
-        got = dimensionless_groups(WATER_ICE, MELT, NoSource()).ste
+        got = problem_model(WATER_ICE, MELT, NoSource()).ste
         assert got == pytest.approx(want, rel=1e-15)
         assert 0.14 < want < 0.16
 
     def test_diffusivity(self):
         want = math.sqrt(0.6 / (1000.0 * 4200.0))
-        got = dimensionless_groups(WATER_ICE, MELT, NoSource()).a
-        assert got == pytest.approx(want, rel=1e-15)
+        assert WATER_ICE.a == pytest.approx(want, rel=1e-15)
 
     def test_feedback_coefficient(self):
         # 2 lambda0 / sqrt(rho c0 k0); frozen value for the constants above.
-        got = dimensionless_groups(WATER_ICE, MELT, FluxFeedbackSource(lambda0=10.0)).feedback
+        got = problem_model(WATER_ICE, MELT, FluxFeedbackSource(lambda0=10.0)).feedback
         assert got == pytest.approx(20.0 / math.sqrt(1000.0 * 4200.0 * 0.6), rel=1e-15)
         assert got == pytest.approx(0.012598815766974242, abs=1e-15)
 
     def test_groups_wiring(self):
-        groups = dimensionless_groups(WATER_ICE, MELT, NoSource())
-        assert groups.feedback is None
-        fb = dimensionless_groups(WATER_ICE, MELT, FluxFeedbackSource(lambda0=10.0))
-        assert (fb.ste, fb.a) == (groups.ste, groups.a)
-        assert fb.feedback == pytest.approx(20.0 / (1000.0 * 4200.0 * groups.a))
+        model = problem_model(WATER_ICE, MELT, NoSource())
+        assert model.feedback is None
+        assert (model.delta, model.p) == (WATER_ICE.delta, WATER_ICE.p)
+        fb = problem_model(WATER_ICE, MELT, FluxFeedbackSource(lambda0=10.0))
+        assert fb.ste == model.ste
+        assert fb.feedback == pytest.approx(20.0 / (1000.0 * 4200.0 * WATER_ICE.a))
 
     def test_dimensionless_normalization(self):
         # Unit material with latent_heat = 1/Ste realizes any Ste with a = 1.
         mat = Material(rho=1.0, c0=1.0, k0=1.0, latent_heat=0.5, delta=1.0, p=1.0)
         bd = BoundaryData(theta0=1.0, theta_f=0.0)
-        groups = dimensionless_groups(mat, bd, NoSource())
-        assert groups.ste == pytest.approx(2.0, rel=1e-15)
-        assert groups.a == pytest.approx(1.0, rel=1e-15)
+        assert problem_model(mat, bd, NoSource()).ste == pytest.approx(2.0, rel=1e-15)
+        assert mat.a == pytest.approx(1.0, rel=1e-15)
+
+    # Each field is valid, but a group under- or overflows to 0 or inf.
+    @pytest.mark.parametrize(
+        "group, material, lambda0",
+        [
+            ("a", dict(rho=1e200, c0=1e200), None),
+            ("a", dict(rho=1e-200, c0=1e-200, k0=1e200), None),
+            ("ste", dict(c0=1e300, k0=1e300, latent_heat=1e-300), None),
+            ("ste", dict(c0=1e-300, k0=1e-300, latent_heat=1e300), None),
+            ("feedback", dict(rho=1e200, k0=1e200), 1e-300),
+            ("feedback", dict(rho=1e-200, k0=1e-200), 1e300),
+        ],
+        ids=["a-zero", "a-inf", "ste-inf", "ste-zero", "A-zero", "A-inf"],
+    )
+    def test_degenerate_group_rejected(self, tmp_path, capsys, group, material, lambda0):
+        fields = dict(rho=1.0, c0=1.0, k0=1.0, latent_heat=1.0, delta=1.0, p=1.0) | material
+        source = NoSource() if lambda0 is None else FluxFeedbackSource(lambda0=lambda0)
+        message = f"{group} must be a finite positive number"
+        with pytest.raises(InvalidInput, match=f"^{message}"):
+            solve_problem(Material(**fields), BoundaryData(theta0=1.0, theta_f=0.0), source)
+        lines = [f"material.{name} = {value!r}" for name, value in fields.items()]
+        lines += ["boundary.theta0 = 1.0", "boundary.theta_f = 0.0", f"source.kind = {source.kind}"]
+        if lambda0 is not None:
+            lines.append(f"source.lambda0 = {lambda0!r}")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines + ["oracle.enabled = false", ""]))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert f"solver error: {message}" in capsys.readouterr().err
 
 
 class TestCoefficients:

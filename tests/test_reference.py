@@ -72,7 +72,7 @@ def test_table_covers_wide_domain():
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_matches_reference(case):
     sol = solve_case(case)
-    assert sol.dimensionless.feedback == pytest.approx(case["feedback"], rel=1e-15)
+    assert sol.model.feedback == pytest.approx(case["feedback"], rel=1e-15)
     lam_err, psi_err = reference_errors(case, sol.model, sol.lam)
     assert lam_err <= LAM_REL_TOL
     assert psi_err <= PSI_ABS_TOL

@@ -23,7 +23,6 @@ from stefansim.model import (
     Material,
     NoSource,
     SimilaritySource,
-    dimensionless_groups,
 )
 from stefansim import similarity
 from stefansim.numerics import Bracket, Tolerance, erf, find_root_increasing, integrate_cumulative
@@ -391,6 +390,10 @@ class TestStoredFacts:
         init = [f.name for f in dataclasses.fields(SimilaritySolution) if f.init]
         assert init == ["material", "boundary", "source", "lam"]
 
+    def test_derived_fields_are_model_and_psi(self):
+        derived = [f.name for f in dataclasses.fields(SimilaritySolution) if not f.init]
+        assert derived == ["model", "psi"]
+
     @pytest.mark.parametrize("source", SOURCES, ids=lambda source: source.kind)
     def test_replaced_lam_rebuilds_profile(self, source):
         sol = solve_problem(unit_material(1.0, 1.0, 1.0), UNIT_BD, source)
@@ -405,11 +408,38 @@ class TestStoredFacts:
         sol = solve_problem(unit_material(1.0, 1.0, 1.0), UNIT_BD, FEEDBACK)
         material = Material(rho=2.0, c0=3.0, k0=5.0, latent_heat=0.5, delta=2.0, p=1.5)
         moved = dataclasses.replace(sol, material=material)
-        assert moved.dimensionless == dimensionless_groups(material, UNIT_BD, FEEDBACK)
-        assert (moved.model.ste, moved.model.delta, moved.model.p) == (
-            moved.dimensionless.ste, 2.0, 1.5
-        )
-        assert moved.model.feedback == moved.dimensionless.feedback
+        want = similarity.problem_model(material, UNIT_BD, FEEDBACK)
+        got = moved.model
+        assert (got.ste, got.delta, got.p, got.feedback) == (want.ste, 2.0, 1.5, want.feedback)
+        # Ste = c0 / latent_heat and A = 2 lambda0 / (rho c0 a), a = sqrt(k0 / (rho c0)).
+        assert material.a == math.sqrt(5.0 / 6.0)
+        assert (got.ste, got.feedback) == (6.0, 1.0 / (6.0 * material.a))
+        assert similarity_coordinate(moved, 1.0, 1.0) == 1.0 / (2.0 * material.a)
+
+
+class TestFrontEquationIncreases:
+    """A sampled check, not a proof, that each front equation's left-hand
+    side increases strictly, which makes lam its unique root."""
+
+    SOURCES = [
+        (NoSource(), None),
+        (ExponentialSource(), None),
+        (SimilaritySource(CUSTOM_BETA), None),
+        (FEEDBACK, 1e-4),
+        (FEEDBACK, 1.0),
+        (FEEDBACK, 1e6),
+    ]
+
+    @pytest.mark.parametrize(
+        "source, feedback", SOURCES, ids=["none", "exponential", "custom", "A1e-4", "A1", "A1e6"]
+    )
+    def test_strictly_increasing_on_samples(self, source, feedback):
+        xs = np.geomspace(1e-6, 8.0, 200)
+        for delta in (1e-3, 1.0, 1e3):
+            for p in (1e-3, 1.0, 20.0):
+                evaluate = source_model(source, 1.0, delta, p, feedback).equation.evaluate
+                lhs = np.array([evaluate(float(x)) for x in xs])
+                assert np.all(np.diff(lhs) > 0.0), (delta, p)
 
 
 def _unit_solution():
