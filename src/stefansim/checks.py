@@ -115,7 +115,7 @@ def ode_residual_check(sol: SimilaritySolution) -> CheckResult:
     h = np.minimum(lam / 200.0, dist / 50.0)
     offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     pts = etas[:, None] + h[:, None] * offsets[None, :]
-    vals = sol.y_many(pts).reshape(ODE_RESIDUAL_NODES, 5)
+    vals = sol.y_many(pts, clamp=False).reshape(ODE_RESIDUAL_NODES, 5)
     d1 = (vals[:, 0] - 8.0 * vals[:, 1] + 8.0 * vals[:, 3] - vals[:, 4]) / (12.0 * h)
     d2 = (
         -vals[:, 0] + 16.0 * vals[:, 1] - 30.0 * vals[:, 2] + 16.0 * vals[:, 3] - vals[:, 4]

@@ -49,17 +49,26 @@ def _fmt(value: float) -> str:
     return "%.17g" % value
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(
+    cfg: RunConfig, args: argparse.Namespace, filename: str,
+    header: list[str], rows: list[list[str]],
+) -> str:
+    """Write a CSV as filename in --out, else output.dir, else cwd; return its path.
 
-
-def _out_path(cfg: RunConfig, args: argparse.Namespace, filename: str) -> str:
+    Raises:
+        ConfigError: The directory cannot be made or the file written.
+    """
     out_dir = args.out or cfg.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, filename)
+    path = os.path.join(out_dir, filename)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+    return path
 
 
 def _solve_from_config(cfg: RunConfig) -> SimilaritySolution:
@@ -96,8 +105,7 @@ def _summary_row(sol: SimilaritySolution) -> tuple[list[str], list[str]]:
 def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
     sol = _solve_from_config(cfg)
     header, row = _summary_row(sol)
-    path = _out_path(cfg, args, "summary.csv")
-    _write_csv(path, header, [row])
+    path = _write_csv(cfg, args, "summary.csv", header, [row])
     print(f"lam = {_fmt(sol.lam)}")
     print(f"ste = {_fmt(sol.model.ste)}")
     if sol.model.feedback is not None:
@@ -135,8 +143,7 @@ def cmd_profile(cfg: RunConfig, args: argparse.Namespace) -> int:
         for x, eta, y in zip(xs, etas, ys):
             theta = sol.boundary.theta_f + span * y
             rows.append([_fmt(t), _fmt(x), _fmt(eta), _fmt(y), _fmt(theta)])
-    path = _out_path(cfg, args, "profile.csv")
-    _write_csv(path, ["t", "x", "eta", "y", "theta"], rows)
+    path = _write_csv(cfg, args, "profile.csv", ["t", "x", "eta", "y", "theta"], rows)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
@@ -148,8 +155,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         [r.name, _fmt(r.value), _fmt(r.threshold), "true" if r.passed else "false"]
         for r in results
     ]
-    path = _out_path(cfg, args, "verify.csv")
-    _write_csv(path, ["check", "value", "threshold", "passed"], rows)
+    path = _write_csv(cfg, args, "verify.csv", ["check", "value", "threshold", "passed"], rows)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -188,9 +194,8 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     else:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(run_case, cfg.sweep))
-    path = _out_path(cfg, args, "sweep.csv")
-    _write_csv(
-        path,
+    path = _write_csv(
+        cfg, args, "sweep.csv",
         ["ste", "delta", "p", "feedback", "lam", "y_prime0", "lambda_residual", "status"],
         rows,
     )

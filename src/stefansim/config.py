@@ -3,24 +3,24 @@
 A config file is a sequence of `key = value` lines with `#` comments.
 Keys are dotted (`material.rho`); unknown or duplicated keys are hard
 errors so a misspelled physics parameter can never silently fall back to
-a default.  The keys of the `material`, `boundary`, `solver` and `oracle`
-sections are the fields of Material, BoundaryData, Tolerance and
-OracleConfig, and take their types from them; `solver.*` and `oracle.*`
-keys are optional and default to those dataclasses' defaults.  Two
-problem modes exist:
+a default.  Each key is a field of the dataclass it builds and takes its
+type from it: `material.*`, `boundary.*`, `solver.*`, `oracle.*` and
+`source.lambda0` are the fields of Material, BoundaryData, Tolerance,
+OracleConfig and FluxFeedbackSource; `solver.*` and `oracle.*` default to
+their dataclass defaults.  The reduced keys are the fields of
+DimensionlessProblem: `problem.ste`, `problem.delta`, `problem.p` and
+`source.feedback`, each with a list key `sweep.<field>`.  They are realized
+as rho = c0 = k0 = 1, theta0 = 1, theta_f = 0, latent_heat = 1/Ste,
+lambda0 = feedback/2.  A sweep is built into a list of DimensionlessProblem,
+and a swept parameter may omit its base key.
 
-* dimensional: `material.*`, `boundary.*` and `source.*` give the
-  physical problem;
-* dimensionless (`problem.dimensionless = true`): `problem.ste`,
-  `problem.delta`, `problem.p` (plus `source.feedback` for the
-  flux-feedback source) give the reduced problem directly; internally it
-  is realized as rho = c0 = k0 = 1, theta0 = 1, theta_f = 0,
-  latent_heat = 1/Ste, lambda0 = feedback/2.
+Three switches decide which keys a config may give:
 
-Sweeps (`sweep.ste`, `sweep.delta`, `sweep.p`, `sweep.feedback`) list
-parameter values and are available in dimensionless mode only; a swept
-parameter may omit its base value.  The reduced keys are derived from
-the fields of DimensionlessProblem, and a sweep is built into a list of it.
+* `problem.dimensionless` false (default): the physical keys, all required;
+* `problem.dimensionless = true`: the reduced keys; the base key of each
+  parameter the source takes is required unless it is swept;
+* `source.kind = feedback`: `source.lambda0`, `source.feedback`, `sweep.feedback`;
+* `oracle.enabled` true (default): the `oracle.*` field keys.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .model import (
     Material,
     NoSource,
     SourceSpec,
+    _require_positive,
 )
 from .numerics import Tolerance
 from .oracle import OracleConfig
@@ -50,14 +51,6 @@ _SOURCE_KINDS = {cls.kind: cls for cls in (NoSource, ExponentialSource, FluxFeed
 def _keys(section: str, cls: type) -> list[str]:
     """The keys of a section that builds cls: one `section.field` per field."""
     return [f"{section}.{f.name}" for f in fields(cls)]
-
-
-# The dimensional problem's keys, rejected in dimensionless mode.
-_PHYSICAL_KEYS = [
-    *_keys("material", Material),
-    *_keys("boundary", BoundaryData),
-    *(key for spec in _SOURCE_KINDS.values() for key in _keys("source", spec)),
-]
 
 
 @dataclass(frozen=True)
@@ -76,18 +69,32 @@ class DimensionlessProblem:
     feedback: Optional[float] = field(default=None, metadata={"section": "source"})
 
 
-# Base key of each reduced parameter, in dimensionless mode only.
+# Base key of each reduced parameter.
 _BASE_KEYS = {f.name: f"{f.metadata.get('section', 'problem')}.{f.name}"
               for f in fields(DimensionlessProblem) if f.name != "kind"}
+# The keys each switch admits: the physical problem's in dimensional mode,
+# the reduced problem's base and sweep keys in dimensionless mode, the
+# coupling's with the feedback kind, the oracle's fields while it is enabled.
+_PHYSICAL_KEYS = [
+    *_keys("material", Material),
+    *_keys("boundary", BoundaryData),
+    *(key for spec in _SOURCE_KINDS.values() for key in _keys("source", spec)),
+]
+_REDUCED_KEYS = [*_BASE_KEYS.values(), *(f"sweep.{name}" for name in _BASE_KEYS)]
+_FEEDBACK_KEYS = [*_keys("source", FluxFeedbackSource), _BASE_KEYS["feedback"], "sweep.feedback"]
+_ORACLE_KEYS = _keys("oracle", OracleConfig)
 _KNOWN_KEYS = {
-    *_PHYSICAL_KEYS, *_keys("solver", Tolerance), *_keys("oracle", OracleConfig),
-    *_BASE_KEYS.values(), *(f"sweep.{name}" for name in _BASE_KEYS),
+    *_PHYSICAL_KEYS, *_REDUCED_KEYS, *_keys("solver", Tolerance), *_ORACLE_KEYS,
     "source.kind", "problem.dimensionless", "oracle.enabled", "output.dir",
 }
 
 
-def _takes_feedback(kind: str) -> bool:
-    return bool(fields(_SOURCE_KINDS[kind]))
+def _source_spec(kind: str) -> type:
+    if kind not in _SOURCE_KINDS:
+        raise ConfigError(
+            f"source.kind: expected one of {', '.join(_SOURCE_KINDS)}, got {kind!r}"
+        )
+    return _SOURCE_KINDS[kind]
 
 
 @dataclass(frozen=True)
@@ -194,19 +201,17 @@ def _get_list(raw: dict[str, str], key: str) -> Optional[list[float]]:
 _PARSERS = {"float": _get_float, "int": _get_int}
 
 
-def _section(raw: dict[str, str], section: str, cls: type, required: bool = False) -> dict:
+def _section(raw: dict[str, str], section: str, cls: type) -> dict:
     """Values given for the fields of cls as `section.field` keys, by field name.
 
     Each is parsed as its field's annotated type; fields without a key keep
-    their dataclass default, or raise ConfigError in field order when required.
+    their dataclass default.
     """
     values = {}
     for f, key in zip(fields(cls), _keys(section, cls)):
         value = _PARSERS[f.type](raw, key)
         if value is not None:
             values[f.name] = value
-        elif required:
-            raise ConfigError(f"missing required config key {key!r}")
     return values
 
 
@@ -219,13 +224,19 @@ def reduced_problem(
     drop make a = 1 and Ste = 1/latent_heat, so latent_heat = 1/Ste; the
     feedback coupling 2 lambda0 / (rho c0 a) = feedback gives
     lambda0 = feedback / 2.
+
+    Raises:
+        ConfigError: An unknown kind, or a coupling given to another kind
+            than feedback or missing for it.
+        InvalidInput: ste or another parameter violates a model invariant.
     """
-    material = Material(
-        rho=1.0, c0=1.0, k0=1.0, latent_heat=1.0 / ste, delta=delta, p=p
-    )
+    spec = _source_spec(kind)
+    latent_heat = 1.0 / _require_positive("ste", ste)
+    material = Material(rho=1.0, c0=1.0, k0=1.0, latent_heat=latent_heat, delta=delta, p=p)
     boundary = BoundaryData(theta0=1.0, theta_f=0.0)
-    spec = _SOURCE_KINDS[kind]
-    if not _takes_feedback(kind):
+    if not fields(spec):
+        if feedback is not None:
+            raise ConfigError("source.feedback requires source.kind = feedback")
         return material, boundary, spec()
     if feedback is None:
         raise ConfigError("source.kind = feedback requires source.feedback")
@@ -243,70 +254,57 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
     kind = raw.get("source.kind")
     if kind is None:
         raise ConfigError("missing required config key 'source.kind'")
-    if kind not in _SOURCE_KINDS:
-        raise ConfigError(
-            f"source.kind: expected one of {', '.join(_SOURCE_KINDS)}, got {kind!r}"
-        )
+    spec = _source_spec(kind)
+    takes_feedback = bool(fields(spec))
+    oracle_enabled = _get_bool(raw, "oracle.enabled", True)
 
-    swept: dict[str, list[float]] = {}
-    for name in sorted(_BASE_KEYS):
-        values = _get_list(raw, f"sweep.{name}")
-        if values is not None:
-            swept[name] = sorted(values)
-    if swept and not dimensionless:
-        raise ConfigError("sweep.* keys require problem.dimensionless = true")
-    takes_feedback = _takes_feedback(kind)
-    if "feedback" in swept and not takes_feedback:
-        raise ConfigError("sweep.feedback requires source.kind = feedback")
+    # A switch that is off rejects the keys it admits.  The physical rule
+    # comes first, so source.lambda0 in dimensionless mode is "not allowed".
+    scopes = (
+        (_PHYSICAL_KEYS, not dimensionless, "not allowed when problem.dimensionless = true"),
+        (_REDUCED_KEYS, dimensionless, "requires problem.dimensionless = true"),
+        (_FEEDBACK_KEYS, takes_feedback, "requires source.kind = feedback"),
+        (_ORACLE_KEYS, oracle_enabled, "given but oracle.enabled = false"),
+    )
+    for key in raw:
+        for keys, admitted, message in scopes:
+            if key in keys and not admitted:
+                raise ConfigError(f"{key} {message}")
+
+    if dimensionless:
+        required = [key for name, key in _BASE_KEYS.items() if f"sweep.{name}" not in raw
+                    and (takes_feedback or name != "feedback")]
+    else:
+        required = [*_keys("material", Material), *_keys("boundary", BoundaryData),
+                    *_keys("source", spec)]
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"missing required config key {key!r}")
 
     sweep: list[DimensionlessProblem] = []
     if dimensionless:
-        for key in _PHYSICAL_KEYS:
-            if key in raw:
-                raise ConfigError(f"{key} not allowed when problem.dimensionless = true")
-        needed = [name for name in _BASE_KEYS if name != "feedback" or takes_feedback]
-        base: dict[str, Optional[float]] = {}
-        for name, key in _BASE_KEYS.items():
-            base[name] = _get_float(raw, key)
-            if base[name] is None and name in needed and name not in swept:
-                raise ConfigError(f"missing required config key {key!r}")
-        if not takes_feedback and base["feedback"] is not None:
-            raise ConfigError("source.feedback requires source.kind = feedback")
+        base = {name: _get_float(raw, key) for name, key in _BASE_KEYS.items()}
+        swept = {name: sorted(values) for name in _BASE_KEYS
+                 if (values := _get_list(raw, f"sweep.{name}")) is not None}
         if swept:
             axes = (swept.get(name, [value]) for name, value in base.items())
             sweep = [DimensionlessProblem(kind=kind, **dict(zip(base, values)))
                      for values in itertools.product(*axes)]
-        if all(base[name] is not None for name in needed):
+        if all(base[name] is not None for name in swept):
             material, boundary, source = reduced_problem(kind=kind, **base)
         else:
             material = boundary = source = None
     else:
-        for key in _BASE_KEYS.values():
-            if key in raw:
-                raise ConfigError(f"{key} requires problem.dimensionless = true")
-        material = Material(**_section(raw, "material", Material, required=True))
-        boundary = BoundaryData(**_section(raw, "boundary", BoundaryData, required=True))
-        spec = _SOURCE_KINDS[kind]
-        if not takes_feedback and "source.lambda0" in raw:
-            raise ConfigError("source.lambda0 requires source.kind = feedback")
-        source = spec(**_section(raw, "source", spec, required=True))
-
-    tol = Tolerance(**_section(raw, "solver", Tolerance))
-
-    oracle: Optional[OracleConfig] = None
-    if _get_bool(raw, "oracle.enabled", True):
-        oracle = OracleConfig(**_section(raw, "oracle", OracleConfig))
-    else:
-        for key in raw:
-            if key.startswith("oracle.") and key != "oracle.enabled":
-                raise ConfigError(f"{key} given but oracle.enabled = false")
+        material = Material(**_section(raw, "material", Material))
+        boundary = BoundaryData(**_section(raw, "boundary", BoundaryData))
+        source = spec(**_section(raw, "source", spec))
 
     return RunConfig(
         material=material,
         boundary=boundary,
         source=source,
-        tol=tol,
-        oracle=oracle,
+        tol=Tolerance(**_section(raw, "solver", Tolerance)),
+        oracle=OracleConfig(**_section(raw, "oracle", OracleConfig)) if oracle_enabled else None,
         sweep=sweep,
         out_dir=raw.get("output.dir"),
     )

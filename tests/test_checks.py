@@ -144,6 +144,17 @@ class TestCorruptedSolutionFails:
         psi_bad = exp_sol.model.psi(lam_bad)
         assert abs(psi_bad.evaluate(lam_bad)) > 1e-3
 
+    @pytest.mark.parametrize(
+        "source", [NoSource(), ExponentialSource(), FluxFeedbackSource(lambda0=0.5)],
+        ids=lambda source: source.kind,
+    )
+    def test_lambda_above_root_reported_not_raised(self, source):
+        # Past the root Psi < 0 near the front, beyond the clamp slack of y.
+        sol = solve(source=source)
+        results = run_checks(dataclasses.replace(sol, lam=1.01 * sol.lam))
+        failed = {r.name for r in results if not r.passed}
+        assert {"lambda_residual", "front_value", "ode_residual", "profile_range"} <= failed
+
 
 class TestWideDomainFeedback:
     # The unscaled feedback equation overflowed at large lam: at Ste = 1e4

@@ -19,6 +19,7 @@ from stefansim.config import (
     build_run_config,
     load_config,
     parse_config_text,
+    reduced_problem,
 )
 from stefansim.errors import ConfigError, InvalidInput
 from stefansim.model import (
@@ -224,6 +225,88 @@ class TestBuild:
             build_run_config(parse_config_text(text))
         assert message in str(err.value)
 
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((0.0, 1.0, 1.0, "none", None), InvalidInput,
+             "ste must be a finite positive number, got 0.0"),
+            ((-1.0, 1.0, 1.0, "none", None), InvalidInput,
+             "ste must be a finite positive number, got -1.0"),
+            ((1.0, 1.0, 1.0, "custom", None), ConfigError,
+             "source.kind: expected one of none, exponential, feedback, got 'custom'"),
+            ((1.0, 1.0, 1.0, "none", 2.0), ConfigError,
+             "source.feedback requires source.kind = feedback"),
+        ],
+        ids=["ste-zero", "ste-negative", "unknown-kind", "stray-coupling"],
+    )
+    def test_reduced_problem_errors_are_typed(self, args, error, message):
+        with pytest.raises(error) as err:
+            reduced_problem(*args)
+        assert str(err.value) == message
+
+
+DIMENSIONAL_FEEDBACK = DIMENSIONAL_NONE.replace(
+    "source.kind = none", "source.kind = feedback\nsource.lambda0 = 0.5"
+)
+DIMLESS_FEEDBACK = DIMLESS_EXP.replace(
+    "source.kind = exponential", "source.kind = feedback\nsource.feedback = 1.0"
+)
+DIMLESS_ORACLE = DIMLESS_EXP.replace("oracle.enabled = false", "oracle.enabled = true")
+
+
+def with_key(text, key, value):
+    """The raw pairs of text with key set to value, last in file order."""
+    raw = parse_config_text(text)
+    raw.pop(key, None)
+    raw[key] = value
+    return raw
+
+
+def scope_cases():
+    """(key, value, config with its switch on, config with it off, message)."""
+    physical = parse_config_text(DIMENSIONAL_FEEDBACK)
+    for key in config._PHYSICAL_KEYS:
+        yield (key, physical[key], DIMENSIONAL_FEEDBACK, DIMLESS_EXP,
+               "not allowed when problem.dimensionless = true")
+    for key in config._REDUCED_KEYS:
+        value = "0.5, 1.0" if key.startswith("sweep.") else "1.0"
+        yield (key, value, DIMLESS_FEEDBACK, DIMENSIONAL_FEEDBACK,
+               "requires problem.dimensionless = true")
+    for key in config._FEEDBACK_KEYS:
+        if key in config._PHYSICAL_KEYS:
+            on, off = DIMENSIONAL_FEEDBACK, DIMENSIONAL_NONE
+        else:
+            on, off = DIMLESS_FEEDBACK, DIMLESS_EXP
+        value = "0.5, 1.0" if key.startswith("sweep.") else "0.5"
+        yield key, value, on, off, "requires source.kind = feedback"
+    defaults = oracle.OracleConfig()
+    for f in dataclasses.fields(defaults):
+        yield (f"oracle.{f.name}", str(getattr(defaults, f.name)), DIMLESS_ORACLE, DIMLESS_EXP,
+               "given but oracle.enabled = false")
+
+
+SCOPE_CASES = list(scope_cases())
+
+
+@pytest.mark.parametrize(
+    "key, value, on, off, message",
+    SCOPE_CASES,
+    ids=[f"{case[0]}-{case[4].split()[-3]}" for case in SCOPE_CASES],
+)
+def test_switch_admits_its_keys(key, value, on, off, message):
+    # Each key is accepted with its switch on and rejected, by name, with it off.
+    build_run_config(with_key(on, key, value))
+    with pytest.raises(ConfigError) as err:
+        build_run_config(with_key(off, key, value))
+    assert str(err.value) == f"{key} {message}"
+
+
+def test_first_offending_key_in_file_order_is_reported():
+    text = DIMLESS_EXP + "oracle.n_space = 64\nmaterial.rho = 1.0\n"
+    with pytest.raises(ConfigError) as err:
+        build_run_config(parse_config_text(text))
+    assert str(err.value) == "oracle.n_space given but oracle.enabled = false"
+
 
 class TestSolveCommand:
     def test_writes_summary(self, tmp_path, capsys):
@@ -301,6 +384,14 @@ class TestSolveCommand:
 
     def test_exit_2_on_missing_file(self, capsys):
         assert main(["solve", "--config", "/no/such.cfg"]) == 2
+
+    def test_exit_2_on_unwritable_out(self, tmp_path, capsys):
+        # --out names an existing file, so the output directory cannot be made.
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = write_cfg(tmp_path, DIMLESS_EXP)
+        assert main(["solve", "--config", cfg, "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write '{taken}")
 
 
 class TestProfileCommand:
@@ -436,6 +527,15 @@ class TestSweepCommand:
         )
         assert statuses["1"] == "ok"
 
+    def test_zero_ste_recorded_in_row(self, tmp_path):
+        text = DIMLESS_EXP.replace("problem.ste = 1.0\n", "") + "sweep.ste = 0, 1\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        statuses = [row[7] for row in read_csv(tmp_path / "sweep.csv")[1:]]
+        assert statuses == [
+            "error: InvalidInput: ste must be a finite positive number, got 0.0", "ok",
+        ]
+
     def test_all_failures_exit_3(self, tmp_path, capsys):
         text = DIMLESS_EXP + "sweep.delta = -1.0, -2.0\n"
         cfg = write_cfg(tmp_path, text)
@@ -457,8 +557,13 @@ SWEEP_NO_BASE = DIMLESS_EXP.replace("problem.ste = 1.0\n", "") + "sweep.ste = 0.
         (DIMLESS_EXP, ["profile", "--t", ","], "--t: empty time list"),
         (SWEEP_NO_BASE, ["solve"], "config leaves swept parameters without base values"),
         (SWEEP_NO_BASE, ["sweep", "--workers", "0"], "--workers must be at least 1"),
+        (
+            DIMLESS_EXP.replace("problem.ste = 1.0", "problem.ste = 0"),
+            ["solve"],
+            "ste must be a finite positive number, got 0.0",
+        ),
     ],
-    ids=["t-nan", "t-inf", "t-empty", "solve-sweep-config", "workers-0"],
+    ids=["t-nan", "t-inf", "t-empty", "solve-sweep-config", "workers-0", "ste-zero"],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, text, argv, message):
     cfg = write_cfg(tmp_path, text)

@@ -307,6 +307,15 @@ class TestFindRootIncreasing:
         assert got == pytest.approx(math.log(2.0), rel=1e-12)
         assert len(calls) <= 16
 
+    def test_overflow_counts_as_infinite(self):
+        # exp(x^2) overflows a double once the expanding bracket reaches 32.
+        got = find_root_increasing(lambda x: math.exp(x * x), 1e300, Bracket(1e-8, 1.0))
+        assert got == pytest.approx(math.sqrt(math.log(1e300)), rel=1e-12)
+
+    @pytest.mark.parametrize("target", [0.5, 1.0])
+    def test_exact_hit_at_bracket_end(self, target):
+        assert find_root_increasing(lambda x: x, target, Bracket(0.5, 1.0)) == target
+
 
 class TestValidation:
     def test_tolerance_rejects_nonpositive(self):

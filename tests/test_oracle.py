@@ -428,6 +428,22 @@ class TestPredictedFrontStart:
         assert np.diff(run.front) == pytest.approx(exact, rel=0.05)
         assert run.front_rel_err <= 0.01
 
+    @pytest.mark.parametrize(
+        "speed, message",
+        [
+            (-1e6, r"front position went nonpositive at t = 0\.0244140625$"),
+            (0.0, r"front failed to advance: s\(0\.0244140625\) = \S+ <= s\(0\.01\) = \S+$"),
+        ],
+        ids=["nonpositive", "stalled"],
+    )
+    def test_front_collapse_raised(self, monkeypatch, speed, message):
+        # A front speed patched to drive the front back, or to hold it
+        # still, trips the step's two collapse guards.
+        monkeypatch.setattr(oracle._Stepper, "front_speed", lambda self, phi, s: speed)
+        sol = solve_problem(unit_material(), BD, NoSource())
+        with pytest.raises(FrontCollapse, match=message):
+            run_oracle_for(sol, OracleConfig(n_space=16, n_time=16))
+
 
 class TestCompare:
     def test_exact_trajectory_compares_exact(self, classical_sol):
