@@ -17,41 +17,48 @@ domain into the fixed strip [0, 1]:
 Time stepping is a theta-weighted scheme (default Crank-Nicolson,
 theta_scheme = 0.5; 1 is backward Euler) on times uniform in sqrt(t), so a
 similarity front s = 2 lam a sqrt(t) advances by the same amount every
-step and the first steps out of t_start stay short (Landau, 1950).  The
-nonlinear coefficients are resolved by Picard iteration: coefficients and
-the front speed are lagged, each sweep solves one tridiagonal system, and
-sweeps repeat until the field and front stagnate to 1e-10 (relative).
-Each step's iteration starts from the previous field and from a predicted
-front: s^2, quadratic in the step index for a similarity front, is
-extrapolated through the last three accepted fronts (the first two steps
-take an explicit Euler front step instead).  The field is not
-extrapolated: the first sweep's front speed would then come from an
-extrapolated gradient, and runs with a loose picard_tol collapse.  The
-start sets how many sweeps a step takes; a converged step matches any
-other start to the level of picard_tol.
+step and the first steps out of t_start stay short (Landau, 1950).  Each
+step's nonlinear equations in the unknowns (interior field, front) are
+solved by Newton's method, until an update moves the field and the front
+by at most picard_tol (1e-10, relative); a step takes about two
+iterations.  The equations are the field's theta-weighted balance at the
+interior nodes and the Stefan condition s - s_old =
+dt (theta s' + (1 - theta) s'_old), with s' from the front gradient.
+Each iteration starts from the previous field and from a predicted front:
+s^2, quadratic in the step index for a similarity front, is extrapolated
+through the last three accepted fronts (the first two steps take an
+explicit Euler front step instead).  The field is not extrapolated: the
+first iteration's front speed would then come from an extrapolated
+gradient, and runs with a loose picard_tol collapse.  A converged step
+matches any other start to the level of picard_tol.
 
 Space is second order in the Kirchhoff form.  k and c share the factor
 1 + delta y^p, y = (theta - theta_f) / span with span = theta0 - theta_f,
 whose integral Phi(y) = y + delta/(p+1) y^{p+1} is smooth at the front
 where y is not (Carslaw & Jaeger, 1959; Alexiades & Solomon, 1993).  The
-oracle takes Phi from the material alone.  Each interface conducts with
-the secant k0 (Phi(y_{i+1}) - Phi(y_i)) / (y_{i+1} - y_i), so the flux is
-the exact difference of the Kirchhoff variable w = span Phi(y); the Stefan
-condition takes a 4-point one-sided gradient of w, which is theta_x at the
-front because Phi'(0) = 1.  Advection is central.  The flux-feedback source
-takes its fixed-face gradient of theta (3-point, one-sided) from the discrete
-field, never from the closed-form slope, so the comparison stays two-sided.
+oracle takes Phi from the material alone.  The flux through each interface
+is k0 span (Phi(y_{i+1}) - Phi(y_i)) / (h s), the exact difference of the
+Kirchhoff variable w = span Phi(y); the Stefan condition takes a 4-point
+one-sided gradient of w, which is theta_x at the front because
+Phi'(0) = 1.  Advection is central.  The flux-feedback source takes its
+fixed-face gradient of theta (3-point, one-sided) from the discrete field,
+never from the closed-form slope, so the comparison stays two-sided.
 
-Each sweep makes one call to solve_banded, which hands the tridiagonal
-system straight to LAPACK gtsv (the routine scipy.linalg.solve_banded
-uses for (1, 1) bands) and keeps scipy's guards: a non-finite coefficient
-or right-hand side, or a singular matrix, raises NonConvergence, whose
-message names the time of the failing step.  The spatial operator is
-written once, as the three bands of its stencil (_Stepper._operator): the
-Picard sweep takes its matrix from them, and the old-time half applies
-them to differences of the old field, weighted by 1 - theta_scheme (backward
-Euler skips them).  A run stores its trajectory and the solution it started
-from, and derives its grid and errors (OracleRun).
+The spatial operator is written once (_Stepper._operator) and serves both
+the old-time half, weighted by 1 - theta_scheme (backward Euler skips it),
+and the residual.  The Jacobian (_Stepper._linearize) is tridiagonal in
+the field, with Phi'(y_j) in the diffusion and Phi''(y_i) through rho c(u),
+bordered by the front (a column in s, and the Stefan row on the last three
+nodes) and, for the flux-feedback source, by the face gradient, which
+feeds every node.  Each iteration makes one call to solve_banded with the
+residual and the border columns as right-hand sides, then solves the
+1 x 1 or 2 x 2 border in closed form.  solve_banded hands the system
+straight to LAPACK gtsv (the routine scipy.linalg.solve_banded uses for
+(1, 1) bands) and keeps scipy's guards: a non-finite coefficient or
+right-hand side, or a singular matrix, raises NonConvergence, whose
+message names the time of the failing step.  A run stores the problem it
+was stepped from, its trajectory and the solution it is compared with,
+and derives its grid and errors (OracleRun).
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -81,8 +89,10 @@ class OracleConfig:
         t_end: Final time, > t_start.
         theta_scheme: Implicitness weight in [0.5, 1]; 0.5 is
             Crank-Nicolson, 1 backward Euler.
-        picard_tol: Relative stagnation tolerance of the Picard sweeps.
-        picard_max_iter: Sweep budget per time step.
+        picard_tol: Relative stagnation tolerance of each step's Newton
+            iteration: a step is accepted once an update moves the field
+            and the front by at most this much.
+        picard_max_iter: Newton iteration budget per time step.
     """
 
     n_space: int = 64
@@ -117,14 +127,17 @@ class OracleRun:
     """Trajectory produced by the finite-difference solver.
 
     fields[k, i] approximates theta(xi[i] * front[k], times[k]); front[k]
-    approximates s(times[k]).  Only config, solution, front and fields are
-    stored; xi, times = _grid(config) and front_rel_err, temp_max_err =
-    compare(solution, run) (relative, and absolute in K) are derived.  The
-    solution is the run's only record of its problem: nothing checks it,
-    while compare(sol, run) checks sol's problem against it.
+    approximates s(times[k]).  problem is the (material, boundary, source)
+    the trajectory was stepped from, and solution the closed form it is
+    compared with.  Only these five are stored; xi, times = _grid(config)
+    and front_rel_err, temp_max_err = compare(solution, run) (relative, and
+    absolute in K) are derived.  compare checks the solution's problem
+    against problem, so a run built, or replaced, with a solution of
+    another problem raises MismatchedProblem; another lam is allowed.
     """
 
     config: OracleConfig
+    problem: tuple[Material, BoundaryData, SourceSpec]
     solution: SimilaritySolution
     front: np.ndarray
     fields: np.ndarray
@@ -143,7 +156,7 @@ class OracleRun:
             )
         if np.any(np.diff(self.front) <= 0.0):
             raise FrontCollapse("oracle front trajectory is not strictly increasing")
-        bd = self.solution.boundary
+        bd = self.problem[1]
         eps = 1e-6 * (bd.theta0 - bd.theta_f)
         if self.fields.min() < bd.theta_f - eps or self.fields.max() > bd.theta0 + eps:
             raise InvalidInput(
@@ -182,15 +195,17 @@ def solve_banded(
 ) -> np.ndarray:
     """Solve a tridiagonal system with LAPACK gtsv; the arguments may be overwritten.
 
-    lower and upper hold the m - 1 sub- and superdiagonal entries, diag and
-    rhs the m diagonal and right-hand-side entries.  This is the routine
-    scipy.linalg.solve_banded calls for (1, 1) bands, with the same guards
-    and without its per-call input conversion.
+    lower and upper hold the m - 1 sub- and superdiagonal entries and diag
+    the m diagonal entries.  rhs holds m right-hand-side entries, or is an
+    (m, k) array whose k columns are solved together (in Fortran order it
+    is not copied).  This is the routine scipy.linalg.solve_banded calls
+    for (1, 1) bands, with the same guards and without its per-call input
+    conversion.
 
     Raises:
         NonConvergence: An entry is not finite, or the matrix is singular.
     """
-    if not np.isfinite(np.concatenate((lower, diag, upper, rhs))).all():
+    if not np.isfinite(np.concatenate((lower, diag, upper, rhs.ravel(order="K")))).all():
         raise NonConvergence("tridiagonal system has a non-finite coefficient or right-hand side")
     _, _, _, x, info = dgtsv(lower, diag, upper, rhs, True, True, True, True)
     if info > 0:
@@ -198,15 +213,29 @@ def solve_banded(
     return x
 
 
-# |y_{i+1} - y_i| at or below which an interface conducts with the mean
-# factor instead of the secant of Phi.  The secant's relative rounding error,
-# about eps (1 + delta) / |dy|, reaches ~1e-8 (1 + delta) there, and the flux
-# across so small a difference is itself of order 1e-8.
-_MERGED_DY = 1.5e-8
+# The smallest normal double.
+_TINY = np.finfo(float).tiny
+# Relative change of s in the one-sided difference that gives dH/ds, the
+# one Jacobian term not written out: a similarity source may be any beta.
+_SOURCE_DS = 1e-8
+# d(front gradient)/d(Phi_j) at nodes n-4, n-3, n-2, times 6h (_front_gradient).
+_FRONT_ROW = np.array([-2.0, 9.0, -18.0])
+
+
+class _Level(NamedTuple):
+    """What a step's equations take from its old level, with its new time and length."""
+
+    v: np.ndarray  # the old field
+    s: float  # the old front
+    sdot: float  # its speed, from the old field
+    heat: np.ndarray | float  # (1 - theta) rho c(v) / dt; 0 for backward Euler
+    value: np.ndarray | float  # (1 - theta) times the operator at the old level
+    t: float  # the new time
+    dt: float
 
 
 class _Stepper:
-    """One theta-weighted Picard-resolved time step of the front-fixed system."""
+    """One theta-weighted, Newton-resolved time step of the front-fixed system."""
 
     def __init__(self, material: Material, boundary: BoundaryData, source: SourceSpec, cfg: OracleConfig):
         self.mat = material
@@ -216,6 +245,9 @@ class _Stepper:
         self.xi, self.times = _grid(cfg)
         self.xi_inner = self.xi[1:-1]
         self.h = self.xi[1] - self.xi[0]
+        self.xi_2h = self.xi_inner / (2.0 * self.h)
+        # d(face gradient)/du at nodes 1, 2 (_face_gradient).
+        self.face_row = np.array([2.0, -0.5]) / self.h
         self.span = boundary.theta0 - boundary.theta_f
         self.model = problem_model(material, boundary, source)
         self.a = material.a
@@ -225,8 +257,9 @@ class _Stepper:
     def _coefficients(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """y clipped to [0, 1], the factor 1 + delta y^p of k and c, and Phi(y).
 
-        Phi(y) = y + delta/(p+1) y^{p+1} is the integral of the factor.  One
-        call per sweep serves both the front speed and the operator.
+        Phi(y) = y + delta/(p+1) y^{p+1} is the integral of the factor, so
+        the factor is Phi'(y).  One call per iteration serves the front
+        speed, the operator and the Jacobian.
         """
         y = (u - self.bd.theta_f) / self.span
         # np.clip without its wrapper; a -0.0 that clip would make +0.0
@@ -237,40 +270,30 @@ class _Stepper:
         phi = y + y * excess / (self.mat.p + 1.0)
         return y, 1.0 + excess, phi
 
-    def _conductivity(self, coeffs: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Interface conductivities k0 (Phi(y_{i+1}) - Phi(y_i)) / (y_{i+1} - y_i).
-
-        Wherever y stays in [0, 1] they make k (u_{i+1} - u_i) =
-        k0 (w_{i+1} - w_i): the flux is the exact difference of
-        w = span Phi(y).  Where the nodes nearly merge the mean factor
-        stands in.  coeffs is _coefficients(u).
-        """
-        y, fac, phi = coeffs
-        dy = y[1:] - y[:-1]
-        factor = 0.5 * (fac[:-1] + fac[1:])
-        np.divide(phi[1:] - phi[:-1], dy, out=factor, where=np.abs(dy) > _MERGED_DY)
-        return self.mat.k0 * factor
+    def _source(self, s: float, t: float, face: float) -> np.ndarray:
+        """H at the interior nodes, for the front s and the face gradient du/dxi at xi = 0."""
+        eta = self.xi_inner * (s / (2.0 * self.a * math.sqrt(t)))
+        return self.model.heat_source(self.mat, eta, t, face / s)
 
     def _operator(
         self, u: np.ndarray, coeffs: tuple[np.ndarray, ...], s: float, sdot: float, t: float
     ) -> tuple[np.ndarray, ...]:
-        """Stencil of c rho xi (s'/s) u_xi + (1/s^2)(k u_xi)_xi - H.
+        """c rho xi (s'/s) u_xi + (1/s^2)(k u_xi)_xi - H at the interior nodes.
 
-        coeffs is _coefficients(u).  Returns (rho c, lo, mid, hi, H), all at
-        the interior nodes, with the operator lo u_{i-1} - mid u_i +
-        hi u_{i+1} - H and mid = lo + hi up to rounding.  H comes from the
-        discrete state only.
+        coeffs is _coefficients(u).  Advection is central.  Diffusion is the
+        second difference of the Kirchhoff variable w = span Phi(y), so the
+        flux through each interface is k0 (w_{i+1} - w_i) / (h s), the
+        secant-conductivity flux wherever y stays in [0, 1].  H comes from
+        the discrete state only.  Returns (value, rho c, xi u_xi,
+        (1/s^2)(k u_xi)_xi, H): the value and the parts the Jacobian reuses.
         """
-        rho_c = self.rho_c0 * coeffs[1][1:-1]
-        kf = self._conductivity(coeffs)
-        adv = rho_c * self.xi_inner * (sdot / s) / (2.0 * self.h)
-        dif = 1.0 / (self.h * self.h * s * s)
-        # kf[i-1] couples u_{i-1}, kf[i] couples u_{i+1} (i = 1..n-2).
-        lo = kf[:-1] * dif - adv
-        hi = adv + kf[1:] * dif
-        eta = self.xi_inner * s / (2.0 * self.a * math.sqrt(t))
-        source = self.model.heat_source(self.mat, eta, t, _face_gradient(u, self.h) / s)
-        return rho_c, lo, (kf[:-1] + kf[1:]) * dif, hi, source
+        _, fac, phi = coeffs
+        rho_c = self.rho_c0 * fac[1:-1]
+        grad = self.xi_2h * (u[2:] - u[:-2])
+        dphi = phi[1:] - phi[:-1]
+        diffused = (self.mat.k0 * self.span / (self.h * self.h * s * s)) * (dphi[1:] - dphi[:-1])
+        source = self._source(s, t, _face_gradient(u, self.h))
+        return rho_c * grad * (sdot / s) + diffused - source, rho_c, grad, diffused, source
 
     def front_speed(self, phi: np.ndarray, s: float) -> float:
         """Stefan condition s' = -k0 theta_x(s, t) / (rho latent_heat).
@@ -280,82 +303,169 @@ class _Stepper:
         """
         return -self.mat.k0 * self.span * _front_gradient(phi, self.h) / (self.rho_l * s)
 
+    def _old_level(self, v: np.ndarray, s_old: float, t0: float, t1: float) -> _Level:
+        """What the step from (v, s_old) at t0 to t1 takes from its old level."""
+        weight = self.cfg.theta_scheme
+        dt = t1 - t0
+        coeffs = self._coefficients(v)
+        sdot = self.front_speed(coeffs[2], s_old)
+        if weight == 1.0:
+            # Backward Euler has no old-time terms.
+            return _Level(v, s_old, sdot, 0.0, 0.0, t1, dt)
+        value, rho_c, *_ = self._operator(v, coeffs, s_old, sdot, t0)
+        return _Level(v, s_old, sdot, ((1.0 - weight) / dt) * rho_c, (1.0 - weight) * value, t1, dt)
+
+    def _linearize(self, u: np.ndarray, s: float, old: _Level) -> tuple:
+        """The step's equations at (u, s) and their Jacobian.
+
+        The unknowns are the interior field and the front.  The advection
+        takes the front speed that the Stefan condition gives s,
+        s' = (s - s_old) / (theta dt) - (1 - theta) s'_old / theta; it is
+        the gradient's speed wherever that condition holds.  Returns
+        (lower, diag, upper, cols, stefan, row_s, d_ss):
+
+        - cols[0], the residual at the interior nodes: rho c-weighted
+          (u - v) / dt, minus theta times the operator at (u, s) and
+          1 - theta times it at the old level;
+        - lower, diag, upper: its tridiagonal derivative in u;
+        - cols[1]: its derivative in s;
+        - cols[2], for a source linear in the face gradient g (flux
+          feedback) only: its derivative in g, which enters through
+          dg/du = (2, -1/2) / h at nodes 1, 2 (self.face_row);
+        - stefan = s - s_old - dt (theta s'(u, s) + (1 - theta) s'_old), with
+          s'(u, s) = front_speed, and its derivatives row_s in u at the
+          last three interior nodes and d_ss in s.
+        """
+        w = self.cfg.theta_scheme
+        t, dt = old.t, old.dt
+        coeffs = y, fac, phi = self._coefficients(u)
+        sdot = (s - old.s) / (w * dt) - (1.0 - w) / w * old.sdot
+        value, rho_c, grad, diffused, source = self._operator(u, coeffs, s, sdot, t)
+        du = u[1:-1] - old.v[1:-1]
+        heat = (w / dt) * rho_c + old.heat
+        cols = np.empty((2 if self.model.feedback is None else 3, self.n - 2))
+        np.multiply(heat, du, out=cols[0])
+        cols[0] -= w * value
+        cols[0] -= old.value
+
+        # Node j enters the diffusion through Phi'(y_j) (kd, negated here);
+        # the advection couples i -/+ 1 through its speed.
+        neg_kd = (-w * self.mat.k0 / (self.h * self.h * s * s)) * fac
+        adv = (w * sdot / s) * self.xi_2h * rho_c
+        lower = adv[1:] + neg_kd[1:-2]
+        upper = neg_kd[2:-1] - adv[:-1]
+        # rho c(u_i) adds Phi''(y_i) = p (Phi'(y_i) - 1) / y_i.  At y = 0,
+        # where it is infinite for p < 1, the floor takes it as 0.
+        curv = fac[1:-1] - 1.0
+        curv /= np.maximum(y[1:-1], _TINY)
+        scale = self.mat.p * w * self.rho_c0 / self.span
+        curv *= du * (scale / dt) - grad * (scale * sdot / s)
+        diag = heat - 2.0 * neg_kd[1:-1]
+        diag += curv
+
+        # s scales the diffusion by 1/s^2 and the advection by s'/s, and
+        # moves H through eta and the face gradient's 1/s.
+        bumped = self._source(s * (1.0 + _SOURCE_DS), t, _face_gradient(u, self.h))
+        bumped -= source
+        bumped *= w / (_SOURCE_DS * s)
+        bumped += (2.0 * w / s) * diffused
+        np.subtract(bumped, ((1.0 / dt - w * sdot / s) / s) * rho_c * grad, out=cols[1])
+        if self.model.feedback is not None:
+            cols[2] = w * self._source(s, t, 1.0)
+
+        front = self.front_speed(phi, s)
+        stefan = s - old.s - dt * (w * front + (1.0 - w) * old.sdot)
+        row_s = (dt * w * self.mat.k0 / (self.rho_l * s * 6.0 * self.h)) * _FRONT_ROW * fac[-4:-1]
+        return lower, diag, upper, cols, stefan, row_s, 1.0 + dt * w * front / s
+
+    def _border(self, x: np.ndarray, stefan: float, row_s: np.ndarray, d_ss: float) -> tuple:
+        """(1, ds) or (1, ds, dg): the weights of x's columns in -du.
+
+        x = A^{-1} [residual, col_s, col_g] for the tridiagonal part A of
+        _linearize's Jacobian, so a Newton update is du = -x @ (1, ds, dg).
+        Put into the Stefan row (last three nodes) and, for a feedback
+        source, into dg = face_row . du (first two nodes), it leaves a
+        1 x 1 or 2 x 2 system in the front update ds and the face-gradient
+        update dg, solved here by Cramer's rule.
+        """
+        a0, a_s, *a_g = (row_s @ x[-3:]).tolist()
+        pivot = d_ss - a_s
+        if not a_g:
+            if not pivot:
+                raise NonConvergence("bordered system is singular")
+            return 1.0, (a0 - stefan) / pivot
+        g0, g_s, g_g = (self.face_row @ x[:2]).tolist()
+        det = pivot * (1.0 + g_g) + a_g[0] * g_s
+        if not det:
+            raise NonConvergence("bordered system is singular")
+        ds = ((a0 - stefan) * (1.0 + g_g) - a_g[0] * g0) / det
+        return 1.0, ds, -(pivot * g0 + g_s * (a0 - stefan)) / det
+
     def advance(
         self, v: np.ndarray, fronts: np.ndarray, k: int, t0: float, t1: float
     ) -> tuple[np.ndarray, float]:
-        """Advance step k from (v, fronts[k]) at t0 to t1.
+        """Advance step k from (v, fronts[k]) at t0 to t1 by Newton's method.
 
         fronts[:k + 1] are the fronts accepted so far, at times uniform in
-        sqrt(t).  The Picard iteration starts from the field v and, for
-        k >= 2, from the front sqrt(3 s_k^2 - 3 s_{k-1}^2 + s_{k-2}^2): s is
-        linear in the step index for a similarity front, so this quadratic
-        extrapolation of s^2 is exact for it and leaves the first sweep only
-        the discretization error to correct.  Steps 0 and 1 start from the
-        explicit Euler front s_k + dt s'(v).
+        sqrt(t).  The iteration starts from the field v and, for k >= 2,
+        from the front sqrt(3 s_k^2 - 3 s_{k-1}^2 + s_{k-2}^2): s is linear
+        in the step index for a similarity front, so this quadratic
+        extrapolation of s^2 is exact for it and leaves the first iteration
+        only the discretization error to correct.  Steps 0 and 1 start from
+        the explicit Euler front s_k + dt s'(v).
 
-        With picard_tol = 1 every step takes one sweep, so the start becomes
-        part of the scheme.  Starts that amplify a step-to-step oscillation
-        more strongly then let Crank-Nicolson runs collapse that pass from
-        the Euler start: a cubic extrapolation of s (15-fold, against
-        7-fold here), and any extrapolation of the field, whose first sweep
-        would take the front speed from an extrapolated gradient (an
+        Each iteration linearizes the step (_linearize) and makes one
+        solve_banded call: the tridiagonal part against the residual and
+        the border columns (the front, and the face gradient of a
+        flux-feedback source).  The 1 x 1 or 2 x 2 border that remains is
+        solved in closed form (_border).  The step is accepted once an
+        update moves the field and the front by at most picard_tol
+        (relative); the accepted front is then the Stefan condition's on
+        the accepted field, which moves a converged front by rounding.
+
+        With picard_tol = 1 every step takes one iteration, so the start
+        becomes part of the scheme.  Starts that amplify a step-to-step
+        oscillation more strongly then let Crank-Nicolson runs collapse
+        that pass from the Euler start: a cubic extrapolation of s (15-fold,
+        against 7-fold here), and any extrapolation of the field, whose
+        front speed would come from an extrapolated gradient (an
         Adams-Bashforth-type front update).
         """
         cfg = self.cfg
         s_old = fronts[k]
-        weight = cfg.theta_scheme
-        dt = t1 - t0
-        theta0, theta_f = self.bd.theta0, self.bd.theta_f
-        coeffs = self._coefficients(v)
-        sdot_old = self.front_speed(coeffs[2], s_old)
-        if weight < 1.0:
-            # On differences of v the advection terms cancel (lo + hi = mid)
-            # and a common temperature such as 273 K drops out before rounding.
-            rho_c, lo, _, hi, source = self._operator(v, coeffs, s_old, sdot_old, t0)
-            c_old_part = (1.0 - weight) * rho_c
-            rhs_old = (1.0 - weight) * (lo * (v[:-2] - v[1:-1]) + hi * (v[2:] - v[1:-1]) - source)
-        else:
-            # Backward Euler has no old-time terms.
-            c_old_part = rhs_old = 0.0
-        v_inner = v[1:-1]
+        old = self._old_level(v, s_old, t0, t1)
         u = v.copy()
         if k >= 2:
             s = math.sqrt(3.0 * s_old**2 - 3.0 * fronts[k - 1] ** 2 + fronts[k - 2] ** 2)
         else:
-            s = s_old + dt * sdot_old
+            s = s_old + old.dt * old.sdot
         for _ in range(cfg.picard_max_iter):
-            coeffs = self._coefficients(u)
-            sdot_new = self.front_speed(coeffs[2], s)
-            s_new = s_old + dt * (weight * sdot_new + (1.0 - weight) * sdot_old)
-            if s_new <= 0.0:
+            if s <= 0.0:
                 raise FrontCollapse(f"front position went nonpositive at t = {t1}")
-            rho_c, lo, mid, hi, source = self._operator(u, coeffs, s_new, sdot_new, t1)
-            coef_time = (weight * rho_c + c_old_part) / dt
-            sub = -weight * lo
-            sup = -weight * hi
-            diag = coef_time + weight * mid
-            rhs = coef_time * v_inner - weight * source + rhs_old
-            rhs[0] -= sub[0] * theta0
-            rhs[-1] -= sup[-1] * theta_f
-            u_new = np.empty(self.n)
-            u_new[0] = theta0
-            u_new[-1] = theta_f
+            lower, diag, upper, cols, stefan, row_s, d_ss = self._linearize(u, s, old)
             try:
-                u_new[1:-1] = solve_banded(sub[1:], diag, sup[:-1], rhs)
+                x = solve_banded(lower, diag, upper, cols.T)
+                weights = self._border(x, stefan, row_s, d_ss)
             except NonConvergence as exc:
                 raise NonConvergence(f"{exc} at t = {t1}") from exc
-            moved = float(np.maximum.reduce(np.abs(u_new - u))) / self.span
-            front_moved = abs(s_new - s) / s_new
-            u, s = u_new, s_new
+            step = x @ weights
+            ds = weights[1]
+            u[1:-1] -= step
+            s += ds
+            moved = float(np.maximum.reduce(np.abs(step))) / self.span
+            front_moved = abs(ds) / s
             if moved <= cfg.picard_tol and front_moved <= cfg.picard_tol:
                 break
         else:
             raise NonConvergence(
-                f"Picard sweeps did not stagnate within {cfg.picard_max_iter} "
-                f"iterations at step {k}, t = {t1}: the last sweep moved the field "
+                f"Newton iterations did not stagnate within {cfg.picard_max_iter} "
+                f"iterations at step {k}, t = {t1}: the last iteration moved the field "
                 f"by {moved:.3g} and the front by {front_moved:.3g} "
                 f"(relative; picard_tol = {cfg.picard_tol:g})"
             )
+        weight = cfg.theta_scheme
+        sdot = self.front_speed(self._coefficients(u)[2], s)
+        s = s_old + old.dt * (weight * sdot + (1.0 - weight) * old.sdot)
         if s <= s_old:
             raise FrontCollapse(
                 f"front failed to advance: s({t1}) = {s} <= s({t0}) = {s_old}"
@@ -368,20 +478,22 @@ def run_oracle_for(sol: SimilaritySolution, cfg: OracleConfig) -> OracleRun:
 
     The initial state at cfg.t_start is sampled from the similarity
     solution; everything afterwards is plain finite differences.  The
-    returned run keeps sol, and with it the comparison errors against sol.
+    returned run keeps sol's problem and sol, and with them the comparison
+    errors against sol.
 
     Raises:
-        NonConvergence: A time step's Picard sweeps failed to stagnate.
+        NonConvergence: A time step's Newton iteration failed to stagnate.
         FrontCollapse: The computed front stopped advancing.
     """
-    stepper = _Stepper(sol.material, sol.boundary, sol.source, cfg)
+    problem = (sol.material, sol.boundary, sol.source)
+    stepper = _Stepper(*problem, cfg)
     fronts = np.empty(cfg.n_time + 1)
     fields = np.empty((cfg.n_time + 1, cfg.n_space))
     fronts[0] = front_position(sol, cfg.t_start)
     fields[0] = temperature(sol, stepper.xi * fronts[0], cfg.t_start)
     for k, (t0, t1) in enumerate(zip(stepper.times[:-1], stepper.times[1:])):
         fields[k + 1], fronts[k + 1] = stepper.advance(fields[k], fronts, k, t0, t1)
-    return OracleRun(cfg, sol, fronts, fields)
+    return OracleRun(cfg, problem, sol, fronts, fields)
 
 
 def compare(sol: SimilaritySolution, run: OracleRun) -> tuple[float, float]:
@@ -395,11 +507,10 @@ def compare(sol: SimilaritySolution, run: OracleRun) -> tuple[float, float]:
         against theta_f, the exact solid-side value).
 
     Raises:
-        MismatchedProblem: sol poses another problem than run.solution
-            (another lam is allowed).
+        MismatchedProblem: sol poses another problem than the one the run
+            was stepped from (another lam is allowed).
     """
-    ran = run.solution
-    if (ran.material, ran.boundary, ran.source) != (sol.material, sol.boundary, sol.source):
+    if run.problem != (sol.material, sol.boundary, sol.source):
         raise MismatchedProblem("oracle run and similarity solution describe different problems")
     s_exact = front_position(sol, run.times)
     front_rel_err = float(np.max(np.abs(run.front - s_exact) / s_exact))

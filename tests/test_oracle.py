@@ -40,6 +40,10 @@ def unit_material(ste=1.0, delta=1.0, p=1.0):
     return Material(rho=1.0, c0=1.0, k0=1.0, latent_heat=1.0 / ste, delta=delta, p=p)
 
 
+def problem_of(sol):
+    return sol.material, sol.boundary, sol.source
+
+
 @pytest.fixture(scope="module")
 def classical_sol():
     return solve_problem(unit_material(delta=1e-12), BD, NoSource())
@@ -145,6 +149,28 @@ class TestSolveBanded:
         with pytest.raises(StefanError, match="non-finite"):
             oracle.solve_banded(*arrays)
 
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_many_columns_match_scipy_solve_banded(self, order):
+        # The Newton step solves its residual and border columns together.
+        lower, diag, upper, _ = tridiagonal()
+        rhs = np.asarray(np.random.default_rng(1).random((diag.size, 3)), order=order)
+        ab = np.zeros((3, diag.size))
+        ab[0, 1:] = upper
+        ab[1] = diag
+        ab[2, :-1] = lower
+        want = scipy.linalg.solve_banded((1, 1), ab, rhs)
+        got = oracle.solve_banded(lower, diag, upper, rhs.copy(order="K"))
+        assert got.shape == rhs.shape
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_border_column_rejected(self, bad):
+        lower, diag, upper, _ = tridiagonal()
+        rhs = np.ones((3, diag.size))
+        rhs[2, 7] = bad
+        with pytest.raises(NonConvergence, match="non-finite"):
+            oracle.solve_banded(lower, diag, upper, rhs.T)
+
     def test_singular_matrix_rejected(self):
         lower, diag, upper, rhs = tridiagonal()
         lower[:] = 0.0
@@ -163,7 +189,10 @@ class TestSolveBanded:
 
 class TestSweepCounter:
     def counted_run(self, monkeypatch, sol, cfg):
-        """A run with oracle.solve_banded counted, plus the solves of each step."""
+        """A run with oracle.solve_banded counted, plus the solves of each step.
+
+        Each Newton iteration makes one call, so the counts are iterations.
+        """
         calls = [0]
         per_step = []
         solve = oracle.solve_banded
@@ -195,25 +224,25 @@ class TestSweepCounter:
         assert run.fields.tobytes() == plain.fields.tobytes()
 
     def test_single_sweep_steps_solve_once(self, monkeypatch, classical_sol):
-        # A tolerance every sweep meets stops each step after one sweep.
+        # A tolerance every update meets stops each step after one iteration.
         cfg = OracleConfig(n_space=64, n_time=64, picard_tol=1.0)
         _, per_step = self.counted_run(monkeypatch, classical_sol, cfg)
         assert per_step == [1] * cfg.n_time
 
 
 # repr of (front_rel_err, temp_max_err) of a 64 x 256 run at Ste = delta =
-# p = 1, pinned so that any change to the sweep arithmetic shows up here.
+# p = 1, pinned so that any change to the step arithmetic shows up here.
 # Recorded with numpy 2.4.6 and scipy 1.17.1 on x86_64 with AVX-512 (numpy's
 # dispatched float64 kernels).  Another numpy or scipy build or another SIMD
 # path can move exp, power and erf in the last ulp, and with them these
 # digits, without any change to the scheme.
 GOLDEN_ERRORS = {
-    ("none", 1.0): ("0.004333066905995005", "0.004532687205934479"),
-    ("none", 0.5): ("5.3123992948522293e-05", "5.4521058985523146e-05"),
-    ("exponential", 1.0): ("0.003881265964814139", "0.0032413607662790224"),
-    ("exponential", 0.5): ("4.88735813379829e-05", "4.012127195613703e-05"),
-    ("feedback", 1.0): ("0.004489576966052378", "0.00548425134359937"),
-    ("feedback", 0.5): ("5.4017422770995554e-05", "6.445161254907059e-05"),
+    ("none", 1.0): ("0.004333066897795547", "0.004532687197245672"),
+    ("none", 0.5): ("5.312399465189323e-05", "5.452106121781042e-05"),
+    ("exponential", 1.0): ("0.0038812659565289434", "0.0032413607587702246"),
+    ("exponential", 0.5): ("4.8873586253529254e-05", "4.0121276352604596e-05"),
+    ("feedback", 1.0): ("0.0044895769689105944", "0.005484251347049918"),
+    ("feedback", 0.5): ("5.401742100449168e-05", "6.445160976669556e-05"),
 }
 # The same errors with interface-mean conductivities, a front gradient of
 # theta itself and uniform time steps.  The Kirchhoff fluxes and the steps
@@ -226,20 +255,16 @@ MEAN_CONDUCTIVITY_GOLDEN_ERRORS = {
     ("feedback", 1.0): (0.016894170609169062, 0.02057633117388678),
     ("feedback", 0.5): (0.0011822880046266546, 0.0014147936533942633),
 }
-# solve_banded calls (sweeps) of each golden run.  Every step starting from
-# the explicit Euler front takes 1457, 1429 and 1504 sweeps at theta_scheme 1
-# and 1224, 1209 and 1248 at 0.5 (none, exponential, feedback); the
-# predicted front start takes 380, 1105 and 1188, and 733, 767 and 837.  The
-# budgets were set under uniform time steps and interface-mean
-# conductivities, when the predicted start took 681, 1119 and 1244, and
-# 686, 841 and 872.
+# solve_banded calls (Newton iterations) of each golden run, as measured.
+# Every step starting from the explicit Euler front takes 768, 764 and 768 at
+# theta_scheme 1 and 695, 688 and 701 at 0.5 (none, exponential, feedback).
 SWEEP_BUDGET = {
-    ("none", 1.0): 950,
-    ("none", 0.5): 890,
-    ("exponential", 1.0): 1220,
-    ("exponential", 0.5): 980,
-    ("feedback", 1.0): 1320,
-    ("feedback", 0.5): 1010,
+    ("none", 1.0): 327,
+    ("none", 0.5): 425,
+    ("exponential", 1.0): 524,
+    ("exponential", 0.5): 514,
+    ("feedback", 1.0): 514,
+    ("feedback", 0.5): 514,
 }
 GOLDEN_SOURCES = {
     "none": NoSource(),
@@ -333,9 +358,9 @@ class TestGoldenErrors:
 
     @pytest.mark.parametrize("kind, theta_scheme", sorted(GOLDEN_ERRORS))
     def test_errors_match_euler_start(self, golden_runs, monkeypatch, kind, theta_scheme):
-        # Every step started from the explicit Euler front: the Picard
-        # iteration stagnates at the same fixed point from either start, so
-        # the errors differ only at the level of picard_tol.
+        # Every step started from the explicit Euler front: the Newton
+        # iteration converges to the same solution of the step from either
+        # start, so the errors differ only at the level of picard_tol.
         run, _ = golden_runs[kind, theta_scheme]
         advance = oracle._Stepper.advance
 
@@ -380,6 +405,13 @@ class TestPredictedFrontStart:
         _, sweeps = golden_runs[kind, theta_scheme]
         assert sweeps <= SWEEP_BUDGET[kind, theta_scheme]
 
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_SOURCES))
+    def test_crank_nicolson_solves_per_step(self, golden_runs, kind):
+        # Newton from the predicted start needs about two solves a step:
+        # one update, and one that shows it has stagnated.
+        run, solves = golden_runs[kind, 0.5]
+        assert solves <= 2.5 * run.config.n_time
+
     # (source, Ste, delta, p), run at 48 x 128.  The probe problems come from
     # a random probe.  Starting the field from a linear extrapolation of the
     # accepted fields collapses the front of all three at theta_scheme 0.5;
@@ -407,15 +439,29 @@ class TestPredictedFrontStart:
         assert np.all(np.diff(run.front) > 0.0)
 
     def test_stagnation_failure_names_step_and_moves(self):
-        # At Ste = 100, delta = 10, p = 0.1 the first step's sweeps never
-        # stagnate on this coarse grid.
-        cfg = OracleConfig(n_space=48, n_time=128)
+        # One iteration cannot meet picard_tol from the predicted start, so
+        # a budget of one fails the first step, which names its moves.
+        cfg = OracleConfig(n_space=48, n_time=128, picard_max_iter=1)
         with pytest.raises(
             NonConvergence,
-            match=r"at step 0, t = 0\.011455688476562502: the last sweep moved the field by "
-            r"\S+ and the front by \S+ \(relative; picard_tol = 1e-10\)$",
+            match=r"within 1 iterations at step 0, t = 0\.011455688476562502: the last iteration "
+            r"moved the field by \S+ and the front by \S+ \(relative; picard_tol = 1e-10\)$",
         ):
-            run_oracle_for(solve_problem(unit_material(100.0, 10.0, 0.1), BD, NoSource()), cfg)
+            run_oracle_for(solve_problem(unit_material(), BD, NoSource()), cfg)
+
+    # The Picard iteration's lagged front update diverged at the first step
+    # of Ste = 100, delta = 10, p = 0.1 for every source.
+    @pytest.mark.parametrize(
+        "cfg",
+        [OracleConfig(n_space=48, n_time=128), OracleConfig()],
+        ids=["48x128", "default"],
+    )
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_SOURCES))
+    def test_large_ste_small_p_corner_converges(self, kind, cfg):
+        sol = solve_problem(unit_material(100.0, 10.0, 0.1), BD, GOLDEN_SOURCES[kind])
+        results = oracle_checks(sol, cfg)
+        assert [r.name for r in results] == ["oracle_front_rel_err", "oracle_temp_max_err"]
+        assert all(r.passed for r in results)
 
     def test_coarse_first_step_converges_at_large_ste(self):
         # With uniform time steps the first step moved this front by about
@@ -454,7 +500,7 @@ class TestCompare:
         fields = np.array(
             [temperature(classical_sol, xi * s, t) for s, t in zip(front, times)], dtype=float
         )
-        run = OracleRun(cfg, classical_sol, front, fields)
+        run = OracleRun(cfg, problem_of(classical_sol), classical_sol, front, fields)
         assert run.front_rel_err == 0.0
         assert run.temp_max_err <= 1e-12
         assert compare(classical_sol, run) == (run.front_rel_err, run.temp_max_err)
@@ -468,10 +514,11 @@ class TestCompare:
         cfg = OracleConfig(n_space=64, n_time=16)
         rows = cfg.n_time + 1
         shape = (rows, cfg.n_space)
+        problem = problem_of(classical_sol)
         with pytest.raises(FrontCollapse):
-            OracleRun(cfg, classical_sol, np.linspace(0.2, 0.1, rows), np.zeros(shape))
+            OracleRun(cfg, problem, classical_sol, np.linspace(0.2, 0.1, rows), np.zeros(shape))
         with pytest.raises(InvalidInput):
-            OracleRun(cfg, classical_sol, np.linspace(0.1, 0.2, rows), np.full(shape, 2.0))
+            OracleRun(cfg, problem, classical_sol, np.linspace(0.1, 0.2, rows), np.full(shape, 2.0))
 
     @pytest.mark.parametrize(
         "front_rows, field_shape",
@@ -484,7 +531,7 @@ class TestCompare:
         front = np.linspace(0.1, 0.2, front_rows)
         fields = np.zeros(field_shape)
         with pytest.raises(InvalidInput) as info:
-            OracleRun(cfg, classical_sol, front, fields)
+            OracleRun(cfg, problem_of(classical_sol), classical_sol, front, fields)
         assert str(front.shape) in str(info.value)
         assert str(fields.shape) in str(info.value)
 
@@ -497,12 +544,13 @@ class TestCompare:
         assert steps == pytest.approx(np.full(cfg.n_time, steps.mean()), rel=1e-12)
         np.testing.assert_array_equal(xi, np.linspace(0.0, 1.0, cfg.n_space))
 
-    def test_run_derives_grid(self, classical_run):
+    def test_run_derives_grid(self, classical_sol, classical_run):
         xi, times = oracle._grid(classical_run.config)
         np.testing.assert_array_equal(classical_run.xi, xi)
         np.testing.assert_array_equal(classical_run.times, times)
         init = {f.name for f in dataclasses.fields(OracleRun) if f.init}
-        assert init == {"config", "solution", "front", "fields"}
+        assert init == {"config", "problem", "solution", "front", "fields"}
+        assert classical_run.problem == problem_of(classical_sol)
 
     def test_replaced_solution_is_compared(self, classical_sol, classical_run):
         # The errors follow the stored solution: replacing it with one at
@@ -511,6 +559,22 @@ class TestCompare:
         moved = dataclasses.replace(classical_run, solution=other)
         assert moved.front is classical_run.front
         assert (moved.front_rel_err, moved.temp_max_err) == compare(other, classical_run)
+
+    def test_replaced_with_other_problem_rejected(self, classical_run):
+        # The run keeps the problem it was stepped from, so pairing its
+        # Ste = 1 trajectory with the Ste = 2 solution is refused, as
+        # compare refuses it.
+        other = solve_problem(unit_material(ste=2.0, delta=1e-12), BD, NoSource())
+        with pytest.raises(MismatchedProblem):
+            dataclasses.replace(classical_run, solution=other)
+        with pytest.raises(MismatchedProblem):
+            OracleRun(
+                classical_run.config,
+                classical_run.problem,
+                other,
+                classical_run.front,
+                classical_run.fields,
+            )
 
     def test_one_compare_per_run(self, classical_sol, monkeypatch):
         # The errors come from one call of the module's compare, the call a
@@ -531,11 +595,10 @@ class TestCompare:
 def separate_spatial_operator(stepper, u, s, sdot, t):
     """c rho xi (s'/s) u_xi + (1/s^2)(k u_xi)_xi - H at interior nodes.
 
-    The old-time half as its own formula: central advection of u, diffusion
-    as the second difference of the Kirchhoff variable
+    The operator as its own formula: central advection of u, diffusion as
+    the second difference of the Kirchhoff variable
     w = span (y + delta/(p+1) y^{p+1}), and H from the discrete face
-    gradient.  It equals the secant form wherever y stays in [0, 1] and no
-    two neighbouring nodes merge.
+    gradient.
     """
     mat, h, xi_inner = stepper.mat, stepper.h, stepper.xi[1:-1]
     y = (u - stepper.bd.theta_f) / stepper.span
@@ -549,24 +612,43 @@ def separate_spatial_operator(stepper, u, s, sdot, t):
 
 
 def old_time_half(stepper, v, s, t):
-    """The old-time half of the bands at (v, s, t), the separate formula, and
-    the size of the largest sum of the bands' terms."""
+    """The old-time half of a step from (v, s, t), divided by its weight
+    1 - theta_scheme, the separate formula, and the size of the largest sum
+    of the operator's terms."""
+    level = stepper._old_level(v, s, t, t + 1e-3)
+    value = level.value / (1.0 - stepper.cfg.theta_scheme)
     coeffs = stepper._coefficients(v)
-    sdot = stepper.front_speed(coeffs[2], s)
-    _, lo, mid, hi, h_src = stepper._operator(v, coeffs, s, sdot, t)
-    rounding = 4.0 * np.finfo(float).eps * (np.abs(lo) + np.abs(hi))
-    assert np.all(np.abs(mid - (lo + hi)) <= rounding)
-    terms = (lo * (v[:-2] - v[1:-1]), hi * (v[2:] - v[1:-1]), -h_src)
+    _, rho_c, grad, diffused, h_src = stepper._operator(v, coeffs, s, level.sdot, t)
+    terms = (rho_c * grad * (level.sdot / s), diffused, -h_src)
     term_scale = float(np.max(sum(np.abs(term) for term in terms)))
-    return sum(terms), separate_spatial_operator(stepper, v, s, sdot, t), term_scale
+    return value, separate_spatial_operator(stepper, v, s, level.sdot, t), term_scale
 
 
-def secant_and_mean(stepper, y):
-    """The interface factor of the oracle and the mean of its node factors."""
-    u = stepper.bd.theta_f + stepper.span * y
-    coeffs = stepper._coefficients(u)
-    fac = coeffs[1]
-    return stepper._conductivity(coeffs) / stepper.mat.k0, 0.5 * (fac[:-1] + fac[1:])
+def step_equations(stepper, u, s, old):
+    """The residual at the interior nodes and the Stefan residual at (u, s)."""
+    _, _, _, cols, stefan, _, _ = stepper._linearize(u, s, old)
+    return cols[0].copy(), stefan
+
+
+def central_jacobian(stepper, u, s, old):
+    """Central differences of step_equations in the interior u and in s."""
+    m = u.size - 2
+    jac, row = np.empty((m, m)), np.empty(m)
+    du = 1e-6 * stepper.span
+    for j in range(m):
+        plus, minus = u.copy(), u.copy()
+        plus[j + 1] += du
+        minus[j + 1] -= du
+        (r_plus, s_plus), (r_minus, s_minus) = (
+            step_equations(stepper, x, s, old) for x in (plus, minus)
+        )
+        jac[:, j] = (r_plus - r_minus) / (2.0 * du)
+        row[j] = (s_plus - s_minus) / (2.0 * du)
+    ds = 1e-6 * s
+    (r_plus, s_plus), (r_minus, s_minus) = (
+        step_equations(stepper, u, x, old) for x in (s + ds, s - ds)
+    )
+    return jac, row, (r_plus - r_minus) / (2.0 * ds), (s_plus - s_minus) / (2.0 * ds)
 
 
 # A dimensional problem whose temperatures sit near 273 K, where an operator
@@ -613,33 +695,41 @@ class TestOperator:
             got, want, term_scale = old_time_half(stepper, v, s, t)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * term_scale)
 
-    @pytest.mark.parametrize("p", [0.7, 2.5])
-    def test_secant_tends_to_mean_factor(self, p):
-        # Nodes dy apart near y = 0.3: the secant of Phi is the mean of the
-        # factor over the interval, so it differs from the mean of the two
-        # node factors by f'' dy^2 / 12, and below the merge gap it is the mean.
-        cfg = OracleConfig(n_space=16)
-        stepper = oracle._Stepper(unit_material(delta=2.0, p=p), BD, NoSource(), cfg)
-        gaps = []
-        for dy in (1e-2, 1e-3, 1e-4):
-            secant, mean = secant_and_mean(stepper, 0.3 + dy * np.arange(cfg.n_space))
-            gaps.append(float(np.max(np.abs(secant - mean))))
-        assert gaps[1] <= gaps[0] / 50.0
-        assert gaps[2] <= gaps[1] / 50.0
-        merged = 0.3 + 0.5 * oracle._MERGED_DY * np.arange(cfg.n_space)
-        secant, mean = secant_and_mean(stepper, merged)
-        np.testing.assert_array_equal(secant, mean)
-
-    @pytest.mark.parametrize("delta", [1e-3, 1.0, 10.0])
-    def test_secant_is_mean_factor_at_p_one(self, delta):
-        # At p = 1 the factor is linear in y, so its secant mean is the mean
-        # of its end values; only the rounding of Phi differences remains.
-        cfg = OracleConfig(n_space=64)
-        stepper = oracle._Stepper(unit_material(delta=delta, p=1.0), BD, NoSource(), cfg)
-        y = np.sort(np.random.default_rng(5).random(cfg.n_space))[::-1]
-        secant, mean = secant_and_mean(stepper, y)
-        rounding = 4.0 * np.finfo(float).eps * (1.0 + delta) * (1.0 + 1.0 / np.abs(np.diff(y)))
-        assert np.all(np.abs(secant - mean) <= rounding)
+    @pytest.mark.parametrize("theta_scheme", [0.5, 1.0])
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_SOURCES))
+    def test_jacobian_matches_central_differences(self, kind, theta_scheme):
+        # At states perturbed off the similarity solution, each block of the
+        # Newton Jacobian matches central differences of the step's
+        # equations: the tridiagonal part (with the feedback source's
+        # face-gradient coupling, col_g times face_row), the front column
+        # and d_ss, and the Stefan row, which is zero but on the last three
+        # interior nodes.  p = 0.7 keeps Phi'' far from constant.
+        sol = solve_problem(unit_material(delta=2.0, p=0.7), BD, GOLDEN_SOURCES[kind])
+        cfg = OracleConfig(n_space=16, n_time=16, theta_scheme=theta_scheme)
+        stepper = oracle._Stepper(sol.material, sol.boundary, sol.source, cfg)
+        t0, t1 = stepper.times[3], stepper.times[4]
+        s0 = front_position(sol, t0)
+        old = stepper._old_level(temperature(sol, stepper.xi * s0, t0), s0, t0, t1)
+        s1 = front_position(sol, t1)
+        exact = temperature(sol, stepper.xi * s1, t1)
+        rng = np.random.default_rng(3)
+        m = cfg.n_space - 2
+        for _ in range(3):
+            s = s1 * rng.uniform(0.97, 1.03)
+            u = exact.copy()
+            u[1:-1] += 0.01 * stepper.span * rng.uniform(-1.0, 1.0, m)
+            lower, diag, upper, cols, _, row_s, d_ss = stepper._linearize(u, s, old)
+            jac = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+            if kind == "feedback":
+                jac[:, :2] += np.outer(cols[2], stepper.face_row)
+            else:
+                assert cols.shape == (2, m)
+            row = np.zeros(m)
+            row[-3:] = row_s
+            fd_jac, fd_row, fd_col, fd_d_ss = central_jacobian(stepper, u, s, old)
+            for got, want in ((jac, fd_jac), (row, fd_row), (cols[1], fd_col)):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-7 * np.max(np.abs(want)))
+            assert d_ss == pytest.approx(fd_d_ss, rel=1e-9)
 
 
 class TestIndependence:
