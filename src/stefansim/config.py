@@ -228,10 +228,10 @@ def reduced_problem(
     Raises:
         ConfigError: An unknown kind, or a coupling given to another kind
             than feedback or missing for it.
-        InvalidInput: ste or another parameter violates a model invariant.
+        InvalidInput: ste, 1/ste or another parameter violates a model invariant.
     """
     spec = _source_spec(kind)
-    latent_heat = 1.0 / _require_positive("ste", ste)
+    latent_heat = _require_positive("1/ste", 1.0 / _require_positive("ste", ste))
     material = Material(rho=1.0, c0=1.0, k0=1.0, latent_heat=latent_heat, delta=delta, p=p)
     boundary = BoundaryData(theta0=1.0, theta_f=0.0)
     if not fields(spec):

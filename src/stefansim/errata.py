@@ -34,7 +34,7 @@ from dataclasses import replace
 
 from .model import SimilaritySource
 from .numerics import SQRT_PI, Tolerance, DEFAULT_TOL, erf
-from .similarity import _EXP_ARG_LIMIT, LambdaEquation, PsiProfile, solve_lambda, source_model
+from .similarity import LambdaEquation, PsiProfile, solve_lambda, source_model
 
 
 def variant_psi_front_term_flipped(
@@ -56,11 +56,9 @@ def variant_psi_front_term_flipped(
 def variant_lambda_equation_exponential(
     ste: float, delta: float, p: float
 ) -> LambdaEquation:
-    """Variant B: circulated closed-form front equation for the exponential source."""
+    """Variant B: circulated exponential-source front equation, +inf past overflow."""
 
     def evaluate(x: float) -> float:
-        if x * x > _EXP_ARG_LIMIT:
-            return math.inf
         return (-math.expm1(-x * x)) / ste + (SQRT_PI / ste) * x * math.erf(x) * (
             math.exp(x * x) - 1.0
         )

@@ -310,14 +310,14 @@ def integrate_cumulative(
         [points[0], points[i]].
 
     Raises:
-        InvalidInput: points is not ascending.
+        InvalidInput: points is not finite and ascending.
         MaxSubdivisionsExceeded: As for integrate.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1 or pts.size < 1:
-        raise InvalidInput("points must be a 1-D array with at least one entry")
+    if pts.ndim != 1 or pts.size < 1 or not np.isfinite(pts).all():
+        raise InvalidInput("points must be a finite 1-D array with at least one entry")
     lens = np.diff(pts)
-    if np.any(lens < 0.0):
+    if (lens < 0.0).any():
         raise InvalidInput("points must be ascending")
     seg_vals = np.zeros(lens.size)
     live = lens > 0.0

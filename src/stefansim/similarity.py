@@ -45,7 +45,8 @@ beta(eta) = e^{-eta^2}/2 every integral collapses:
 
 Each reduced equation has a strictly increasing left-hand side, so lam is
 the unique root, and the sign-changing bracket that the Brent-Dekker solve
-keeps around it is a proof of existence in the computed interval.
+keeps around it is a proof of existence in the computed interval.  An
+e^{x^2} that overflows reads +inf, so the proof holds up to lam^2 ~ 709.78.
 
 The per-source formulas live on one SourceModel subclass per source kind;
 source_model is the only place that maps a source spec to its formulas, and
@@ -57,6 +58,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import dawsn
@@ -78,6 +80,7 @@ from .numerics import (
     Bracket,
     Tolerance,
     _call_vectorized,
+    _eval_clipped,
     erf,
     find_root_increasing,
     integrate,
@@ -91,10 +94,6 @@ PSI_CLAMP_SLACK = 1e-9
 # Seed bracket for every front-coefficient solve; find_root_increasing
 # expands it as needed.
 LAMBDA_SEED = Bracket(1e-8, 1.0)
-
-# exp(x^2) overflows a double past x^2 ~ 709; treat anything near that as
-# +inf so root bracketing sees a clean, monotone blow-up.
-_EXP_ARG_LIMIT = 700.0
 
 # Quadrature budget used inside profile kernels and equation evaluations.
 _QUAD_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=200)
@@ -210,7 +209,7 @@ class LambdaEquation:
     """Reduced transcendental equation phi(x) = target for the front coefficient.
 
     Attributes:
-        evaluate: Strictly increasing left-hand side on x > 0.
+        evaluate: Strictly increasing left-hand side on x > 0; +inf where it overflows.
         target: Right-hand side 1 + delta/(p+1).
         label: Human-readable equation name for error messages.
     """
@@ -218,6 +217,9 @@ class LambdaEquation:
     evaluate: Callable[[float], float]
     target: float
     label: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "evaluate", partial(_eval_clipped, self.evaluate))
 
 
 def solve_lambda(eq: LambdaEquation, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -257,8 +259,6 @@ class PsiProfile:
     def evaluate_many(self, etas) -> np.ndarray:
         arr = np.asarray(etas, dtype=float)
         flat = arr.ravel()
-        if flat.size == 0:
-            return arr.astype(float).copy()
         slack = 1e-9 * max(1.0, self.lam)
         # Written so that NaN fails it too.
         if not np.all((flat >= -slack) & (flat <= self.lam + slack)):
@@ -292,7 +292,7 @@ class SourceModel:
 
     * equation: reduced equation whose root is the front coefficient lam;
     * psi(lam): integrated profile Psi at front coefficient lam, carrying
-      the fixed-face slope y'(0) as psi(lam).y_prime0;
+      the fixed-face slope y'(0) as psi(lam).y_prime0 (InvalidInput past overflow);
     * ode_rhs(etas, y_prime0): right-hand side r(eta) of the reduced ODE;
     * heat_source(material, eta, t, face_gradient): physical source H at
       similarity coordinates eta and time t, given the fixed-face
@@ -313,6 +313,12 @@ class SourceModel:
             self._lhs, 1.0 + delta / (p + 1.0), f"front equation ({self.label})"
         )
 
+    def psi(self, lam: float) -> PsiProfile:
+        try:
+            return self._psi(lam)
+        except OverflowError:
+            raise InvalidInput(f"lam = {lam!r} is too large: e^(lam^2) overflows") from None
+
 
 class _NoSourceModel(SourceModel):
     """r = 0: (sqrt(pi)/Ste) x erf(x) e^{x^2} = 1 + delta/(p+1)."""
@@ -320,11 +326,9 @@ class _NoSourceModel(SourceModel):
     label = "no source"
 
     def _lhs(self, x: float) -> float:
-        if x * x > _EXP_ARG_LIMIT:
-            return math.inf
         return (SQRT_PI / self.ste) * x * math.erf(x) * math.exp(x * x)
 
-    def psi(self, lam: float) -> PsiProfile:
+    def _psi(self, lam: float) -> PsiProfile:
         target = self.equation.target
         coeff = (SQRT_PI / self.ste) * lam * math.exp(lam * lam)
         slope = -(2.0 / (self.ste * (1.0 + self.delta))) * (lam * math.exp(lam * lam))
@@ -362,8 +366,6 @@ class _SimilarityModel(SourceModel):
         super().__init__(source, ste, delta, p)
 
     def _lhs(self, x: float) -> float:
-        if x * x > _EXP_ARG_LIMIT:
-            return math.inf
         head = (SQRT_PI / self.ste) * x * math.erf(x) * math.exp(x * x)
         return head + (2.0 * SQRT_PI / self.ste) * integrate(
             self._f_bee, 0.0, x, _QUAD_TOL
@@ -375,10 +377,11 @@ class _SimilarityModel(SourceModel):
     def _f_bee(self, z: np.ndarray) -> np.ndarray:
         return self.beta(z) * np.exp(z * z) * erf(z)
 
-    def psi(self, lam: float) -> PsiProfile:
+    def _psi(self, lam: float) -> PsiProfile:
         target, ste = self.equation.target, self.ste
-        ibe_lam = integrate(self._f_be, 0.0, lam, _QUAD_TOL)
-        b_coeff = lam * math.exp(lam * lam) + 2.0 * ibe_lam
+        # math.exp raises OverflowError before the quadrature can overflow in numpy.
+        head = lam * math.exp(lam * lam)
+        b_coeff = head + 2.0 * integrate(self._f_be, 0.0, lam, _QUAD_TOL)
         slope = -(2.0 / (ste * (1.0 + self.delta))) * b_coeff
 
         def kernel(pts: np.ndarray) -> np.ndarray:
@@ -410,13 +413,11 @@ class _ExponentialModel(_SimilarityModel):
     label = "exponential source"
 
     def _lhs(self, x: float) -> float:
-        if x * x > _EXP_ARG_LIMIT:
-            return math.inf
         return (SQRT_PI / self.ste) * x * math.erf(x) * (math.exp(x * x) + 1.0) + math.expm1(
             -x * x
         ) / self.ste
 
-    def psi(self, lam: float) -> PsiProfile:
+    def _psi(self, lam: float) -> PsiProfile:
         target, ste = self.equation.target, self.ste
         coeff = (SQRT_PI / ste) * lam * (math.exp(lam * lam) + 1.0)
         slope = -(2.0 / (ste * (1.0 + self.delta))) * lam * (math.exp(lam * lam) + 1.0)
@@ -460,7 +461,7 @@ class _FeedbackModel(SourceModel):
             self.ste * self._den(x)
         )
 
-    def psi(self, lam: float) -> PsiProfile:
+    def _psi(self, lam: float) -> PsiProfile:
         feedback, erf_coeff, target = self.feedback, self._erf_coeff, self.equation.target
         slope = -2.0 * lam / (self.ste * self._den(lam))
 

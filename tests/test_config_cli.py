@@ -562,8 +562,13 @@ SWEEP_NO_BASE = DIMLESS_EXP.replace("problem.ste = 1.0\n", "") + "sweep.ste = 0.
             ["solve"],
             "ste must be a finite positive number, got 0.0",
         ),
+        (
+            DIMLESS_EXP.replace("problem.ste = 1.0", "problem.ste = 1e-310"),
+            ["solve"],
+            "1/ste must be a finite positive number, got inf",
+        ),
     ],
-    ids=["t-nan", "t-inf", "t-empty", "solve-sweep-config", "workers-0", "ste-zero"],
+    ids=["t-nan", "t-inf", "t-empty", "solve-sweep-config", "workers-0", "ste-zero", "ste-tiny"],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, text, argv, message):
     cfg = write_cfg(tmp_path, text)

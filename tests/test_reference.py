@@ -12,6 +12,7 @@ tests only read the files; `python tools/mp_reference.py --check`
 recomputes them.
 """
 
+import itertools
 import json
 from pathlib import Path
 
@@ -43,6 +44,16 @@ CUSTOM_SOURCE = SimilaritySource(lambda eta: 0.5 * (1.0 + eta) * np.exp(-eta * e
 
 LAM_REL_TOL = 1e-11
 PSI_ABS_TOL = 1e-10
+
+# (Ste, delta, p) rows of the closed-form and custom-beta tables: the 8
+# acceptance-grid corners, the unit case, and two roots with lam^2 just
+# below the overflow of e^{lam^2} (about 701 and 703).
+CLOSED_ROWS = {
+    *itertools.product((0.1, 5.0), (0.1, 5.0), (0.5, 3.0)),
+    (1.0, 1.0, 1.0),
+    (1e306, 1.0, 1.0),
+    (1e307, 1.0, 1.0),
+}
 
 
 def solve_case(case, source=None):
@@ -88,8 +99,8 @@ def test_perturbed_lam_fails(case):
 
 def test_closed_table_covers_acceptance_corners():
     for source in CLOSED_SOURCES:
-        rows = {(c["ste"], c["delta"], c["p"]) for c in CLOSED_CASES if c["source"] == source}
-        assert len(rows) == 9 and (1.0, 1.0, 1.0) in rows
+        rows = [(c["ste"], c["delta"], c["p"]) for c in CLOSED_CASES if c["source"] == source]
+        assert len(rows) == len(CLOSED_ROWS) and set(rows) == CLOSED_ROWS
 
 
 @pytest.mark.parametrize("case", CLOSED_CASES, ids=CLOSED_IDS)
@@ -104,8 +115,8 @@ def test_closed_form_matches_reference(case):
 
 
 def test_custom_table_covers_acceptance_corners():
-    rows = {(c["ste"], c["delta"], c["p"]) for c in CUSTOM_CASES}
-    assert len(rows) == 9 and (1.0, 1.0, 1.0) in rows
+    rows = [(c["ste"], c["delta"], c["p"]) for c in CUSTOM_CASES]
+    assert len(rows) == len(CLOSED_ROWS) and set(rows) == CLOSED_ROWS
 
 
 @pytest.mark.parametrize("case", CUSTOM_CASES, ids=CUSTOM_IDS)

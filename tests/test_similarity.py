@@ -13,8 +13,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.special import dawsn
 
-from stefansim.checks import run_checks
+from stefansim.checks import LAMBDA_RESIDUAL_TOL, run_checks
+from stefansim.errata import variant_lambda_equation_exponential
 from stefansim.errors import InvalidInput, OutOfRange
 from stefansim.model import (
     BoundaryData,
@@ -52,6 +54,11 @@ FEEDBACK = FluxFeedbackSource(lambda0=0.5)
 
 # A smooth custom source with no closed form in the solver.
 CUSTOM_BETA = lambda eta: 0.5 * (1.0 + eta) * np.exp(-eta * eta)
+
+# The exponential source's beta, taken through the quadrature formulas.
+HALF_GAUSSIAN = SimilaritySource(lambda eta: 0.5 * np.exp(-eta * eta))
+E_SOURCES = [NoSource(), ExponentialSource(), HALF_GAUSSIAN]
+E_SOURCE_IDS = ["none", "exponential", "custom"]
 
 
 def unit_material(ste: float, delta: float, p: float) -> Material:
@@ -133,6 +140,17 @@ class TestLambdaEquations:
         eq = source_model(ExponentialSource(), 2.0, 0.5, 1.5).equation
         lam = solve_lambda(eq)
         assert abs(eq.evaluate(lam) - eq.target) <= 1e-10
+
+    @pytest.mark.parametrize("ste", [4e305, 1e306, 1e307])
+    @pytest.mark.parametrize("source", E_SOURCES, ids=E_SOURCE_IDS)
+    def test_root_near_overflow(self, source, ste):
+        # lam^2 lies in (700, 709.78): e^{lam^2} is still a double, so the
+        # bracket must close on the root, not on a jump below it.
+        eq = source_model(source, ste, 1.0, 1.0).equation
+        lam = solve_lambda(eq)
+        assert lam * lam > 700.0
+        assert abs(eq.evaluate(lam) - eq.target) <= LAMBDA_RESIDUAL_TOL
+        assert math.isfinite(eq.evaluate(26.55))
 
     def test_target_is_phi_at_one(self):
         eq = source_model(NoSource(), 1.0, 3.0, 2.0).equation
@@ -450,6 +468,10 @@ def _unit_front_lhs(source, x):
     return source_model(source, 1.0, 1.0, 1.0).equation.evaluate(x)
 
 
+def _unit_psi(source, lam):
+    return source_model(source, 1.0, 1.0, 1.0).psi(lam)
+
+
 @pytest.mark.parametrize(
     "call, expected",
     [
@@ -462,10 +484,18 @@ def _unit_front_lhs(source, x):
         (lambda: OracleConfig(picard_tol=0.0), InvalidInput),
         (lambda: find_root_increasing(lambda x: x, 0.5, Bracket(0.0, 1.0)), InvalidInput),
         (lambda: integrate_cumulative(lambda z: z, np.zeros((2, 2))), InvalidInput),
-        # Past _EXP_ARG_LIMIT the e^{x^2} front equations read +inf.
+        (lambda: integrate_cumulative(dawsn, np.array([0.0, math.nan, 1.0])), InvalidInput),
+        (lambda: integrate_cumulative(dawsn, np.array([0.0, 1.0, math.nan])), InvalidInput),
+        # Where e^{x^2} overflows a double the e^{x^2} front equations read
+        # +inf, and a profile at such a lam is refused.
         (lambda: _unit_front_lhs(NoSource(), 30.0), math.inf),
         (lambda: _unit_front_lhs(ExponentialSource(), 30.0), math.inf),
         (lambda: _unit_front_lhs(SimilaritySource(CUSTOM_BETA), 30.0), math.inf),
+        (lambda: variant_lambda_equation_exponential(1.0, 1.0, 1.0).evaluate(30.0), math.inf),
+        (lambda: _unit_psi(NoSource(), 27.0), InvalidInput),
+        (lambda: _unit_psi(ExponentialSource(), 27.0), InvalidInput),
+        (lambda: dataclasses.replace(_unit_solution(), lam=27.0), InvalidInput),
+        (lambda: _unit_psi(SimilaritySource(CUSTOM_BETA), 27.0), InvalidInput),
         # Integer fields reject floats up front, not deep inside a run.
         (lambda: OracleConfig(n_space=64.0), InvalidInput),
         (lambda: OracleConfig(n_time=256.0), InvalidInput),
@@ -479,8 +509,10 @@ def _unit_front_lhs(source, x):
     ids=[
         "phi_map-negative", "phi_inverse_quadratic-below-range", "source_model-unknown-spec",
         "y_many-empty", "similarity_coordinate-t0", "boundary-nan", "oracle-picard_tol-0",
-        "find_root-lo-0", "integrate_cumulative-2d", "none-front-inf", "exponential-front-inf",
-        "custom-front-inf", "oracle-n_space-float", "oracle-n_time-float",
+        "find_root-lo-0", "integrate_cumulative-2d", "integrate_cumulative-nan-inside",
+        "integrate_cumulative-nan-last", "none-front-inf", "exponential-front-inf",
+        "custom-front-inf", "errata-B-front-inf", "none-psi-overflow", "exponential-psi-overflow",
+        "exponential-replace-overflow", "custom-psi-overflow", "oracle-n_space-float", "oracle-n_time-float",
         "oracle-picard_max_iter-float", "tolerance-max_iter-float", "temperature-t-array",
         "similarity_coordinate-t-array", "source_field-t-array",
     ],

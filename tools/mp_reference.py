@@ -93,9 +93,16 @@ CASES = [
     (1e4, 1e3, 20.0, 1.0),
 ]
 
-# (Ste, delta, p) of the closed-form table: the 8 corners of the acceptance
-# grid and the unit case, each for both closed-form sources.
-CLOSED_CASES = [*itertools.product((0.1, 5.0), (0.1, 5.0), (0.5, 3.0)), (1.0, 1.0, 1.0)]
+# (Ste, delta, p) of the closed-form and custom-beta tables: the 8 corners
+# of the acceptance grid, the unit case, and two cases at Ste = 1e306 and
+# 1e307, where lam^2 is about 701 and 703, just below the overflow of
+# e^{lam^2} in a double at 709.78.
+CLOSED_CASES = [
+    *itertools.product((0.1, 5.0), (0.1, 5.0), (0.5, 3.0)),
+    (1.0, 1.0, 1.0),
+    (1e306, 1.0, 1.0),
+    (1e307, 1.0, 1.0),
+]
 
 
 def _split(x):
@@ -124,12 +131,20 @@ def lhs(x, ste, delta, a):
 
 
 def bracketed_root(f):
-    """Root of increasing f, bracketed by doubling and halving from [0.5, 1]."""
+    """Root of increasing f, bracketed by doubling and halving from [0.5, 1].
+
+    Bisection narrows the bracket to a relative width of 1e-6 before the
+    Anderson solve: near lam = 26.5 the e^{x^2} equations change by a factor
+    e^{53} per unit of x, and Anderson from [16, 32] does not converge.
+    """
     lo, hi = mp.mpf("0.5"), mp.mpf(1)
     while f(hi) < 0:
         lo, hi = hi, 2 * hi
     while f(lo) > 0:
         lo, hi = lo / 2, lo
+    while hi - lo > mp.mpf("1e-6") * hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
     return mp.findroot(f, (lo, hi), solver="anderson")
 
 
