@@ -28,7 +28,6 @@ from .model import (
     NoSource,
     SimilaritySource,
 )
-from .numerics import Tolerance
 from .oracle import OracleConfig, OracleRun, run_oracle_for
 from .reconstruct import front_position, temperature
 from .similarity import SimilaritySolution, solve_lambda, solve_problem, source_model
@@ -54,7 +53,6 @@ __all__ = [
     "SimilaritySolution",
     "SimilaritySource",
     "StefanError",
-    "Tolerance",
     "front_position",
     "run_checks",
     "run_oracle_for",

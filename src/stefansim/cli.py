@@ -32,7 +32,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -40,7 +39,6 @@ import numpy as np
 from .checks import run_checks
 from .config import DimensionlessProblem, RunConfig, load_config, reduced_problem
 from .errors import ConfigError, InvalidInput, StefanError
-from .numerics import Tolerance
 from .reconstruct import front_position, similarity_coordinate
 from .similarity import SimilaritySolution, solve_problem
 
@@ -77,7 +75,7 @@ def _solve_from_config(cfg: RunConfig) -> SimilaritySolution:
             "config leaves swept parameters without base values; "
             "only the sweep command accepts it"
         )
-    return solve_problem(cfg.material, cfg.boundary, cfg.source, cfg.tol)
+    return solve_problem(cfg.material, cfg.boundary, cfg.source)
 
 
 def _summary_row(sol: SimilaritySolution) -> tuple[list[str], list[str]]:
@@ -167,7 +165,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_case(problem: DimensionlessProblem, tol: Tolerance) -> list[str]:
+def _sweep_case(problem: DimensionlessProblem) -> list[str]:
     """The sweep.csv row of one case: its parameters, lam, y_prime0, residual, status.
 
     Top-level so process pools can pickle it; never raises, failures are
@@ -177,7 +175,7 @@ def _sweep_case(problem: DimensionlessProblem, tol: Tolerance) -> list[str]:
     row = [_fmt(problem.ste), _fmt(problem.delta), _fmt(problem.p), feedback]
     try:
         material, boundary, source = reduced_problem(**asdict(problem))
-        sol = solve_problem(material, boundary, source, tol)
+        sol = solve_problem(material, boundary, source)
         return row + [_fmt(sol.lam), _fmt(sol.y_prime0), _fmt(abs(sol.lambda_residual())), "ok"]
     except StefanError as exc:
         return row + ["nan", "nan", "nan", f"error: {type(exc).__name__}: {exc}"]
@@ -188,12 +186,11 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("sweep command requires at least one sweep.* key")
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
-    run_case = partial(_sweep_case, tol=cfg.tol)
     if args.workers == 1:
-        rows = [run_case(problem) for problem in cfg.sweep]
+        rows = [_sweep_case(problem) for problem in cfg.sweep]
     else:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(run_case, cfg.sweep))
+            rows = list(pool.map(_sweep_case, cfg.sweep))
     path = _write_csv(
         cfg, args, "sweep.csv",
         ["ste", "delta", "p", "feedback", "lam", "y_prime0", "lambda_residual", "status"],

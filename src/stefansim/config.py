@@ -4,10 +4,10 @@ A config file is a sequence of `key = value` lines with `#` comments.
 Keys are dotted (`material.rho`); unknown or duplicated keys are hard
 errors so a misspelled physics parameter can never silently fall back to
 a default.  Each key is a field of the dataclass it builds and takes its
-type from it: `material.*`, `boundary.*`, `solver.*`, `oracle.*` and
-`source.lambda0` are the fields of Material, BoundaryData, Tolerance,
-OracleConfig and FluxFeedbackSource; `solver.*` and `oracle.*` default to
-their dataclass defaults.  The reduced keys are the fields of
+type from it: `material.*`, `boundary.*`, `oracle.*` and `source.lambda0`
+are the fields of Material, BoundaryData, OracleConfig and
+FluxFeedbackSource; `oracle.*` take the OracleConfig defaults.  No key
+sets a solver tolerance.  The reduced keys are the fields of
 DimensionlessProblem: `problem.ste`, `problem.delta`, `problem.p` and
 `source.feedback`, each with a list key `sweep.<field>`.  They are realized
 as rho = c0 = k0 = 1, theta0 = 1, theta_f = 0, latent_heat = 1/Ste,
@@ -40,7 +40,6 @@ from .model import (
     SourceSpec,
     _require_positive,
 )
-from .numerics import Tolerance
 from .oracle import OracleConfig
 
 # Source kinds a config may name.  Only the flux-feedback spec has a
@@ -84,7 +83,7 @@ _REDUCED_KEYS = [*_BASE_KEYS.values(), *(f"sweep.{name}" for name in _BASE_KEYS)
 _FEEDBACK_KEYS = [*_keys("source", FluxFeedbackSource), _BASE_KEYS["feedback"], "sweep.feedback"]
 _ORACLE_KEYS = _keys("oracle", OracleConfig)
 _KNOWN_KEYS = {
-    *_PHYSICAL_KEYS, *_REDUCED_KEYS, *_keys("solver", Tolerance), *_ORACLE_KEYS,
+    *_PHYSICAL_KEYS, *_REDUCED_KEYS, *_ORACLE_KEYS,
     "source.kind", "problem.dimensionless", "oracle.enabled", "output.dir",
 }
 
@@ -110,7 +109,6 @@ class RunConfig:
     material: Optional[Material]
     boundary: Optional[BoundaryData]
     source: Optional[SourceSpec]
-    tol: Tolerance
     oracle: Optional[OracleConfig]
     sweep: list[DimensionlessProblem]
     out_dir: Optional[str]
@@ -303,7 +301,6 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
         material=material,
         boundary=boundary,
         source=source,
-        tol=Tolerance(**_section(raw, "solver", Tolerance)),
         oracle=OracleConfig(**_section(raw, "oracle", OracleConfig)) if oracle_enabled else None,
         sweep=sweep,
         out_dir=raw.get("output.dir"),

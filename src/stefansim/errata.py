@@ -33,8 +33,8 @@ from collections.abc import Callable
 from dataclasses import replace
 
 from .model import SimilaritySource
-from .numerics import SQRT_PI, Tolerance, DEFAULT_TOL, erf
-from .similarity import LambdaEquation, PsiProfile, solve_lambda, source_model
+from .numerics import SQRT_PI, erf
+from .similarity import LambdaEquation, PsiProfile, source_model
 
 
 def variant_psi_front_term_flipped(
@@ -69,9 +69,3 @@ def variant_lambda_equation_exponential(
         "front equation (exponential source, rejected variant)",
     )
 
-
-def variant_lambda_exponential(
-    ste: float, delta: float, p: float, tol: Tolerance = DEFAULT_TOL
-) -> float:
-    """Root of the rejected exponential-source front equation (Variant B)."""
-    return solve_lambda(variant_lambda_equation_exponential(ste, delta, p), tol)

@@ -20,7 +20,7 @@ similarity front s = 2 lam a sqrt(t) advances by the same amount every
 step and the first steps out of t_start stay short (Landau, 1950).  Each
 step's nonlinear equations in the unknowns (interior field, front) are
 solved by Newton's method, until an update moves the field and the front
-by at most picard_tol (1e-10, relative); a step takes about two
+by at most _NEWTON_TOL = 1e-10 (relative); a step takes about two
 iterations.  The equations are the field's theta-weighted balance at the
 interior nodes and the Stefan condition s - s_old =
 dt (theta s' + (1 - theta) s'_old), with s' from the front gradient.
@@ -29,8 +29,8 @@ s^2, quadratic in the step index for a similarity front, is extrapolated
 through the last three accepted fronts (the first two steps take an
 explicit Euler front step instead).  The field is not extrapolated: the
 first iteration's front speed would then come from an extrapolated
-gradient, and runs with a loose picard_tol collapse.  A converged step
-matches any other start to the level of picard_tol.
+gradient, and runs with a loose tolerance collapse.  A converged step
+matches any other start to the level of the tolerance.
 
 Space is second order in the Kirchhoff form.  k and c share the factor
 1 + delta y^p, y = (theta - theta_f) / span with span = theta0 - theta_f,
@@ -89,10 +89,6 @@ class OracleConfig:
         t_end: Final time, > t_start.
         theta_scheme: Implicitness weight in [0.5, 1]; 0.5 is
             Crank-Nicolson, 1 backward Euler.
-        picard_tol: Relative stagnation tolerance of each step's Newton
-            iteration: a step is accepted once an update moves the field
-            and the front by at most this much.
-        picard_max_iter: Newton iteration budget per time step.
     """
 
     n_space: int = 64
@@ -100,8 +96,6 @@ class OracleConfig:
     t_start: float = 0.01
     t_end: float = 1.0
     theta_scheme: float = 0.5
-    picard_tol: float = 1e-10
-    picard_max_iter: int = 50
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -118,8 +112,6 @@ class OracleConfig:
             )
         if not 0.5 <= self.theta_scheme <= 1.0:
             raise InvalidInput(f"theta_scheme must be in [0.5, 1], got {self.theta_scheme}")
-        if not (self.picard_tol > 0.0 and self.picard_max_iter >= 1):
-            raise InvalidInput("picard_tol must be > 0 and picard_max_iter >= 1")
 
 
 @dataclass(frozen=True)
@@ -220,6 +212,10 @@ _TINY = np.finfo(float).tiny
 _SOURCE_DS = 1e-8
 # d(front gradient)/d(Phi_j) at nodes n-4, n-3, n-2, times 6h (_front_gradient).
 _FRONT_ROW = np.array([-2.0, 9.0, -18.0])
+# A step is accepted once a Newton update moves the field (relative to the
+# span) and the front by at most _NEWTON_TOL, within _NEWTON_MAX_ITER updates.
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 50
 
 
 class _Level(NamedTuple):
@@ -258,8 +254,8 @@ class _Stepper:
         """y clipped to [0, 1], the factor 1 + delta y^p of k and c, and Phi(y).
 
         Phi(y) = y + delta/(p+1) y^{p+1} is the integral of the factor, so
-        the factor is Phi'(y).  One call per iteration serves the front
-        speed, the operator and the Jacobian.
+        the factor is Phi'(y).  One call per field serves its front speed,
+        operator and Jacobian, in this step and, once accepted, the next.
         """
         y = (u - self.bd.theta_f) / self.span
         # np.clip without its wrapper; a -0.0 that clip would make +0.0
@@ -303,11 +299,12 @@ class _Stepper:
         """
         return -self.mat.k0 * self.span * _front_gradient(phi, self.h) / (self.rho_l * s)
 
-    def _old_level(self, v: np.ndarray, s_old: float, t0: float, t1: float) -> _Level:
-        """What the step from (v, s_old) at t0 to t1 takes from its old level."""
+    def _old_level(
+        self, v: np.ndarray, coeffs: tuple[np.ndarray, ...], s_old: float, t0: float, t1: float
+    ) -> _Level:
+        """What the step from (v, s_old) at t0 to t1 takes from its old level; coeffs are v's."""
         weight = self.cfg.theta_scheme
         dt = t1 - t0
-        coeffs = self._coefficients(v)
         sdot = self.front_speed(coeffs[2], s_old)
         if weight == 1.0:
             # Backward Euler has no old-time terms.
@@ -315,8 +312,10 @@ class _Stepper:
         value, rho_c, *_ = self._operator(v, coeffs, s_old, sdot, t0)
         return _Level(v, s_old, sdot, ((1.0 - weight) / dt) * rho_c, (1.0 - weight) * value, t1, dt)
 
-    def _linearize(self, u: np.ndarray, s: float, old: _Level) -> tuple:
-        """The step's equations at (u, s) and their Jacobian.
+    def _linearize(
+        self, u: np.ndarray, coeffs: tuple[np.ndarray, ...], s: float, old: _Level
+    ) -> tuple:
+        """The step's equations at (u, s) and their Jacobian; coeffs are u's.
 
         The unknowns are the interior field and the front.  The advection
         takes the front speed that the Stefan condition gives s,
@@ -338,7 +337,7 @@ class _Stepper:
         """
         w = self.cfg.theta_scheme
         t, dt = old.t, old.dt
-        coeffs = y, fac, phi = self._coefficients(u)
+        y, fac, phi = coeffs
         sdot = (s - old.s) / (w * dt) - (1.0 - w) / w * old.sdot
         value, rho_c, grad, diffused, source = self._operator(u, coeffs, s, sdot, t)
         du = u[1:-1] - old.v[1:-1]
@@ -402,8 +401,8 @@ class _Stepper:
         return 1.0, ds, -(pivot * g0 + g_s * (a0 - stefan)) / det
 
     def advance(
-        self, v: np.ndarray, fronts: np.ndarray, k: int, t0: float, t1: float
-    ) -> tuple[np.ndarray, float]:
+        self, v: np.ndarray, coeffs: tuple, fronts: np.ndarray, k: int, t0: float, t1: float
+    ) -> tuple[np.ndarray, float, tuple]:
         """Advance step k from (v, fronts[k]) at t0 to t1 by Newton's method.
 
         fronts[:k + 1] are the fronts accepted so far, at times uniform in
@@ -419,11 +418,13 @@ class _Stepper:
         the border columns (the front, and the face gradient of a
         flux-feedback source).  The 1 x 1 or 2 x 2 border that remains is
         solved in closed form (_border).  The step is accepted once an
-        update moves the field and the front by at most picard_tol
+        update moves the field and the front by at most _NEWTON_TOL
         (relative); the accepted front is then the Stefan condition's on
         the accepted field, which moves a converged front by rounding.
+        coeffs is _coefficients(v); the accepted field's are returned with
+        it and its front, for the next step.
 
-        With picard_tol = 1 every step takes one iteration, so the start
+        With a tolerance of 1 every step takes one iteration, so the start
         becomes part of the scheme.  Starts that amplify a step-to-step
         oscillation more strongly then let Crank-Nicolson runs collapse
         that pass from the Euler start: a cubic extrapolation of s (15-fold,
@@ -431,18 +432,17 @@ class _Stepper:
         front speed would come from an extrapolated gradient (an
         Adams-Bashforth-type front update).
         """
-        cfg = self.cfg
         s_old = fronts[k]
-        old = self._old_level(v, s_old, t0, t1)
+        old = self._old_level(v, coeffs, s_old, t0, t1)
         u = v.copy()
         if k >= 2:
             s = math.sqrt(3.0 * s_old**2 - 3.0 * fronts[k - 1] ** 2 + fronts[k - 2] ** 2)
         else:
             s = s_old + old.dt * old.sdot
-        for _ in range(cfg.picard_max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             if s <= 0.0:
                 raise FrontCollapse(f"front position went nonpositive at t = {t1}")
-            lower, diag, upper, cols, stefan, row_s, d_ss = self._linearize(u, s, old)
+            lower, diag, upper, cols, stefan, row_s, d_ss = self._linearize(u, coeffs, s, old)
             try:
                 x = solve_banded(lower, diag, upper, cols.T)
                 weights = self._border(x, stefan, row_s, d_ss)
@@ -452,25 +452,26 @@ class _Stepper:
             ds = weights[1]
             u[1:-1] -= step
             s += ds
+            coeffs = self._coefficients(u)
             moved = float(np.maximum.reduce(np.abs(step))) / self.span
             front_moved = abs(ds) / s
-            if moved <= cfg.picard_tol and front_moved <= cfg.picard_tol:
+            if moved <= _NEWTON_TOL and front_moved <= _NEWTON_TOL:
                 break
         else:
             raise NonConvergence(
-                f"Newton iterations did not stagnate within {cfg.picard_max_iter} "
+                f"Newton iterations did not stagnate within {_NEWTON_MAX_ITER} "
                 f"iterations at step {k}, t = {t1}: the last iteration moved the field "
                 f"by {moved:.3g} and the front by {front_moved:.3g} "
-                f"(relative; picard_tol = {cfg.picard_tol:g})"
+                f"(relative; tolerance {_NEWTON_TOL:g})"
             )
-        weight = cfg.theta_scheme
-        sdot = self.front_speed(self._coefficients(u)[2], s)
+        weight = self.cfg.theta_scheme
+        sdot = self.front_speed(coeffs[2], s)
         s = s_old + old.dt * (weight * sdot + (1.0 - weight) * old.sdot)
         if s <= s_old:
             raise FrontCollapse(
                 f"front failed to advance: s({t1}) = {s} <= s({t0}) = {s_old}"
             )
-        return u, s
+        return u, s, coeffs
 
 
 def run_oracle_for(sol: SimilaritySolution, cfg: OracleConfig) -> OracleRun:
@@ -491,8 +492,10 @@ def run_oracle_for(sol: SimilaritySolution, cfg: OracleConfig) -> OracleRun:
     fields = np.empty((cfg.n_time + 1, cfg.n_space))
     fronts[0] = front_position(sol, cfg.t_start)
     fields[0] = temperature(sol, stepper.xi * fronts[0], cfg.t_start)
+    coeffs = stepper._coefficients(fields[0])
     for k, (t0, t1) in enumerate(zip(stepper.times[:-1], stepper.times[1:])):
-        fields[k + 1], fronts[k + 1] = stepper.advance(fields[k], fronts, k, t0, t1)
+        step = stepper.advance(fields[k], coeffs, fronts, k, t0, t1)
+        fields[k + 1], fronts[k + 1], coeffs = step
     return OracleRun(cfg, problem, sol, fronts, fields)
 
 

@@ -75,7 +75,6 @@ from .model import (
     _require_positive,
 )
 from .numerics import (
-    DEFAULT_TOL,
     SQRT_PI,
     Bracket,
     Tolerance,
@@ -97,6 +96,13 @@ LAMBDA_SEED = Bracket(1e-8, 1.0)
 
 # Quadrature budget used inside profile kernels and equation evaluations.
 _QUAD_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=200)
+
+
+def _finite(value: float) -> float:
+    """value, which a float product may have overflowed to inf: OverflowError then."""
+    if not math.isfinite(value):
+        raise OverflowError
+    return value
 
 
 def _check_groups(ste: float, delta: float, p: float) -> None:
@@ -222,14 +228,14 @@ class LambdaEquation:
         object.__setattr__(self, "evaluate", partial(_eval_clipped, self.evaluate))
 
 
-def solve_lambda(eq: LambdaEquation, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Root of a reduced equation, bracketed from the standard seed.
+def solve_lambda(eq: LambdaEquation) -> float:
+    """Root of a reduced equation, bracketed from the standard seed, at DEFAULT_TOL.
 
     Failures are re-raised with the equation's label attached so callers
     (and CLI users) see which reduced equation could not be solved.
     """
     try:
-        return find_root_increasing(eq.evaluate, eq.target, LAMBDA_SEED, tol)
+        return find_root_increasing(eq.evaluate, eq.target, LAMBDA_SEED)
     except StefanError as exc:
         raise type(exc)(f"solving {eq.label}: {exc}") from exc
 
@@ -292,7 +298,8 @@ class SourceModel:
 
     * equation: reduced equation whose root is the front coefficient lam;
     * psi(lam): integrated profile Psi at front coefficient lam, carrying
-      the fixed-face slope y'(0) as psi(lam).y_prime0 (InvalidInput past overflow);
+      the fixed-face slope y'(0) as psi(lam).y_prime0 (InvalidInput where
+      e^{lam^2}, y'(0) or a coefficient of Psi overflows);
     * ode_rhs(etas, y_prime0): right-hand side r(eta) of the reduced ODE;
     * heat_source(material, eta, t, face_gradient): physical source H at
       similarity coordinates eta and time t, given the fixed-face
@@ -317,7 +324,7 @@ class SourceModel:
         try:
             return self._psi(lam)
         except OverflowError:
-            raise InvalidInput(f"lam = {lam!r} is too large: e^(lam^2) overflows") from None
+            raise InvalidInput(f"lam = {lam!r} is too large: its profile overflows") from None
 
 
 class _NoSourceModel(SourceModel):
@@ -330,8 +337,8 @@ class _NoSourceModel(SourceModel):
 
     def _psi(self, lam: float) -> PsiProfile:
         target = self.equation.target
-        coeff = (SQRT_PI / self.ste) * lam * math.exp(lam * lam)
-        slope = -(2.0 / (self.ste * (1.0 + self.delta))) * (lam * math.exp(lam * lam))
+        coeff = _finite((SQRT_PI / self.ste) * lam * math.exp(lam * lam))
+        slope = _finite(-(2.0 / (self.ste * (1.0 + self.delta))) * (lam * math.exp(lam * lam)))
 
         def kernel(pts: np.ndarray) -> np.ndarray:
             return target - coeff * erf(pts)
@@ -382,7 +389,9 @@ class _SimilarityModel(SourceModel):
         # math.exp raises OverflowError before the quadrature can overflow in numpy.
         head = lam * math.exp(lam * lam)
         b_coeff = head + 2.0 * integrate(self._f_be, 0.0, lam, _QUAD_TOL)
-        slope = -(2.0 / (ste * (1.0 + self.delta))) * b_coeff
+        slope = _finite(-(2.0 / (ste * (1.0 + self.delta))) * b_coeff)
+        # The kernel's erf(eta) coefficient, which it multiplies out per point.
+        _finite((SQRT_PI / ste) * b_coeff)
 
         def kernel(pts: np.ndarray) -> np.ndarray:
             nodes = np.concatenate([[0.0], pts])
@@ -419,8 +428,8 @@ class _ExponentialModel(_SimilarityModel):
 
     def _psi(self, lam: float) -> PsiProfile:
         target, ste = self.equation.target, self.ste
-        coeff = (SQRT_PI / ste) * lam * (math.exp(lam * lam) + 1.0)
-        slope = -(2.0 / (ste * (1.0 + self.delta))) * lam * (math.exp(lam * lam) + 1.0)
+        coeff = _finite((SQRT_PI / ste) * lam * (math.exp(lam * lam) + 1.0))
+        slope = _finite(-(2.0 / (ste * (1.0 + self.delta))) * lam * (math.exp(lam * lam) + 1.0))
 
         def kernel(pts: np.ndarray) -> np.ndarray:
             return target - coeff * erf(pts) - np.expm1(-pts * pts) / ste
@@ -579,10 +588,7 @@ class SimilaritySolution:
 
 
 def solve_problem(
-    material: Material,
-    boundary: BoundaryData,
-    source: SourceSpec,
-    tol: Tolerance = DEFAULT_TOL,
+    material: Material, boundary: BoundaryData, source: SourceSpec
 ) -> SimilaritySolution:
     """Solve a melting problem in similarity form.
 
@@ -590,10 +596,10 @@ def solve_problem(
         material: Liquid-phase constants.
         boundary: Fixed-face and phase-change temperatures.
         source: One of the four source models.
-        tol: Root tolerance for the front coefficient.
 
     Returns:
-        The SimilaritySolution at the root lam of the reduced equation.
+        The SimilaritySolution at the root lam of the reduced equation,
+        solved to numerics.DEFAULT_TOL.
 
     Raises:
         InvalidInput: Malformed problem data.
@@ -601,4 +607,4 @@ def solve_problem(
             coefficient could not be bracketed or resolved.
     """
     model = problem_model(material, boundary, source)
-    return SimilaritySolution(material, boundary, source, solve_lambda(model.equation, tol))
+    return SimilaritySolution(material, boundary, source, solve_lambda(model.equation))

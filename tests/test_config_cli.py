@@ -29,7 +29,6 @@ from stefansim.model import (
     Material,
     NoSource,
 )
-from stefansim.numerics import Tolerance
 from stefansim.similarity import solve_problem, y_from_psi
 
 EXP_LAM_111 = 0.6457803612217943
@@ -56,6 +55,15 @@ source.kind = none
 oracle.enabled = false
 """
 
+# Solver tolerances that were keys and are now constants.
+REMOVED_KEYS = (
+    "solver.abs_tol = 1e-10",
+    "solver.rel_tol = 1e-12",
+    "solver.max_iter = 200",
+    "oracle.picard_tol = 1e-10",
+    "oracle.picard_max_iter = 50",
+)
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -74,10 +82,11 @@ class TestParse:
         assert raw == {"problem.ste": "1.0"}
 
     def test_unknown_key_rejected(self):
-        # solver.table_nodes sized a profile table that no longer exists.
-        for text in ("problem.stf = 1.0\n", "solver.table_nodes = 129\n"):
+        # solver.table_nodes sized a profile table that no longer exists;
+        # REMOVED_KEYS set solver tolerances that are now constants.
+        for line in ("problem.stf = 1.0", "solver.table_nodes = 129", *REMOVED_KEYS):
             with pytest.raises(ConfigError, match="unknown config key"):
-                parse_config_text(text)
+                parse_config_text(line + "\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -95,7 +104,6 @@ class TestParse:
         sections = {
             "material": Material,
             "boundary": BoundaryData,
-            "solver": Tolerance,
             "oracle": oracle.OracleConfig,
         }
         text = "".join(
@@ -103,7 +111,8 @@ class TestParse:
             for section, cls in sections.items()
             for field in dataclasses.fields(cls)
         )
-        assert len(parse_config_text(text)) == 18
+        assert len(parse_config_text(text)) == 13
+        assert len(config._KNOWN_KEYS) == 26
         # The reduced problem's base and sweep keys, from its fields' metadata.
         reduced = [f for f in dataclasses.fields(DimensionlessProblem) if f.name != "kind"]
         derived = {f"{f.metadata.get('section', 'problem')}.{f.name}" for f in reduced}
@@ -176,10 +185,9 @@ class TestBuild:
         with pytest.raises(InvalidInput, match="theta0"):
             build_run_config(parse_config_text(text))
 
-    def test_solver_and_oracle_defaults_are_the_dataclass_defaults(self):
+    def test_oracle_defaults_are_the_dataclass_defaults(self):
         text = DIMLESS_EXP.replace("oracle.enabled = false\n", "")
         cfg = build_run_config(parse_config_text(text))
-        assert cfg.tol == Tolerance()
         assert cfg.oracle == oracle.OracleConfig()
 
     def test_missing_file(self):
@@ -349,8 +357,8 @@ class TestSolveCommand:
         assert a == b
 
     def test_exit_2_on_bad_config(self, tmp_path, capsys):
-        for line in ("problem.bogus = 1\n", "solver.table_nodes = 129\n"):
-            cfg = write_cfg(tmp_path, DIMLESS_EXP + line)
+        for line in ("problem.bogus = 1", "solver.table_nodes = 129", *REMOVED_KEYS):
+            cfg = write_cfg(tmp_path, DIMLESS_EXP + line + "\n")
             assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
             assert "unknown config key" in capsys.readouterr().err
 
@@ -371,7 +379,6 @@ class TestSolveCommand:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("solver.max_iter = 2.5", "not an integer"),
             ("oracle.n_space = 1e3", "not an integer"),
             ("oracle.t_end = inf", "must be finite"),
         ],
@@ -418,7 +425,7 @@ class TestProfileCommand:
                 assert theta == pytest.approx(y, rel=0, abs=1e-15)  # unit span
         # The y column is the exact profile at the printed eta, digit for digit.
         run = load_config(cfg)
-        sol = solve_problem(run.material, run.boundary, run.source, run.tol)
+        sol = solve_problem(run.material, run.boundary, run.source)
         for t_block in ("0.25", "1"):
             block = [row for row in rows[1:] if row[0] == t_block]
             etas = np.array([float(row[2]) for row in block])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from stefansim.errata import (
-    variant_lambda_exponential,
+    variant_lambda_equation_exponential,
     variant_psi_front_term_flipped,
 )
 from stefansim.model import BoundaryData, ExponentialSource, Material, SimilaritySource
@@ -72,7 +72,7 @@ class TestFrontTermSign:
 
 class TestExponentialFrontEquation:
     def test_variant_root_far_from_corrected(self, lam):
-        lam_variant = variant_lambda_exponential(STE, DELTA, P)
+        lam_variant = solve_lambda(variant_lambda_equation_exponential(STE, DELTA, P))
         assert abs(lam_variant - lam) / lam > 0.05
         assert lam_variant == pytest.approx(0.8136962525264777, abs=1e-9)
         assert lam == pytest.approx(0.6457803612217943, abs=1e-9)
@@ -82,7 +82,7 @@ class TestExponentialFrontEquation:
         the variant's front at every time, on both of two grid levels."""
         mat = Material(rho=1.0, c0=1.0, k0=1.0, latent_heat=1.0, delta=DELTA, p=P)
         sol = solve_problem(mat, BoundaryData(theta0=1.0, theta_f=0.0), ExponentialSource())
-        lam_variant = variant_lambda_exponential(STE, DELTA, P)
+        lam_variant = solve_lambda(variant_lambda_equation_exponential(STE, DELTA, P))
         for n_space, n_time in ((64, 256), (128, 1024)):
             run = run_oracle_for(sol, OracleConfig(n_space=n_space, n_time=n_time))
             assert run.front_rel_err <= 0.02
@@ -92,8 +92,6 @@ class TestExponentialFrontEquation:
 
     def test_variant_equation_shape(self):
         # At the corrected root the variant equation misses the target.
-        from stefansim.errata import variant_lambda_equation_exponential
-
         eq = variant_lambda_equation_exponential(STE, DELTA, P)
         corrected_root = solve_lambda(EXPONENTIAL.equation)
         assert abs(eq.evaluate(corrected_root) - eq.target) > 0.1

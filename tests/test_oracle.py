@@ -217,15 +217,27 @@ class TestSweepCounter:
         sol = solve_problem(unit_material(), BD, FluxFeedbackSource(lambda0=0.5))
         cfg = OracleConfig(n_space=64, n_time=256, theta_scheme=theta_scheme)
         plain = run_oracle_for(sol, cfg)
+        passes = [0]
+        coefficients = oracle._Stepper._coefficients
+
+        def counting_coefficients(stepper, u):
+            passes[0] += 1
+            return coefficients(stepper, u)
+
+        monkeypatch.setattr(oracle._Stepper, "_coefficients", counting_coefficients)
         run, per_step = self.counted_run(monkeypatch, sol, cfg)
         assert len(per_step) == cfg.n_time
-        assert all(1 <= k <= cfg.picard_max_iter for k in per_step)
+        assert all(1 <= k <= oracle._NEWTON_MAX_ITER for k in per_step)
+        # One coefficient pass for the initial field and one after each
+        # update: a step's old level and first iteration reuse the last.
+        assert passes[0] == 1 + sum(per_step)
         assert run.front.tobytes() == plain.front.tobytes()
         assert run.fields.tobytes() == plain.fields.tobytes()
 
     def test_single_sweep_steps_solve_once(self, monkeypatch, classical_sol):
         # A tolerance every update meets stops each step after one iteration.
-        cfg = OracleConfig(n_space=64, n_time=64, picard_tol=1.0)
+        monkeypatch.setattr(oracle, "_NEWTON_TOL", 1.0)
+        cfg = OracleConfig(n_space=64, n_time=64)
         _, per_step = self.counted_run(monkeypatch, classical_sol, cfg)
         assert per_step == [1] * cfg.n_time
 
@@ -360,19 +372,19 @@ class TestGoldenErrors:
     def test_errors_match_euler_start(self, golden_runs, monkeypatch, kind, theta_scheme):
         # Every step started from the explicit Euler front: the Newton
         # iteration converges to the same solution of the step from either
-        # start, so the errors differ only at the level of picard_tol.
+        # start, so the errors differ only at the level of the tolerance.
         run, _ = golden_runs[kind, theta_scheme]
         advance = oracle._Stepper.advance
 
-        def euler_start(stepper, v, fronts, k, t0, t1):
-            return advance(stepper, v, fronts[k:k + 1], 0, t0, t1)
+        def euler_start(stepper, v, coeffs, fronts, k, t0, t1):
+            return advance(stepper, v, coeffs, fronts[k:k + 1], 0, t0, t1)
 
         monkeypatch.setattr(oracle._Stepper, "advance", euler_start)
         sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
         euler = run_oracle_for(sol, run.config)
         got = (euler.front_rel_err, euler.temp_max_err)
         want = (run.front_rel_err, run.temp_max_err)
-        assert got == pytest.approx(want, rel=0.0, abs=run.config.picard_tol)
+        assert got == pytest.approx(want, rel=0.0, abs=oracle._NEWTON_TOL)
 
     @pytest.mark.parametrize("kind, theta_scheme", sorted(GOLDEN_ERRORS))
     def test_errors_match_bisection_lam(self, golden_runs, kind, theta_scheme):
@@ -431,21 +443,25 @@ class TestPredictedFrontStart:
 
     @pytest.mark.parametrize("theta_scheme", [1.0, 0.5])
     @pytest.mark.parametrize("source, ste, delta, p", LOOSE_PROBLEMS)
-    def test_single_sweep_steps_stay_stable(self, source, ste, delta, p, theta_scheme):
-        # picard_tol = 1 accepts every step after one sweep, so the start
+    def test_single_sweep_steps_stay_stable(
+        self, monkeypatch, source, ste, delta, p, theta_scheme
+    ):
+        # A tolerance of 1 accepts every step after one sweep, so the start
         # of the iteration becomes part of the scheme.
-        cfg = OracleConfig(n_space=48, n_time=128, theta_scheme=theta_scheme, picard_tol=1.0)
+        monkeypatch.setattr(oracle, "_NEWTON_TOL", 1.0)
+        cfg = OracleConfig(n_space=48, n_time=128, theta_scheme=theta_scheme)
         run = run_oracle_for(solve_problem(unit_material(ste, delta, p), BD, source), cfg)
         assert np.all(np.diff(run.front) > 0.0)
 
-    def test_stagnation_failure_names_step_and_moves(self):
-        # One iteration cannot meet picard_tol from the predicted start, so
-        # a budget of one fails the first step, which names its moves.
-        cfg = OracleConfig(n_space=48, n_time=128, picard_max_iter=1)
+    def test_stagnation_failure_names_step_and_moves(self, monkeypatch):
+        # One iteration cannot meet the tolerance from the predicted start,
+        # so a budget of one fails the first step, which names its moves.
+        monkeypatch.setattr(oracle, "_NEWTON_MAX_ITER", 1)
+        cfg = OracleConfig(n_space=48, n_time=128)
         with pytest.raises(
             NonConvergence,
             match=r"within 1 iterations at step 0, t = 0\.011455688476562502: the last iteration "
-            r"moved the field by \S+ and the front by \S+ \(relative; picard_tol = 1e-10\)$",
+            r"moved the field by \S+ and the front by \S+ \(relative; tolerance 1e-10\)$",
         ):
             run_oracle_for(solve_problem(unit_material(), BD, NoSource()), cfg)
 
@@ -615,9 +631,9 @@ def old_time_half(stepper, v, s, t):
     """The old-time half of a step from (v, s, t), divided by its weight
     1 - theta_scheme, the separate formula, and the size of the largest sum
     of the operator's terms."""
-    level = stepper._old_level(v, s, t, t + 1e-3)
-    value = level.value / (1.0 - stepper.cfg.theta_scheme)
     coeffs = stepper._coefficients(v)
+    level = stepper._old_level(v, coeffs, s, t, t + 1e-3)
+    value = level.value / (1.0 - stepper.cfg.theta_scheme)
     _, rho_c, grad, diffused, h_src = stepper._operator(v, coeffs, s, level.sdot, t)
     terms = (rho_c * grad * (level.sdot / s), diffused, -h_src)
     term_scale = float(np.max(sum(np.abs(term) for term in terms)))
@@ -626,7 +642,7 @@ def old_time_half(stepper, v, s, t):
 
 def step_equations(stepper, u, s, old):
     """The residual at the interior nodes and the Stefan residual at (u, s)."""
-    _, _, _, cols, stefan, _, _ = stepper._linearize(u, s, old)
+    _, _, _, cols, stefan, _, _ = stepper._linearize(u, stepper._coefficients(u), s, old)
     return cols[0].copy(), stefan
 
 
@@ -709,7 +725,8 @@ class TestOperator:
         stepper = oracle._Stepper(sol.material, sol.boundary, sol.source, cfg)
         t0, t1 = stepper.times[3], stepper.times[4]
         s0 = front_position(sol, t0)
-        old = stepper._old_level(temperature(sol, stepper.xi * s0, t0), s0, t0, t1)
+        v = temperature(sol, stepper.xi * s0, t0)
+        old = stepper._old_level(v, stepper._coefficients(v), s0, t0, t1)
         s1 = front_position(sol, t1)
         exact = temperature(sol, stepper.xi * s1, t1)
         rng = np.random.default_rng(3)
@@ -718,7 +735,9 @@ class TestOperator:
             s = s1 * rng.uniform(0.97, 1.03)
             u = exact.copy()
             u[1:-1] += 0.01 * stepper.span * rng.uniform(-1.0, 1.0, m)
-            lower, diag, upper, cols, _, row_s, d_ss = stepper._linearize(u, s, old)
+            lower, diag, upper, cols, _, row_s, d_ss = stepper._linearize(
+                u, stepper._coefficients(u), s, old
+            )
             jac = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
             if kind == "feedback":
                 jac[:, :2] += np.outer(cols[2], stepper.face_row)

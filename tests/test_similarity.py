@@ -370,11 +370,6 @@ class TestSolveProblem:
         assert counts["_f_be"] == 1
         assert counts["_f_bee"] > 0
 
-    def test_custom_tolerance_threads_through(self):
-        tol = Tolerance(abs_tol=1e-6, rel_tol=1e-8, max_iter=200)
-        sol = solve_problem(unit_material(1.0, 1.0, 1.0), UNIT_BD, NoSource(), tol)
-        assert abs(sol.lambda_residual()) <= 1e-6
-
 
 class TestScalingLaws:
     def test_lambda_increases_with_ste(self):
@@ -481,7 +476,6 @@ def _unit_psi(source, lam):
         (lambda: _unit_solution().y_many(np.array([])).shape, (0,)),
         (lambda: similarity_coordinate(_unit_solution(), 0.1, 0.0), InvalidInput),
         (lambda: BoundaryData(theta0=math.nan, theta_f=0.0), InvalidInput),
-        (lambda: OracleConfig(picard_tol=0.0), InvalidInput),
         (lambda: find_root_increasing(lambda x: x, 0.5, Bracket(0.0, 1.0)), InvalidInput),
         (lambda: integrate_cumulative(lambda z: z, np.zeros((2, 2))), InvalidInput),
         (lambda: integrate_cumulative(dawsn, np.array([0.0, math.nan, 1.0])), InvalidInput),
@@ -496,10 +490,14 @@ def _unit_psi(source, lam):
         (lambda: _unit_psi(ExponentialSource(), 27.0), InvalidInput),
         (lambda: dataclasses.replace(_unit_solution(), lam=27.0), InvalidInput),
         (lambda: _unit_psi(SimilaritySource(CUSTOM_BETA), 27.0), InvalidInput),
+        # e^{lam^2} is a double, but y'(0) or the kernel's erf coefficient is not.
+        (lambda: run_checks(dataclasses.replace(_unit_solution(), lam=26.6)), InvalidInput),
+        (lambda: _unit_psi(NoSource(), 26.6), InvalidInput),
+        (lambda: source_model(NoSource(), 1.0, 5.0, 1.0).psi(26.57), InvalidInput),
+        (lambda: _unit_psi(HALF_GAUSSIAN, 26.6), InvalidInput),
         # Integer fields reject floats up front, not deep inside a run.
         (lambda: OracleConfig(n_space=64.0), InvalidInput),
         (lambda: OracleConfig(n_time=256.0), InvalidInput),
-        (lambda: OracleConfig(picard_max_iter=2.5), InvalidInput),
         (lambda: Tolerance(max_iter=2.5), InvalidInput),
         # Time is a scalar; front_position alone takes an array t.
         (lambda: temperature(_unit_solution(), 0.1, np.array([1.0, 2.0])), InvalidInput),
@@ -508,12 +506,14 @@ def _unit_psi(source, lam):
     ],
     ids=[
         "phi_map-negative", "phi_inverse_quadratic-below-range", "source_model-unknown-spec",
-        "y_many-empty", "similarity_coordinate-t0", "boundary-nan", "oracle-picard_tol-0",
+        "y_many-empty", "similarity_coordinate-t0", "boundary-nan",
         "find_root-lo-0", "integrate_cumulative-2d", "integrate_cumulative-nan-inside",
         "integrate_cumulative-nan-last", "none-front-inf", "exponential-front-inf",
         "custom-front-inf", "errata-B-front-inf", "none-psi-overflow", "exponential-psi-overflow",
-        "exponential-replace-overflow", "custom-psi-overflow", "oracle-n_space-float", "oracle-n_time-float",
-        "oracle-picard_max_iter-float", "tolerance-max_iter-float", "temperature-t-array",
+        "exponential-replace-overflow", "custom-psi-overflow", "exponential-replace-slope-inf",
+        "none-psi-slope-inf", "none-psi-coefficient-inf", "half-gaussian-psi-slope-inf",
+        "oracle-n_space-float", "oracle-n_time-float", "tolerance-max_iter-float",
+        "temperature-t-array",
         "similarity_coordinate-t-array", "source_field-t-array",
     ],
 )
@@ -523,3 +523,20 @@ def test_edge_contracts(call, expected):
             call()
     else:
         assert call() == expected
+
+
+@pytest.mark.parametrize(
+    "source, delta, lam",
+    [
+        (NoSource(), 1.0, 26.6),
+        (ExponentialSource(), 1.0, 26.6),
+        (HALF_GAUSSIAN, 1.0, 26.6),
+        # y'(0) = -3.5e307 is a double; the kernel's (sqrt(pi)/Ste) lam e^{lam^2} is not.
+        (NoSource(), 5.0, 26.57),
+    ],
+    ids=["none-slope", "exponential-slope", "half-gaussian-slope", "none-coefficient"],
+)
+def test_profile_overflow_names_lam(source, delta, lam):
+    # Ste = p = 1: e^{lam^2} is a double at each lam, a profile coefficient is not.
+    with pytest.raises(InvalidInput, match=rf"^lam = {lam!r} is too large: its profile overflows$"):
+        source_model(source, 1.0, delta, 1.0).psi(lam)
