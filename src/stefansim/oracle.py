@@ -30,27 +30,26 @@ front gradient, and the flux-feedback source a 3-point one-sided face
 gradient of the discrete field, never the closed-form slope, so the
 comparison stays two-sided.
 
-Time stepping is a theta-weighted scheme (default Crank-Nicolson,
-theta_scheme = 0.5; 1 is backward Euler) on times uniform in sqrt(t), so a
-similarity front s = 2 lam a sqrt(t) advances by the same amount every
-step and the first steps out of t_start stay short (Landau, 1950).  The
-unknowns of a step are the interior w and the front.  Its equations, the
-theta-weighted balance at the interior nodes and the Stefan condition
-s - s_old = dt (theta s' + (1 - theta) s'_old), are solved by Newton's
-method from the previous field and a predicted front (_Stepper.advance),
-until an update moves w (relative to span) and the front by at most
-_NEWTON_TOL = 1e-10; a step takes about two iterations.  For a given s the
-equations are linear in w, so Newton meets only the front's nonlinearity.
+Time stepping is Crank-Nicolson (Crank & Nicolson, 1947) on times uniform
+in sqrt(t), so a similarity front s = 2 lam a sqrt(t) advances by the same
+amount every step and the first steps out of t_start stay short (Landau,
+1950).  The unknowns of a step are the interior w and the front.  Its
+equations, the balance at the interior nodes averaged over the old and new
+levels and the Stefan condition s - s_old = dt (s' + s'_old) / 2, are
+solved by Newton's method from the previous field and a predicted front
+(_Stepper.advance), until an update moves w (relative to span) and the
+front by at most _NEWTON_TOL = 1e-10; a step takes about two iterations.
+For a given s the equations are linear in w, so Newton meets only the
+front's nonlinearity.
 
 The spatial operator is written once (_Stepper._operator) and serves both
-the old-time half, weighted by 1 - theta_scheme (backward Euler skips it),
-and the residual.  The Jacobian (_Stepper._linearize) is tridiagonal in w,
-with bands that are scalars times xi, bordered by the front (a column in
-s, and the Stefan row on the last three nodes) and, for the flux-feedback
-source, by the face gradient, which feeds every node.  Each iteration
-makes one call to solve_banded with the residual and the border columns
-as right-hand sides, then solves the 1 x 1 or 2 x 2 border in closed form.
-solve_banded hands the system straight to LAPACK gtsv (the routine
+the old-time half and the residual.  The Jacobian (_Stepper._linearize) is
+tridiagonal in w, with bands that are scalars times xi, bordered by the
+front (a column in s, and the Stefan row on the last three nodes) and, for
+the flux-feedback source, by the face gradient, which feeds every node.
+Each iteration makes one call to solve_banded with the residual and the
+border columns as right-hand sides, then solves the 1 x 1 or 2 x 2 border
+in closed form.  solve_banded hands the system straight to LAPACK gtsv (the routine
 scipy.linalg.solve_banded uses for (1, 1) bands) and keeps scipy's guards:
 a non-finite coefficient or right-hand side, or a singular matrix, raises
 NonConvergence, whose message names the time of the failing step.
@@ -80,7 +79,7 @@ from .similarity import SimilaritySolution, problem_model
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Grid and scheme parameters for the finite-difference solver.
+    """Grid parameters for the finite-difference solver.
 
     Attributes:
         n_space: Spatial nodes on [0, 1] (>= 16).
@@ -88,15 +87,12 @@ class OracleConfig:
             sqrt(t).
         t_start: Initialization time, > 0 (the front must have left x = 0).
         t_end: Final time, > t_start.
-        theta_scheme: Implicitness weight in [0.5, 1]; 0.5 is
-            Crank-Nicolson, 1 backward Euler.
     """
 
     n_space: int = 64
     n_time: int = 128
     t_start: float = 0.01
     t_end: float = 1.0
-    theta_scheme: float = 0.5
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -111,8 +107,6 @@ class OracleConfig:
             raise InvalidInput(
                 f"need 0 < t_start < t_end, got t_start={self.t_start}, t_end={self.t_end}"
             )
-        if not 0.5 <= self.theta_scheme <= 1.0:
-            raise InvalidInput(f"theta_scheme must be in [0.5, 1], got {self.theta_scheme}")
 
 
 @dataclass(frozen=True)
@@ -229,18 +223,17 @@ class _Level(NamedTuple):
     v: np.ndarray  # the old field of w
     s: float  # the old front
     sdot: float  # its speed, from the old field
-    value: np.ndarray | float  # (1 - theta) times the operator at the old level
+    value: np.ndarray  # half the operator at the old level
     t: float  # the new time
     dt: float
 
 
 class _Stepper:
-    """One theta-weighted, Newton-resolved time step of the front-fixed system in w."""
+    """One Crank-Nicolson, Newton-resolved time step of the front-fixed system in w."""
 
     def __init__(self, material: Material, boundary: BoundaryData, source: SourceSpec, cfg: OracleConfig):
         self.mat = material
         self.bd = boundary
-        self.cfg = cfg
         self.n = cfg.n_space
         self.xi, self.times = _grid(cfg)
         self.xi_inner = self.xi[1:-1]
@@ -308,48 +301,41 @@ class _Stepper:
 
     def _old_level(self, v: np.ndarray, s_old: float, t0: float, t1: float) -> _Level:
         """What the step from (v, s_old) at t0 to t1 takes from its old level."""
-        weight = self.cfg.theta_scheme
-        dt = t1 - t0
         sdot = self.front_speed(v, s_old)
-        if weight == 1.0:
-            # Backward Euler has no old-time terms.
-            return _Level(v, s_old, sdot, 0.0, t1, dt)
         value = self._operator(v, s_old, sdot, t0)[0]
-        return _Level(v, s_old, sdot, (1.0 - weight) * value, t1, dt)
+        return _Level(v, s_old, sdot, 0.5 * value, t1, t1 - t0)
 
     def _linearize(self, w: np.ndarray, s: float, old: _Level) -> tuple:
         """The step's equations at (w, s) and their Jacobian.
 
         The advection takes the front speed that the Stefan condition gives
-        s, s' = (s - s_old) / (theta dt) - (1 - theta) s'_old / theta; it is
-        the gradient's speed wherever that condition holds.  Returns
-        (lower, diag, upper, cols, stefan, row_s, d_ss):
+        s, s' = 2 (s - s_old) / dt - s'_old; it is the gradient's speed
+        wherever that condition holds.  Returns (lower, diag, upper, cols,
+        stefan, row_s, d_ss):
 
         - cols[0], the residual at the interior nodes: rho c0 (w - v) / dt,
-          minus theta times the operator at (w, s) and 1 - theta times it
-          at the old level;
+          minus half the operator at (w, s) and half of it at the old level;
         - lower, diag, upper: its tridiagonal derivative in w;
         - cols[1]: its derivative in s;
         - cols[2], for a source linear in the face gradient g = w_xi(0)
           (flux feedback) only: its derivative in g, which enters through
           dg/dw = (2, -1/2) / h at nodes 1, 2 (self.face_row);
-        - stefan = s - s_old - dt (theta s'(w, s) + (1 - theta) s'_old), with
+        - stefan = s - s_old - dt (s'(w, s) + s'_old) / 2, with
           s'(w, s) = front_speed, and its derivatives row_s in w at the
           last three interior nodes and d_ss in s.
         """
-        weight = self.cfg.theta_scheme
         t, dt = old.t, old.dt
-        sdot = (s - old.s) / (weight * dt) - (1.0 - weight) / weight * old.sdot
+        sdot = 2.0 * (s - old.s) / dt - old.sdot
         value, grad, diffused, source = self._operator(w, s, sdot, t)
         heat = self.rho_c0 / dt
         cols = np.empty((2 if self.model.feedback is None else 3, self.n - 2))
         np.subtract(w[1:-1], old.v[1:-1], out=cols[0])
         cols[0] *= heat
-        cols[0] -= weight * value
+        cols[0] -= 0.5 * value
         cols[0] -= old.value
 
-        kd = weight * self.mat.k0 / (self.h * self.h * s * s)
-        adv = (weight * self.rho_c0 * sdot / s) * self.xi_2h
+        kd = 0.5 * self.mat.k0 / (self.h * self.h * s * s)
+        adv = (0.5 * self.rho_c0 * sdot / s) * self.xi_2h
         lower = adv[1:] - kd
         upper = -kd - adv[:-1]
         diag = np.full(self.n - 2, heat + 2.0 * kd)
@@ -358,16 +344,16 @@ class _Stepper:
         # moves H through eta and the face gradient's 1/s.
         bumped = self._source(s * (1.0 + _SOURCE_DS), t, _face_gradient(w, self.h))
         bumped -= source
-        bumped *= weight / (_SOURCE_DS * s)
-        bumped += (2.0 * weight / s) * diffused
-        np.subtract(bumped, ((1.0 / dt - weight * sdot / s) * self.rho_c0 / s) * grad, out=cols[1])
+        bumped *= 0.5 / (_SOURCE_DS * s)
+        bumped += (1.0 / s) * diffused
+        np.subtract(bumped, ((1.0 / dt - 0.5 * sdot / s) * self.rho_c0 / s) * grad, out=cols[1])
         if self.model.feedback is not None:
-            cols[2] = weight * self._source(s, t, 1.0)
+            cols[2] = 0.5 * self._source(s, t, 1.0)
 
         front = self.front_speed(w, s)
-        stefan = s - old.s - dt * (weight * front + (1.0 - weight) * old.sdot)
-        row_s = (dt * weight * self.mat.k0 / (self.rho_l * s * 6.0 * self.h)) * _FRONT_ROW
-        return lower, diag, upper, cols, stefan, row_s, 1.0 + dt * weight * front / s
+        stefan = s - old.s - 0.5 * dt * (front + old.sdot)
+        row_s = (0.5 * dt * self.mat.k0 / (self.rho_l * s * 6.0 * self.h)) * _FRONT_ROW
+        return lower, diag, upper, cols, stefan, row_s, 1.0 + 0.5 * dt * front / s
 
     def _border(self, x: np.ndarray, stefan: float, row_s: np.ndarray, d_ss: float) -> tuple:
         """(1, ds) or (1, ds, dg): the weights of x's columns in -dw.
@@ -453,8 +439,7 @@ class _Stepper:
                 f"by {moved:.3g} and the front by {front_moved:.3g} "
                 f"(relative; tolerance {_NEWTON_TOL:g})"
             )
-        weight = self.cfg.theta_scheme
-        s = s_old + old.dt * (weight * self.front_speed(w, s) + (1.0 - weight) * old.sdot)
+        s = s_old + 0.5 * old.dt * (self.front_speed(w, s) + old.sdot)
         if s <= s_old:
             raise FrontCollapse(
                 f"front failed to advance: s({t1}) = {s} <= s({t0}) = {s_old}"

@@ -55,13 +55,15 @@ source.kind = none
 oracle.enabled = false
 """
 
-# Solver tolerances that were keys and are now constants.
+# Solver tolerances that were keys and are now constants, and the oracle's
+# time-stepping weight, which is now always Crank-Nicolson.
 REMOVED_KEYS = (
     "solver.abs_tol = 1e-10",
     "solver.rel_tol = 1e-12",
     "solver.max_iter = 200",
     "oracle.picard_tol = 1e-10",
     "oracle.picard_max_iter = 50",
+    "oracle.theta_scheme = 1",
 )
 
 
@@ -83,7 +85,8 @@ class TestParse:
 
     def test_unknown_key_rejected(self):
         # solver.table_nodes sized a profile table that no longer exists;
-        # REMOVED_KEYS set solver tolerances that are now constants.
+        # REMOVED_KEYS set solver tolerances that are now constants and the
+        # oracle's removed scheme weight.
         for line in ("problem.stf = 1.0", "solver.table_nodes = 129", *REMOVED_KEYS):
             with pytest.raises(ConfigError, match="unknown config key"):
                 parse_config_text(line + "\n")
@@ -111,8 +114,8 @@ class TestParse:
             for section, cls in sections.items()
             for field in dataclasses.fields(cls)
         )
-        assert len(parse_config_text(text)) == 13
-        assert len(config._KNOWN_KEYS) == 26
+        assert len(parse_config_text(text)) == 12
+        assert len(config._KNOWN_KEYS) == 25
         # The reduced problem's base and sweep keys, from its fields' metadata.
         reduced = [f for f in dataclasses.fields(DimensionlessProblem) if f.name != "kind"]
         derived = {f"{f.metadata.get('section', 'problem')}.{f.name}" for f in reduced}
@@ -122,6 +125,11 @@ class TestParse:
             if key.startswith(("problem.", "sweep.")) or key == "source.feedback"
         }
         assert derived == known - {"problem.dimensionless"}
+
+    def test_oracle_config_has_no_scheme_weight(self):
+        # The oracle always steps Crank-Nicolson; the weight is not a field.
+        with pytest.raises(TypeError):
+            oracle.OracleConfig(theta_scheme=1.0)
 
 
 class TestBuild:

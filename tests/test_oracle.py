@@ -52,7 +52,7 @@ def classical_sol():
 
 @pytest.fixture(scope="module")
 def classical_run(classical_sol):
-    return run_oracle_for(classical_sol, OracleConfig(n_space=64, n_time=256, theta_scheme=1.0))
+    return run_oracle_for(classical_sol, OracleConfig(n_space=64, n_time=256))
 
 
 class TestConfigValidation:
@@ -67,12 +67,6 @@ class TestConfigValidation:
             OracleConfig(t_start=0.0)
         with pytest.raises(InvalidInput):
             OracleConfig(t_start=2.0, t_end=1.0)
-
-    def test_scheme_weight_range(self):
-        with pytest.raises(InvalidInput):
-            OracleConfig(theta_scheme=0.25)
-        with pytest.raises(InvalidInput):
-            OracleConfig(theta_scheme=1.5)
 
 
 class TestRunStructure:
@@ -105,18 +99,14 @@ class TestAgreement:
         assert classical_run.temp_max_err <= 0.02
 
     def test_refinement_shrinks_error(self, classical_sol, classical_run):
-        finer = run_oracle_for(
-            classical_sol, OracleConfig(n_space=128, n_time=1024, theta_scheme=1.0)
-        )
+        # Halving h and dt: second order in both.  Four times the steps
+        # would not do, since the time error then no longer leads.
+        finer = run_oracle_for(classical_sol, OracleConfig(n_space=128, n_time=512))
         ratio = classical_run.front_rel_err / finer.front_rel_err
         assert 3.0 <= ratio <= 5.0
 
-    def test_crank_nicolson_scheme_agrees(self, classical_sol):
-        run = run_oracle_for(
-            classical_sol,
-            OracleConfig(n_space=64, n_time=256, theta_scheme=0.5),
-        )
-        assert run.front_rel_err <= 0.02
+    def test_crank_nicolson_scheme_agrees(self, classical_run):
+        assert classical_run.front_rel_err <= 0.02
 
     def test_feedback_source_tracks_solution(self):
         sol = solve_problem(unit_material(), BD, FluxFeedbackSource(lambda0=0.5))
@@ -213,10 +203,9 @@ class TestSweepCounter:
         monkeypatch.setattr(oracle._Stepper, "advance", recording_advance)
         return run_oracle_for(sol, cfg), per_step
 
-    @pytest.mark.parametrize("theta_scheme", [1.0, 0.5])
-    def test_one_solve_per_sweep(self, monkeypatch, theta_scheme):
+    def test_one_solve_per_sweep(self, monkeypatch):
         sol = solve_problem(unit_material(), BD, FluxFeedbackSource(lambda0=0.5))
-        cfg = OracleConfig(n_space=64, n_time=256, theta_scheme=theta_scheme)
+        cfg = OracleConfig(n_space=64, n_time=256)
         plain = run_oracle_for(sol, cfg)
         passes = [0]
         operator = oracle._Stepper._operator
@@ -229,10 +218,8 @@ class TestSweepCounter:
         run, per_step = self.counted_run(monkeypatch, sol, cfg)
         assert len(per_step) == cfg.n_time
         assert all(1 <= k <= oracle._NEWTON_MAX_ITER for k in per_step)
-        # One operator pass per iteration, and one per Crank-Nicolson step
-        # for its old level; backward Euler has none.
-        old_levels = cfg.n_time if theta_scheme < 1.0 else 0
-        assert passes[0] == sum(per_step) + old_levels
+        # One operator pass per iteration, and one per step for its old level.
+        assert passes[0] == sum(per_step) + cfg.n_time
         assert run.front.tobytes() == plain.front.tobytes()
         assert run.fields.tobytes() == plain.fields.tobytes()
 
@@ -251,35 +238,25 @@ class TestSweepCounter:
 # path can move exp, power and erf in the last ulp, and with them these
 # digits, without any change to the scheme.
 GOLDEN_ERRORS = {
-    ("none", 1.0): ("0.004332574775396474", "0.004532172403200855"),
-    ("none", 0.5): ("5.35024563425243e-05", "5.494422329599402e-05"),
-    ("exponential", 1.0): ("0.003884465379858607", "0.003244036099316581"),
-    ("exponential", 0.5): ("4.624634509546328e-05", "3.782926559193524e-05"),
-    ("feedback", 1.0): ("0.0044816532329123825", "0.00547458251589104"),
-    ("feedback", 0.5): ("6.055978122130103e-05", "7.265029726489375e-05"),
+    "none": ("5.35024563425243e-05", "5.494422329599402e-05"),
+    "exponential": ("4.624634509546328e-05", "3.782926559193524e-05"),
+    "feedback": ("6.055978122130103e-05", "7.265029726489375e-05"),
 }
 # The same errors with interface-mean conductivities, a front gradient of
 # theta itself and uniform time steps.  The Kirchhoff fluxes and the steps
 # uniform in sqrt(t) may only lower them.
 MEAN_CONDUCTIVITY_GOLDEN_ERRORS = {
-    ("none", 1.0): (0.016397222570188434, 0.01715265444546493),
-    ("none", 0.5): (0.001160412198006905, 0.0011943662859375485),
-    ("exponential", 1.0): (0.014944787769553977, 0.012525978501812635),
-    ("exponential", 0.5): (0.001103600458323225, 0.00090921433027886),
-    ("feedback", 1.0): (0.016894170609169062, 0.02057633117388678),
-    ("feedback", 0.5): (0.0011822880046266546, 0.0014147936533942633),
+    "none": (0.001160412198006905, 0.0011943662859375485),
+    "exponential": (0.001103600458323225, 0.00090921433027886),
+    "feedback": (0.0011822880046266546, 0.0014147936533942633),
 }
 # solve_banded calls (Newton iterations) of each golden run, as measured.
-# Every step starting from the explicit Euler front in sqrt(t) takes 701, 690
-# and 710 at theta_scheme 1 and 512 for each source at 0.5 (none, exponential,
-# feedback).
+# Every step starting from the explicit Euler front in sqrt(t) takes 512 for
+# each source.
 SWEEP_BUDGET = {
-    ("none", 1.0): 327,
-    ("none", 0.5): 424,
-    ("exponential", 1.0): 514,
-    ("exponential", 0.5): 512,
-    ("feedback", 1.0): 514,
-    ("feedback", 0.5): 512,
+    "none": 424,
+    "exponential": 512,
+    "feedback": 512,
 }
 GOLDEN_SOURCES = {
     "none": NoSource(),
@@ -292,9 +269,9 @@ GOLDEN_SOURCES = {
 def golden_runs():
     """Each golden case's run and its count of oracle.solve_banded calls."""
     out = {}
-    for kind, theta_scheme in sorted(GOLDEN_ERRORS):
+    for kind in sorted(GOLDEN_ERRORS):
         sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
-        cfg = OracleConfig(n_space=64, n_time=256, theta_scheme=theta_scheme)
+        cfg = OracleConfig(n_space=64, n_time=256)
         calls = [0]
         solve = oracle.solve_banded
 
@@ -304,7 +281,7 @@ def golden_runs():
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "solve_banded", counting_solve)
-            out[kind, theta_scheme] = run_oracle_for(sol, cfg), calls[0]
+            out[kind] = run_oracle_for(sol, cfg), calls[0]
     return out
 
 
@@ -358,25 +335,25 @@ def unscaled_feedback_solution(sol):
 
 
 class TestGoldenErrors:
-    @pytest.mark.parametrize("kind, theta_scheme", sorted(GOLDEN_ERRORS))
-    def test_errors_pinned(self, golden_runs, kind, theta_scheme):
-        run, _ = golden_runs[kind, theta_scheme]
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_ERRORS))
+    def test_errors_pinned(self, golden_runs, kind):
+        run, _ = golden_runs[kind]
         got = (repr(run.front_rel_err), repr(run.temp_max_err))
-        assert got == GOLDEN_ERRORS[kind, theta_scheme]
+        assert got == GOLDEN_ERRORS[kind]
 
-    @pytest.mark.parametrize("kind, theta_scheme", sorted(GOLDEN_ERRORS))
-    def test_errors_below_mean_conductivity_scheme(self, golden_runs, kind, theta_scheme):
-        run, _ = golden_runs[kind, theta_scheme]
-        front_err, temp_err = MEAN_CONDUCTIVITY_GOLDEN_ERRORS[kind, theta_scheme]
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_ERRORS))
+    def test_errors_below_mean_conductivity_scheme(self, golden_runs, kind):
+        run, _ = golden_runs[kind]
+        front_err, temp_err = MEAN_CONDUCTIVITY_GOLDEN_ERRORS[kind]
         assert run.front_rel_err <= front_err
         assert run.temp_max_err <= temp_err
 
-    @pytest.mark.parametrize("kind, theta_scheme", sorted(GOLDEN_ERRORS))
-    def test_errors_match_euler_start(self, golden_runs, monkeypatch, kind, theta_scheme):
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_ERRORS))
+    def test_errors_match_euler_start(self, golden_runs, monkeypatch, kind):
         # Every step started from the explicit Euler front: the Newton
         # iteration converges to the same solution of the step from either
         # start, so the errors differ only at the level of the tolerance.
-        run, _ = golden_runs[kind, theta_scheme]
+        run, _ = golden_runs[kind]
         advance = oracle._Stepper.advance
 
         def euler_start(stepper, v, fronts, k, t0, t1):
@@ -389,12 +366,12 @@ class TestGoldenErrors:
         want = (run.front_rel_err, run.temp_max_err)
         assert got == pytest.approx(want, rel=0.0, abs=oracle._NEWTON_TOL)
 
-    @pytest.mark.parametrize("kind, theta_scheme", sorted(GOLDEN_ERRORS))
-    def test_errors_match_bisection_lam(self, golden_runs, kind, theta_scheme):
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_ERRORS))
+    def test_errors_match_bisection_lam(self, golden_runs, kind):
         # A bisection root differs from the library's root in the last
         # digits; the errors, relative front and absolute temperature of a
         # unit drop, move by no more than ten times that relative change.
-        run, _ = golden_runs[kind, theta_scheme]
+        run, _ = golden_runs[kind]
         sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
         lam = bisection_lam(sol.model.equation)
         shift = abs(lam / sol.lam - 1.0)
@@ -404,35 +381,33 @@ class TestGoldenErrors:
         want = (run.front_rel_err, run.temp_max_err)
         assert got == pytest.approx(want, rel=0.0, abs=10.0 * shift + 1e-15)
 
-    @pytest.mark.parametrize("kind, theta_scheme", [("feedback", 1.0), ("feedback", 0.5)])
-    def test_feedback_errors_match_unscaled_form(self, golden_runs, kind, theta_scheme):
+    def test_feedback_errors_match_unscaled_form(self, golden_runs):
         # The Dawson profile and the unscaled one agree to ~1e-15, so the
         # comparison of one run against either agrees to rounding.
-        run, _ = golden_runs[kind, theta_scheme]
-        sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
+        run, _ = golden_runs["feedback"]
+        sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES["feedback"])
         got = compare(unscaled_feedback_solution(sol), run)
         assert got == pytest.approx((run.front_rel_err, run.temp_max_err), rel=0.0, abs=1e-14)
 
 
 class TestPredictedFrontStart:
-    @pytest.mark.parametrize("kind, theta_scheme", sorted(SWEEP_BUDGET))
-    def test_sweep_budget(self, golden_runs, kind, theta_scheme):
-        _, sweeps = golden_runs[kind, theta_scheme]
-        assert sweeps <= SWEEP_BUDGET[kind, theta_scheme]
+    @pytest.mark.parametrize("kind", sorted(SWEEP_BUDGET))
+    def test_sweep_budget(self, golden_runs, kind):
+        _, sweeps = golden_runs[kind]
+        assert sweeps <= SWEEP_BUDGET[kind]
 
     @pytest.mark.parametrize("kind", sorted(GOLDEN_SOURCES))
     def test_crank_nicolson_solves_per_step(self, golden_runs, kind):
         # Newton from the predicted start needs about two solves a step:
         # one update, and one that shows it has stagnated.
-        run, solves = golden_runs[kind, 0.5]
+        run, solves = golden_runs[kind]
         assert solves <= 2.5 * run.config.n_time
 
     # (source, Ste, delta, p), run at 48 x 128.  The probe problems come from
     # a random probe.  Starting the field from a linear extrapolation of the
-    # accepted fields collapses the front of all three at theta_scheme 0.5;
-    # quadratic and cubic field extrapolations collapse most of the twelve
-    # runs, and a cubic extrapolation of s in place of s^2 collapses
-    # feedback-probe at 0.5.
+    # accepted fields collapses the front of all three probe problems;
+    # quadratic and cubic field extrapolations collapse most of the six, and
+    # a cubic extrapolation of s in place of s^2 collapses feedback-probe.
     LOOSE_PROBLEMS = [
         pytest.param(NoSource(), 1.0, 1.0, 1.0, id="none-unit"),
         pytest.param(ExponentialSource(), 1.0, 1.0, 1.0, id="exponential-unit"),
@@ -444,15 +419,12 @@ class TestPredictedFrontStart:
         ),
     ]
 
-    @pytest.mark.parametrize("theta_scheme", [1.0, 0.5])
     @pytest.mark.parametrize("source, ste, delta, p", LOOSE_PROBLEMS)
-    def test_single_sweep_steps_stay_stable(
-        self, monkeypatch, source, ste, delta, p, theta_scheme
-    ):
+    def test_single_sweep_steps_stay_stable(self, monkeypatch, source, ste, delta, p):
         # A tolerance of 1 accepts every step after one sweep, so the start
         # of the iteration becomes part of the scheme.
         monkeypatch.setattr(oracle, "_NEWTON_TOL", 1.0)
-        cfg = OracleConfig(n_space=48, n_time=128, theta_scheme=theta_scheme)
+        cfg = OracleConfig(n_space=48, n_time=128)
         run = run_oracle_for(solve_problem(unit_material(ste, delta, p), BD, source), cfg)
         assert np.all(np.diff(run.front) > 0.0)
 
@@ -486,7 +458,7 @@ class TestPredictedFrontStart:
         # With uniform time steps the first step moved this front by about
         # 40 % and its sweeps never stagnated; steps uniform in sqrt(t) move
         # it by the same amount every step.
-        cfg = OracleConfig(n_space=48, n_time=128, theta_scheme=1.0)
+        cfg = OracleConfig(n_space=48, n_time=128)
         sol = solve_problem(unit_material(5.0, 0.145, 0.876), BD, NoSource())
         run = run_oracle_for(sol, cfg)
         exact = np.diff(front_position(sol, run.times))
@@ -643,11 +615,10 @@ def separate_spatial_operator(stepper, w, s, sdot, t):
 
 
 def old_time_half(stepper, v, s, t):
-    """The old-time half of a step from (v, s, t), divided by its weight
-    1 - theta_scheme, the separate formula, and the size of the largest sum
-    of the operator's terms."""
+    """Twice the old-time half of a step from (v, s, t), the separate
+    formula, and the size of the largest sum of the operator's terms."""
     level = stepper._old_level(v, s, t, t + 1e-3)
-    value = level.value / (1.0 - stepper.cfg.theta_scheme)
+    value = 2.0 * level.value
     _, grad, diffused, h_src = stepper._operator(v, s, level.sdot, t)
     terms = (stepper.rho_c0 * grad * (level.sdot / s), diffused, -h_src)
     term_scale = float(np.max(sum(np.abs(term) for term in terms)))
@@ -700,7 +671,7 @@ class TestOperator:
     )
     def test_old_time_half_matches_separate_formula(self, source):
         sol = solve_problem(DIM_MATERIAL, DIM_BD, source)
-        cfg = OracleConfig(n_space=64, n_time=256, theta_scheme=0.5)
+        cfg = OracleConfig(n_space=64, n_time=256)
         stepper = oracle._Stepper(sol.material, sol.boundary, sol.source, cfg)
         span = DIM_BD.theta0 - DIM_BD.theta_f
         rng = np.random.default_rng(11)
@@ -715,19 +686,18 @@ class TestOperator:
 
     @pytest.mark.parametrize("kind", sorted(GOLDEN_SOURCES))
     def test_old_time_half_along_golden_run(self, golden_runs, kind):
-        # Every accepted state of a Crank-Nicolson golden run.  Near a
-        # similarity state the terms nearly cancel, so the rounding scale is
-        # the size of the terms, not of the result.
-        run, _ = golden_runs[kind, 0.5]
+        # Every accepted state of a golden run.  Near a similarity state
+        # the terms nearly cancel, so the rounding scale is the size of the
+        # terms, not of the result.
+        run, _ = golden_runs[kind]
         sol = run.solution
         stepper = oracle._Stepper(sol.material, sol.boundary, sol.source, run.config)
         for u, s, t in zip(run.fields, run.front, run.times):
             got, want, term_scale = old_time_half(stepper, stepper.to_kirchhoff(u), s, t)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * term_scale)
 
-    @pytest.mark.parametrize("theta_scheme", [0.5, 1.0])
     @pytest.mark.parametrize("kind", sorted(GOLDEN_SOURCES))
-    def test_jacobian_matches_central_differences(self, kind, theta_scheme):
+    def test_jacobian_matches_central_differences(self, kind):
         # At states perturbed off the similarity solution, each block of the
         # Newton Jacobian matches central differences of the step's
         # equations in (w, s): the tridiagonal part (with the feedback
@@ -736,7 +706,7 @@ class TestOperator:
         # three interior nodes.  delta = 2 makes Phi'(1) = 3 in the
         # feedback source's theta_x(0) = w_x(0) / Phi'(1).
         sol = solve_problem(unit_material(delta=2.0, p=0.7), BD, GOLDEN_SOURCES[kind])
-        cfg = OracleConfig(n_space=16, n_time=16, theta_scheme=theta_scheme)
+        cfg = OracleConfig(n_space=16, n_time=16)
         stepper = oracle._Stepper(sol.material, sol.boundary, sol.source, cfg)
         t0, t1 = stepper.times[3], stepper.times[4]
         s0 = front_position(sol, t0)

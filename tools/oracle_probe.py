@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.grid:
         n_space, n_time = (int(part) for part in args.grid.lower().split("x"))
         cfg = OracleConfig(n_space=n_space, n_time=n_time)
-    print(f"oracle {cfg.n_space} x {cfg.n_time}, theta_scheme {cfg.theta_scheme}")
+    print(f"oracle {cfg.n_space} x {cfg.n_time}")
     print("source       Ste     delta   p      outcome: front_rel_err / temp_max_err")
     totals: dict[str, int] = {}
     start = time.perf_counter()
