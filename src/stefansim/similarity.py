@@ -154,20 +154,20 @@ def _phi_inverse_newton(delta: float, p: float, w: np.ndarray) -> np.ndarray:
     """Generic Phi^{-1} for w in [0, Phi(1)], any p > 0.
 
     Newton from above: Phi is convex, so starting at min(w, 1) >= root
-    gives monotone, globally convergent iterates.  _phi_inverse_many uses
-    it for p != 1; at p = 1 it is the independent check on the quadratic
-    closed form.
+    gives monotone, globally convergent iterates.  It stops once no update
+    moves x by more than 1e-14: a residual test scaled by Phi(1) would
+    accept x far from the root wherever Phi(x) << Phi(1).  _phi_inverse_many
+    uses it for p != 1; at p = 1 it is the independent check on the
+    quadratic closed form.
     """
     c = delta / (p + 1.0)
-    top = 1.0 + c
     x = np.minimum(w, 1.0)
     for _ in range(100):
         xp = x**p
-        f = x * (1.0 + c * xp) - w
-        if not np.any(np.abs(f) > 1e-14 * top):
+        step = (x * (1.0 + c * xp) - w) / (1.0 + delta * xp)
+        x = np.clip(x - step, 0.0, 1.0)
+        if not np.any(np.abs(step) > 1e-14):
             return x
-        x = x - f / (1.0 + delta * xp)
-        np.clip(x, 0.0, 1.0, out=x)
     raise NonConvergence("phi inverse Newton did not reach tolerance in 100 sweeps")
 
 

@@ -77,8 +77,8 @@ class TestPhi:
         np.testing.assert_allclose(slope, 1.0 + 2.0 * mid**3, rtol=1e-8, atol=0)
 
     def test_round_trip_random(self):
-        # Newton stops at |phi(x_hat) - w| <= 1e-14 Phi(1); with phi' >= 1
-        # that bounds the x error well below 1e-13.
+        # Newton stops once an update moves x by at most 1e-14; it converges
+        # quadratically from above, so the x error is far below 1e-13.
         rng = np.random.default_rng(7)
         for _ in range(50):
             delta = float(rng.uniform(0.05, 8.0))
@@ -87,6 +87,15 @@ class TestPhi:
             w = phi_map(delta, p, x)
             got = _phi_inverse_many(delta, p, np.array([w]), clamp=True)[0]
             assert got == pytest.approx(x, abs=1e-13)
+
+    @pytest.mark.parametrize("delta", [1e12, 1e30])
+    def test_round_trip_where_phi_of_one_dwarfs_phi(self, delta):
+        # Phi(1) ~ delta / (p + 1) is far above Phi(y) for most y, so a
+        # residual test scaled by Phi(1) would accept y values far from the
+        # root (0.16 off at delta = 1e30); the update-size stop does not.
+        y = np.linspace(0.0, 1.0, 101)
+        got = _phi_inverse_many(delta, 20.0, phi_map(delta, 20.0, y), clamp=True)
+        np.testing.assert_allclose(got, y, rtol=0.0, atol=1e-15)
 
     def test_quadratic_inverse_matches_generic_at_p1(self):
         for delta in (0.1, 1.0, 5.0):
