@@ -105,9 +105,6 @@ class TestAgreement:
         ratio = classical_run.front_rel_err / finer.front_rel_err
         assert 3.0 <= ratio <= 5.0
 
-    def test_crank_nicolson_scheme_agrees(self, classical_run):
-        assert classical_run.front_rel_err <= 0.02
-
     def test_feedback_source_tracks_solution(self):
         sol = solve_problem(unit_material(), BD, FluxFeedbackSource(lambda0=0.5))
         run = run_oracle_for(sol, OracleConfig(n_space=64, n_time=256))

@@ -92,7 +92,7 @@ class TestPhi:
     def test_round_trip_where_phi_of_one_dwarfs_phi(self, delta):
         # Phi(1) ~ delta / (p + 1) is far above Phi(y) for most y, so a
         # residual test scaled by Phi(1) would accept y values far from the
-        # root (0.16 off at delta = 1e30); the update-size stop does not.
+        # root; only a stop on the update size holds them to rounding.
         y = np.linspace(0.0, 1.0, 101)
         got = _phi_inverse_many(delta, 20.0, phi_map(delta, 20.0, y), clamp=True)
         np.testing.assert_allclose(got, y, rtol=0.0, atol=1e-15)
