@@ -561,6 +561,27 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["profile"], ["verify"], ["sweep"]],
+    ids=["solve", "profile", "verify", "sweep"],
+)
+def test_scheme_weight_exits_2_on_every_command(tmp_path, capsys, argv):
+    # A config written for the former default still names the weight; every
+    # command that runs the config without it refuses it by name, before it
+    # writes anything.
+    text = DIMLESS_ORACLE + "sweep.ste = 0.5, 1.0\n"
+    assert main([*argv, "--config", write_cfg(tmp_path, text), "--out", str(tmp_path)]) == 0
+    cfg = write_cfg(tmp_path, text + "oracle.theta_scheme = 0.5\n", "old.cfg")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line ")
+    assert "unknown config key 'oracle.theta_scheme'" in err
+    assert not out.exists()
+
+
 SWEEP_NO_BASE = DIMLESS_EXP.replace("problem.ste = 1.0\n", "") + "sweep.ste = 0.5, 1.0\n"
 
 

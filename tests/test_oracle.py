@@ -200,8 +200,9 @@ class TestSweepCounter:
         monkeypatch.setattr(oracle._Stepper, "advance", recording_advance)
         return run_oracle_for(sol, cfg), per_step
 
-    def test_one_solve_per_sweep(self, monkeypatch):
-        sol = solve_problem(unit_material(), BD, FluxFeedbackSource(lambda0=0.5))
+    @pytest.mark.parametrize("kind", ["exponential", "feedback", "none"])
+    def test_one_solve_per_sweep(self, monkeypatch, kind):
+        sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
         cfg = OracleConfig(n_space=64, n_time=256)
         plain = run_oracle_for(sol, cfg)
         passes = [0]
@@ -385,6 +386,41 @@ class TestGoldenErrors:
         sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES["feedback"])
         got = compare(unscaled_feedback_solution(sol), run)
         assert got == pytest.approx((run.front_rel_err, run.temp_max_err), rel=0.0, abs=1e-14)
+
+
+class TestCrankNicolsonOrder:
+    """Second order in time and space on each golden source."""
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_SOURCES))
+    def test_golden_run_monotone_and_within_band(self, golden_runs, kind):
+        # Crank-Nicolson is not monotone; on these smooth states it must
+        # still keep the front advancing and the field inside its drop.
+        run, _ = golden_runs[kind]
+        assert np.all(np.diff(run.front) > 0.0)
+        assert run.fields.min() >= -1e-6
+        assert run.fields.max() <= 1.0 + 1e-6
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_SOURCES))
+    def test_refinement_shrinks_error(self, golden_runs, kind):
+        # Halving h and dt divides both errors by about four.
+        run, _ = golden_runs[kind]
+        sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
+        finer = run_oracle_for(sol, OracleConfig(n_space=128, n_time=512))
+        assert 3.0 <= run.front_rel_err / finer.front_rel_err <= 5.0
+        assert 3.0 <= run.temp_max_err / finer.temp_max_err <= 5.0
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_SOURCES))
+    def test_time_error_is_second_order(self, kind):
+        # On one space grid the spatial error is common to every run, so the
+        # final fronts of dt, dt/2 and dt/4 differ by the time error alone:
+        # its differences shrink by about four (two for backward Euler).
+        sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
+        fronts = [
+            run_oracle_for(sol, OracleConfig(n_space=32, n_time=n)).front[-1]
+            for n in (32, 64, 128)
+        ]
+        ratio = abs(fronts[0] - fronts[1]) / abs(fronts[1] - fronts[2])
+        assert 3.0 <= ratio <= 5.0
 
 
 class TestPredictedFrontStart:
@@ -649,6 +685,43 @@ def central_jacobian(stepper, w, s, old):
     return jac, row, (r_plus - r_minus) / (2.0 * ds), (s_plus - s_minus) / (2.0 * ds)
 
 
+def assert_jacobian_matches(sol):
+    """Check the Newton Jacobian of one step of sol's problem on 16 x 16.
+
+    At states perturbed off the similarity solution, each block matches
+    central differences of the step's equations in (w, s): the tridiagonal
+    part (with the feedback source's face-gradient coupling, col_g times
+    face_row), the front column and d_ss, and the Stefan row, which is zero
+    but on the last three interior nodes.
+    """
+    cfg = OracleConfig(n_space=16, n_time=16)
+    stepper = oracle._Stepper(sol.material, sol.boundary, sol.source, cfg)
+    t0, t1 = stepper.times[3], stepper.times[4]
+    s0 = front_position(sol, t0)
+    v = stepper.to_kirchhoff(temperature(sol, stepper.xi * s0, t0))
+    old = stepper._old_level(v, s0, t0, t1)
+    s1 = front_position(sol, t1)
+    exact = stepper.to_kirchhoff(temperature(sol, stepper.xi * s1, t1))
+    rng = np.random.default_rng(3)
+    m = cfg.n_space - 2
+    for _ in range(3):
+        s = s1 * rng.uniform(0.97, 1.03)
+        w = exact.copy()
+        w[1:-1] += 0.01 * stepper.span * rng.uniform(-1.0, 1.0, m)
+        lower, diag, upper, cols, _, row_s, d_ss = stepper._linearize(w, s, old)
+        jac = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        if sol.source.kind == "feedback":
+            jac[:, :2] += np.outer(cols[2], stepper.face_row)
+        else:
+            assert cols.shape == (2, m)
+        row = np.zeros(m)
+        row[-3:] = row_s
+        fd_jac, fd_row, fd_col, fd_d_ss = central_jacobian(stepper, w, s, old)
+        for got, want in ((jac, fd_jac), (row, fd_row), (cols[1], fd_col)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-7 * np.max(np.abs(want)))
+        assert d_ss == pytest.approx(fd_d_ss, rel=1e-9)
+
+
 # A dimensional problem whose rho c0 (4.2e6) and k0 (0.6) put the advection
 # and the diffusion on scales far apart.
 DIM_MATERIAL = Material(rho=1000.0, c0=4200.0, k0=0.6, latent_heat=334000.0, delta=0.5, p=0.7)
@@ -695,40 +768,25 @@ class TestOperator:
 
     @pytest.mark.parametrize("kind", sorted(GOLDEN_SOURCES))
     def test_jacobian_matches_central_differences(self, kind):
-        # At states perturbed off the similarity solution, each block of the
-        # Newton Jacobian matches central differences of the step's
-        # equations in (w, s): the tridiagonal part (with the feedback
-        # source's face-gradient coupling, col_g times face_row), the front
-        # column and d_ss, and the Stefan row, which is zero but on the last
-        # three interior nodes.  delta = 2 makes Phi'(1) = 3 in the
-        # feedback source's theta_x(0) = w_x(0) / Phi'(1).
+        # delta = 2 makes Phi'(1) = 3 in the feedback source's
+        # theta_x(0) = w_x(0) / Phi'(1).
         sol = solve_problem(unit_material(delta=2.0, p=0.7), BD, GOLDEN_SOURCES[kind])
-        cfg = OracleConfig(n_space=16, n_time=16)
-        stepper = oracle._Stepper(sol.material, sol.boundary, sol.source, cfg)
-        t0, t1 = stepper.times[3], stepper.times[4]
-        s0 = front_position(sol, t0)
-        v = stepper.to_kirchhoff(temperature(sol, stepper.xi * s0, t0))
-        old = stepper._old_level(v, s0, t0, t1)
-        s1 = front_position(sol, t1)
-        exact = stepper.to_kirchhoff(temperature(sol, stepper.xi * s1, t1))
-        rng = np.random.default_rng(3)
-        m = cfg.n_space - 2
-        for _ in range(3):
-            s = s1 * rng.uniform(0.97, 1.03)
-            w = exact.copy()
-            w[1:-1] += 0.01 * stepper.span * rng.uniform(-1.0, 1.0, m)
-            lower, diag, upper, cols, _, row_s, d_ss = stepper._linearize(w, s, old)
-            jac = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-            if kind == "feedback":
-                jac[:, :2] += np.outer(cols[2], stepper.face_row)
-            else:
-                assert cols.shape == (2, m)
-            row = np.zeros(m)
-            row[-3:] = row_s
-            fd_jac, fd_row, fd_col, fd_d_ss = central_jacobian(stepper, w, s, old)
-            for got, want in ((jac, fd_jac), (row, fd_row), (cols[1], fd_col)):
-                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-7 * np.max(np.abs(want)))
-            assert d_ss == pytest.approx(fd_d_ss, rel=1e-9)
+        assert_jacobian_matches(sol)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            NoSource(),
+            ExponentialSource(),
+            SimilaritySource(lambda eta: (1.0 + eta) * np.exp(-eta * eta) / 2.0),
+            FluxFeedbackSource(lambda0=800.0),
+        ],
+        ids=lambda source: source.kind,
+    )
+    def test_jacobian_matches_central_differences_dimensional(self, source):
+        # The same blocks where rho c0 and k0 put the time derivative, the
+        # advection and the diffusion on scales far apart.
+        assert_jacobian_matches(solve_problem(DIM_MATERIAL, DIM_BD, source))
 
 
 class TestKirchhoffMap:
@@ -750,6 +808,21 @@ class TestKirchhoffMap:
         # to its own tolerance, which is absolute.
         np.testing.assert_allclose(
             back, similarity._phi_inverse_many(delta, p, w, True), rtol=1e-12, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("delta", [1e12, 1e30])
+    @pytest.mark.parametrize("p", [2.0, 20.0])
+    def test_inverses_agree_where_phi_of_one_dwarfs_phi(self, p, delta):
+        # Phi(1) ~ delta / (p + 1) dwarfs Phi(y) over most of [0, 1]; both
+        # inverses stop on the update size, so both hold y to rounding.
+        material = unit_material(delta=delta, p=p)
+        stepper = oracle._Stepper(material, BD, NoSource(), OracleConfig(n_space=16, n_time=16))
+        y = np.linspace(0.0, 1.0, 101)
+        w = kirchhoff(material, 1.0, y)
+        back = stepper.from_kirchhoff(w)
+        np.testing.assert_allclose(back, y, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(
+            similarity._phi_inverse_many(delta, p, w, True), back, rtol=0.0, atol=1e-15
         )
 
     def test_inverse_extends_below_zero(self):

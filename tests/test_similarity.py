@@ -97,6 +97,15 @@ class TestPhi:
         got = _phi_inverse_many(delta, 20.0, phi_map(delta, 20.0, y), clamp=True)
         np.testing.assert_allclose(got, y, rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("delta", [1e6, 1e12, 1e30])
+    @pytest.mark.parametrize("p", [0.5, 2.0, 5.0])
+    def test_round_trip_at_large_delta(self, p, delta):
+        # The same stop at other exponents: a residual test scaled by Phi(1)
+        # left errors up to 9e-8 at p = 5, delta = 1e30.
+        y = np.linspace(0.0, 1.0, 101)
+        got = _phi_inverse_many(delta, p, phi_map(delta, p, y), clamp=True)
+        np.testing.assert_allclose(got, y, rtol=0.0, atol=1e-15)
+
     def test_quadratic_inverse_matches_generic_at_p1(self):
         for delta in (0.1, 1.0, 5.0):
             top = phi_map(delta, 1.0, 1.0)
