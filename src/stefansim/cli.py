@@ -186,10 +186,13 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("sweep command requires at least one sweep.* key")
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
-    if args.workers == 1:
+    # A fork-started pool launches every worker up front, so more workers
+    # than cases would only fork idle interpreters.
+    workers = min(args.workers, len(cfg.sweep))
+    if workers == 1:
         rows = [_sweep_case(problem) for problem in cfg.sweep]
     else:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_case, cfg.sweep))
     path = _write_csv(
         cfg, args, "sweep.csv",

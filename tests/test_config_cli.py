@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import stefansim.cli as cli
 import stefansim.config as config
 import stefansim.oracle as oracle
 from stefansim.cli import main
@@ -529,6 +530,30 @@ class TestSweepCommand:
         assert (tmp_path / "w1" / "sweep.csv").read_bytes() == (
             tmp_path / "w2" / "sweep.csv"
         ).read_bytes()
+
+    def test_pool_never_outnumbers_cases(self, tmp_path, monkeypatch):
+        # The stand-in pool maps in this process, so no worker is started.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        text = DIMLESS_EXP + "sweep.ste = 0.5, 1.0, 2.0\nsweep.delta = 0.1, 1.0\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path), "--workers", "1000000"]) == 0
+        assert sizes == [6]
+        assert len(read_csv(tmp_path / "sweep.csv")) == 7
 
     def test_failures_recorded_in_row(self, tmp_path):
         # delta = -1 violates a model invariant per-tuple, not globally.
