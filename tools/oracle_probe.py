@@ -26,7 +26,7 @@ import numpy as np
 
 from stefansim.checks import oracle_checks
 from stefansim.config import reduced_problem
-from stefansim.errors import StefanError
+from stefansim.errors import InvalidInput, StefanError
 from stefansim.oracle import OracleConfig
 from stefansim.similarity import solve_problem
 
@@ -53,14 +53,20 @@ def probe_case(kind: str, feedback: float | None, ste: float, delta: float, p: f
     return ("pass" if front.passed and temp.passed else "fail"), detail
 
 
+def oracle_grid(text: str) -> OracleConfig:
+    """The OracleConfig of a --grid value NSPACExNTIME; argparse reports a bad one."""
+    try:
+        n_space, n_time = (int(part) for part in text.lower().split("x"))
+        return OracleConfig(n_space=n_space, n_time=n_time)
+    except (ValueError, InvalidInput) as exc:
+        raise argparse.ArgumentTypeError(f"expected NSPACExNTIME, got {text!r}: {exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--grid", help="oracle n_space x n_time, e.g. 128x256")
-    args = parser.parse_args(argv)
-    cfg = OracleConfig()
-    if args.grid:
-        n_space, n_time = (int(part) for part in args.grid.lower().split("x"))
-        cfg = OracleConfig(n_space=n_space, n_time=n_time)
+    parser.add_argument("--grid", type=oracle_grid, default=OracleConfig(),
+                        help="oracle n_space x n_time, e.g. 128x256")
+    cfg = parser.parse_args(argv).grid
     print(f"oracle {cfg.n_space} x {cfg.n_time}")
     print("source       Ste     delta   p      outcome: front_rel_err / temp_max_err")
     totals: dict[str, int] = {}
