@@ -8,25 +8,26 @@ the true error for smooth integrands and therefore errs on the side of
 extra subdivision.  integrate and integrate_cumulative share one pass,
 breadth-first over numpy arrays of active panels, so integrands are always
 evaluated on batches of nodes rather than one scalar at a time.  Both meet
-one budget, max(abs_tol, rel_tol * |integral|), and both fail with
-MaxSubdivisionsExceeded at a depth limit or an active-panel cap rather
-than running out of memory.
+one budget, max(QUAD_ABS_TOL, QUAD_REL_TOL * |integral|), and both fail
+with MaxSubdivisionsExceeded at a depth limit or an active-panel cap
+rather than running out of memory.
 
 Root finding works only on (strictly) increasing functions, which is all
 the similarity layer ever needs: every transcendental equation in this
 problem family has a monotone left-hand side.  A Brent-Dekker iteration
 contracts a bracket whose ends keep opposite signs, so the bracket stays a
-proof of the root while interpolation takes it to tolerance in a fraction
-of the evaluations bisection needs.
+proof of the root while interpolation takes it to ROOT_ABS_TOL and
+ROOT_REL_TOL in a fraction of the evaluations bisection needs.
+
+Each routine runs one budget, held as module constants that are read at
+call time; no routine takes a tolerance argument.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _special
@@ -61,51 +62,16 @@ PANELS_PER_SEGMENT = 8
 MIN_PANEL_CAP = 1 << 16
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute/relative tolerance pair plus an iteration budget.
+# Error budget of every quadrature pass, max(QUAD_ABS_TOL, QUAD_REL_TOL *
+# |integral|): the front equations and the Psi kernels share it.
+QUAD_ABS_TOL = 1e-13
+QUAD_REL_TOL = 1e-13
 
-    Attributes:
-        abs_tol: Absolute tolerance, > 0.
-        rel_tol: Relative tolerance, > 0.
-        max_iter: Iteration budget for iterative routines, >= 1.
-    """
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0) or not math.isfinite(self.abs_tol):
-            raise InvalidInput(f"abs_tol must be finite and > 0, got {self.abs_tol}")
-        if not (self.rel_tol > 0.0) or not math.isfinite(self.rel_tol):
-            raise InvalidInput(f"rel_tol must be finite and > 0, got {self.rel_tol}")
-        if not isinstance(self.max_iter, numbers.Integral):
-            raise InvalidInput(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise InvalidInput(f"max_iter must be >= 1, got {self.max_iter}")
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """Closed interval [lo, hi] believed to contain a root.
-
-    Attributes:
-        lo: Lower endpoint, finite, < hi.
-        hi: Upper endpoint, finite.
-    """
-
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise InvalidInput(f"bracket endpoints must be finite, got [{self.lo}, {self.hi}]")
-        if not self.lo < self.hi:
-            raise InvalidInput(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
-
-
-DEFAULT_TOL = Tolerance()
+# Stopping rule of the root solve: |g(x) - target| <= ROOT_ABS_TOL and
+# bracket width <= ROOT_REL_TOL * x, within ROOT_MAX_ITER iterations.
+ROOT_ABS_TOL = 1e-10
+ROOT_REL_TOL = 1e-12
+ROOT_MAX_ITER = 200
 
 
 def erf(x):
@@ -209,16 +175,16 @@ def _gk_panels(f: Callable, a: np.ndarray, b: np.ndarray) -> tuple[Callable, np.
 
 
 def _integrate_segments(
-    f: Callable, a: np.ndarray, b: np.ndarray, total_len: float, tol: Tolerance
+    f: Callable, a: np.ndarray, b: np.ndarray, total_len: float
 ) -> np.ndarray:
     """Integrals of f over the segments [a[i], b[i]] (positive lengths
     summing to total_len), in one breadth-first pass over all of them.
 
     Each round applies the Gauss-Kronrod pair to every active panel,
     accepts the panels whose discrepancy is within their share of the
-    budget max(abs_tol, rel_tol * |running total|), shared in proportion
-    to panel length, and bisects the rest.  All active panels of a round
-    have the same depth, so the round counter is the depth.
+    budget max(QUAD_ABS_TOL, QUAD_REL_TOL * |running total|), shared in
+    proportion to panel length, and bisects the rest.  All active panels of
+    a round have the same depth, so the round counter is the depth.
     """
     n = a.size
     seg = np.arange(n)
@@ -226,7 +192,7 @@ def _integrate_segments(
     depth = 0
     while True:
         f, vals, errs = _gk_panels(f, a, b)
-        budget = max(tol.abs_tol, tol.rel_tol * abs(float(sums.sum() + vals.sum())))
+        budget = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(float(sums.sum() + vals.sum())))
         ok = errs <= budget * (b - a) / total_len
         sums += np.bincount(seg[ok], vals[ok], n)
         n_bad = ok.size - int(np.count_nonzero(ok))
@@ -246,25 +212,19 @@ def _integrate_segments(
         depth += 1
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
+def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
     """Adaptive integral of f over [a, b].
 
     Panels whose Gauss/Kronrod discrepancy exceeds their share of the
     error budget (allocated proportionally to panel length) are bisected,
     breadth first, until every panel is accepted.  The final estimated
-    error is at most max(abs_tol, rel_tol * |result|).
+    error is at most max(QUAD_ABS_TOL, QUAD_REL_TOL * |result|).
 
     Args:
         f: Integrand.  Preferably accepts numpy arrays; scalar-only
             callables are wrapped transparently at a modest speed cost.
         a: Lower limit.
         b: Upper limit (a <= b for the usual orientation; a > b negates).
-        tol: Error budget.
 
     Returns:
         The integral estimate.
@@ -283,14 +243,10 @@ def integrate(
     if b < a:
         a, b = b, a
         sign = -1.0
-    return sign * float(_integrate_segments(f, np.array([a]), np.array([b]), b - a, tol)[0])
+    return sign * float(_integrate_segments(f, np.array([a]), np.array([b]), b - a)[0])
 
 
-def integrate_cumulative(
-    f: Callable[[np.ndarray], np.ndarray],
-    points: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-) -> np.ndarray:
+def integrate_cumulative(f: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> np.ndarray:
     """Cumulative integrals of f from points[0] to every point.
 
     All segments between consecutive points are integrated in one batched
@@ -298,12 +254,12 @@ def integrate_cumulative(
     points share their quadrature history exactly.  That property matters
     when the caller finite-differences the result: independent adaptive
     calls would carry independently rounded errors that do not cancel.
+    The budget max(QUAD_ABS_TOL, QUAD_REL_TOL * |integral over all
+    points|) is shared across segments by length, as in integrate.
 
     Args:
         f: Integrand (see integrate for the vectorization contract).
         points: Ascending 1-D array of evaluation points (ties allowed).
-        tol: Error budget max(abs_tol, rel_tol * |integral over all
-            points|), shared across segments by length as in integrate.
 
     Returns:
         Array F with F[0] = 0 and F[i] = integral of f over
@@ -323,7 +279,7 @@ def integrate_cumulative(
     live = lens > 0.0
     if live.any():
         total_len = float(lens.sum())
-        seg_vals[live] = _integrate_segments(f, pts[:-1][live], pts[1:][live], total_len, tol)
+        seg_vals[live] = _integrate_segments(f, pts[:-1][live], pts[1:][live], total_len)
     out = np.empty(pts.size)
     out[0] = 0.0
     np.cumsum(seg_vals, out=out[1:])
@@ -339,10 +295,7 @@ def _eval_clipped(g: Callable[[float], float], x: float) -> float:
 
 
 def find_root_increasing(
-    g: Callable[[float], float],
-    target: float,
-    bracket: Bracket,
-    tol: Tolerance = DEFAULT_TOL,
+    g: Callable[[float], float], target: float, lo: float, hi: float
 ) -> float:
     """Solve g(x) = target for increasing g on a positive domain.
 
@@ -358,27 +311,29 @@ def find_root_increasing(
     finite bracket instead of crashing; while an end of the bracket has an
     infinite value the iteration bisects.
 
+    The iteration stops once |g(x) - target| <= ROOT_ABS_TOL and the
+    bracket width is <= ROOT_REL_TOL * x, or once the bracket collapses to
+    adjacent doubles, at its end with the smaller residual.
+
     Args:
         g: Strictly increasing function of one positive variable.
         target: Right-hand side value to match.
-        bracket: Seed bracket with 0 < lo < hi.
-        tol: Stopping criteria: |g(x) - target| <= abs_tol and bracket
-            width <= rel_tol * x, within max_iter iterations.  A bracket
-            that collapses to adjacent doubles first also stops the
-            iteration, at its end with the smaller residual.
+        lo: Lower end of the seed bracket, finite and > 0.
+        hi: Upper end of the seed bracket, finite and > lo.
 
     Returns:
         The root x*.
 
     Raises:
-        InvalidInput: Seed bracket is not strictly positive.
+        InvalidInput: Seed bracket is not finite with 0 < lo < hi.
         BracketExpansionFailed: g(hi) < target even at the expansion cap.
         NotBracketed: g(lo) > target even with lo shrunk to its floor.
-        NonConvergence: Iteration budget exhausted.
+        NonConvergence: ROOT_MAX_ITER iterations did not meet the stop.
     """
-    if bracket.lo <= 0.0:
-        raise InvalidInput(f"find_root_increasing requires lo > 0, got {bracket.lo}")
-    lo, hi = bracket.lo, bracket.hi
+    if not (0.0 < lo < hi and math.isfinite(hi)):
+        raise InvalidInput(
+            f"find_root_increasing requires finite 0 < lo < hi, got [{lo}, {hi}]"
+        )
     glo = _eval_clipped(g, lo)
     ghi = _eval_clipped(g, hi)
     while ghi < target:
@@ -409,7 +364,7 @@ def find_root_increasing(
     b, fb = hi, ghi - target
     c, fc = a, fa
     step = prev_step = b - a
-    for _ in range(tol.max_iter):
+    for _ in range(ROOT_MAX_ITER):
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             step = prev_step = b - a
@@ -417,14 +372,14 @@ def find_root_increasing(
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
         half = 0.5 * (c - b)
-        if fb == 0.0 or (abs(fb) <= tol.abs_tol and abs(c - b) <= tol.rel_tol * abs(b)):
+        if fb == 0.0 or (abs(fb) <= ROOT_ABS_TOL and abs(c - b) <= ROOT_REL_TOL * abs(b)):
             return b
         if b + half in (b, c):
             return b
         # Smallest step: half the width tolerance once the residual meets
-        # abs_tol, a couple of ulps while it does not, so that a steep g
+        # ROOT_ABS_TOL, a couple of ulps while it does not, so that a steep g
         # still converges down to the resolution of a double.
-        width_share = 0.5 * tol.rel_tol if abs(fb) <= tol.abs_tol else 0.0
+        width_share = 0.5 * ROOT_REL_TOL if abs(fb) <= ROOT_ABS_TOL else 0.0
         min_step = max(width_share, 2.0 * _EPS) * abs(b)
         if (
             abs(half) > min_step
@@ -460,5 +415,5 @@ def find_root_increasing(
             b += math.copysign(min_step, half)
         fb = _eval_clipped(g, b) - target
     raise NonConvergence(
-        f"find_root_increasing: no root to tolerance within {tol.max_iter} iterations"
+        f"find_root_increasing: no root to tolerance within {ROOT_MAX_ITER} iterations"
     )

@@ -119,11 +119,11 @@ class OracleRun:
     the initial state sampled from the solution.  problem is the
     (material, boundary, source) the trajectory was stepped from, and
     solution the closed form it is compared with.  Only these five are
-    stored; xi, times = _grid(config)
-    and front_rel_err, temp_max_err = compare(solution, run) (relative, and
-    absolute in K) are derived.  compare checks the solution's problem
-    against problem, so a run built, or replaced, with a solution of
-    another problem raises MismatchedProblem; another lam is allowed.
+    stored; xi, times = _grid(config) and front_rel_err, temp_max_err =
+    compare(solution, run) (relative, and absolute in K) are derived.
+    compare checks the solution's problem against problem, so a run built,
+    or replaced, with a solution of another problem raises
+    MismatchedProblem; another lam is allowed.
     """
 
     config: OracleConfig

@@ -76,8 +76,6 @@ from .model import (
 )
 from .numerics import (
     SQRT_PI,
-    Bracket,
-    Tolerance,
     _call_vectorized,
     _eval_clipped,
     erf,
@@ -90,12 +88,9 @@ from .numerics import (
 # inversion rejects them; strays inside the band clamp to the boundary.
 PSI_CLAMP_SLACK = 1e-9
 
-# Seed bracket for every front-coefficient solve; find_root_increasing
-# expands it as needed.
-LAMBDA_SEED = Bracket(1e-8, 1.0)
-
-# Quadrature budget used inside profile kernels and equation evaluations.
-_QUAD_TOL = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=200)
+# Seed bracket (lo, hi) for every front-coefficient solve;
+# find_root_increasing expands it as needed.
+LAMBDA_SEED = (1e-8, 1.0)
 
 
 def _finite(value: float) -> float:
@@ -229,13 +224,13 @@ class LambdaEquation:
 
 
 def solve_lambda(eq: LambdaEquation) -> float:
-    """Root of a reduced equation, bracketed from the standard seed, at DEFAULT_TOL.
+    """Root of a reduced equation, bracketed from the seed LAMBDA_SEED.
 
     Failures are re-raised with the equation's label attached so callers
     (and CLI users) see which reduced equation could not be solved.
     """
     try:
-        return find_root_increasing(eq.evaluate, eq.target, LAMBDA_SEED)
+        return find_root_increasing(eq.evaluate, eq.target, *LAMBDA_SEED)
     except StefanError as exc:
         raise type(exc)(f"solving {eq.label}: {exc}") from exc
 
@@ -374,9 +369,7 @@ class _SimilarityModel(SourceModel):
 
     def _lhs(self, x: float) -> float:
         head = (SQRT_PI / self.ste) * x * math.erf(x) * math.exp(x * x)
-        return head + (2.0 * SQRT_PI / self.ste) * integrate(
-            self._f_bee, 0.0, x, _QUAD_TOL
-        )
+        return head + (2.0 * SQRT_PI / self.ste) * integrate(self._f_bee, 0.0, x)
 
     def _f_be(self, z: np.ndarray) -> np.ndarray:
         return self.beta(z) * np.exp(z * z)
@@ -388,15 +381,15 @@ class _SimilarityModel(SourceModel):
         target, ste = self.equation.target, self.ste
         # math.exp raises OverflowError before the quadrature can overflow in numpy.
         head = lam * math.exp(lam * lam)
-        b_coeff = head + 2.0 * integrate(self._f_be, 0.0, lam, _QUAD_TOL)
+        b_coeff = head + 2.0 * integrate(self._f_be, 0.0, lam)
         slope = _finite(-(2.0 / (ste * (1.0 + self.delta))) * b_coeff)
         # The kernel's erf(eta) coefficient, which it multiplies out per point.
         _finite((SQRT_PI / ste) * b_coeff)
 
         def kernel(pts: np.ndarray) -> np.ndarray:
             nodes = np.concatenate([[0.0], pts])
-            ibe = integrate_cumulative(self._f_be, nodes, _QUAD_TOL)[1:]
-            ibee = integrate_cumulative(self._f_bee, nodes, _QUAD_TOL)[1:]
+            ibe = integrate_cumulative(self._f_be, nodes)[1:]
+            ibee = integrate_cumulative(self._f_bee, nodes)[1:]
             er = erf(pts)
             return (
                 target
@@ -465,7 +458,7 @@ class _FeedbackModel(SourceModel):
         return math.exp(-x * x) * (1.0 + self.delta) + self.feedback * float(dawsn(x))
 
     def _lhs(self, x: float) -> float:
-        f = integrate(dawsn, 0.0, x, _QUAD_TOL)
+        f = integrate(dawsn, 0.0, x)
         return 2.0 * x * (self.feedback * f + self._erf_coeff * math.erf(x)) / (
             self.ste * self._den(x)
         )
@@ -476,7 +469,7 @@ class _FeedbackModel(SourceModel):
 
         def kernel(pts: np.ndarray) -> np.ndarray:
             nodes = np.concatenate([[0.0], pts])
-            f = integrate_cumulative(dawsn, nodes, _QUAD_TOL)[1:]
+            f = integrate_cumulative(dawsn, nodes)[1:]
             return target + slope * (feedback * f + erf_coeff * erf(pts))
 
         return PsiProfile(lam, self.delta, self.p, slope, kernel)
@@ -599,7 +592,7 @@ def solve_problem(
 
     Returns:
         The SimilaritySolution at the root lam of the reduced equation,
-        solved to numerics.DEFAULT_TOL.
+        solved to numerics.ROOT_ABS_TOL and ROOT_REL_TOL.
 
     Raises:
         InvalidInput: Malformed problem data.

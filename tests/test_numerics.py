@@ -21,11 +21,10 @@ from stefansim.errors import (
     MaxSubdivisionsExceeded,
     NotBracketed,
 )
+from stefansim import numerics
 from stefansim.numerics import (
     MIN_PANEL_CAP,
     PANELS_PER_SEGMENT,
-    Bracket,
-    Tolerance,
     erf,
     find_root_increasing,
     integrate,
@@ -104,10 +103,13 @@ class TestIntegrate:
     def test_zero_width(self):
         assert integrate(lambda z: np.exp(z), 0.5, 0.5) == 0.0
 
-    def test_steep_integrand(self):
+    def test_steep_integrand(self, monkeypatch):
         # Near-singular peak; adaptive subdivision must resolve it.  The
         # antiderivative of 1/sqrt(|z-c|+s) is elementary, so the
-        # reference value is exact.
+        # reference value is exact.  At a 1e-13 budget the peak outgrows
+        # the active-panel cap, so the pass runs at 1e-10 / 1e-12.
+        monkeypatch.setattr(numerics, "QUAD_ABS_TOL", 1e-10)
+        monkeypatch.setattr(numerics, "QUAD_REL_TOL", 1e-12)
         c, s = 0.3, 1e-8
         f = lambda z: 1.0 / np.sqrt(np.abs(z - c) + s)
         want = 2.0 * (math.sqrt(1.0 - c + s) - math.sqrt(s)) + 2.0 * (
@@ -149,16 +151,17 @@ class TestIntegrateCumulative:
         np.testing.assert_allclose(out, np.expm1(points), rtol=1e-14, atol=0)
         assert integrate_cumulative(np.exp, np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
 
-    def test_relative_budget_on_large_integral(self):
+    def test_relative_budget_on_large_integral(self, monkeypatch):
         # The integral is 7.35e9, so an absolute budget of 1e-13 alone is
         # out of reach; the relative term makes it a 1 ms pass.
-        tol = Tolerance(abs_tol=1e-13, rel_tol=1e-13)
+        monkeypatch.setattr(numerics, "QUAD_ABS_TOL", 1e-13)
+        monkeypatch.setattr(numerics, "QUAD_REL_TOL", 1e-13)
         out = run_limited(
-            "integrate_cumulative(lambda z: np.exp(z * z), np.linspace(0.0, 5.0, 11), "
-            "Tolerance(abs_tol=1e-13, rel_tol=1e-13))[-1]"
+            "integrate_cumulative(lambda z: np.exp(z * z), np.linspace(0.0, 5.0, 11))[-1]",
+            quad_tol=(1e-13, 1e-13),
         )
         assert out["error"] is None and out["seconds"] < 1.0
-        want = integrate(lambda z: np.exp(z * z), 0.0, 5.0, tol)
+        want = integrate(lambda z: np.exp(z * z), 0.0, 5.0)
         assert out["value"] == pytest.approx(want, rel=1e-13)
 
     def test_scalar_only_integrand(self):
@@ -172,8 +175,9 @@ class TestIntegrateCumulative:
 CHILD_ADDRESS_LIMIT = 1 << 30
 
 
-def run_limited(call: str) -> dict:
-    """Evaluate call in a child interpreter under CHILD_ADDRESS_LIMIT.
+def run_limited(call: str, quad_tol: tuple[float, float]) -> dict:
+    """Evaluate call in a child interpreter under CHILD_ADDRESS_LIMIT, with
+    the quadrature budget (QUAD_ABS_TOL, QUAD_REL_TOL) set to quad_tol.
 
     Returns {"value": float or None, "error": exception name or None,
     "seconds": wall time of the call alone}.
@@ -183,7 +187,9 @@ def run_limited(call: str) -> dict:
         import json, resource, time
         resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_LIMIT}, {CHILD_ADDRESS_LIMIT}))
         import numpy as np
-        from stefansim.numerics import Tolerance, integrate, integrate_cumulative
+        from stefansim import numerics
+        from stefansim.numerics import integrate, integrate_cumulative
+        numerics.QUAD_ABS_TOL, numerics.QUAD_REL_TOL = {quad_tol!r}
         out = {{"value": None, "error": None}}
         start = time.perf_counter()
         try:
@@ -206,30 +212,29 @@ class TestBoundedPass:
     # A budget no panel can meet doubles the active panels every round, so
     # without the active-panel cap a pass exhausts memory long before
     # MAX_SUBDIVISION_DEPTH.
-    UNREACHABLE = "Tolerance(abs_tol=1e-300, rel_tol=1e-300)"
+    UNREACHABLE = (1e-300, 1e-300)
 
     @pytest.mark.parametrize(
         "call",
         [
-            f"integrate(lambda z: np.exp(z * z), 0.0, 5.0, {UNREACHABLE})",
-            f"integrate_cumulative(lambda z: np.exp(z * z), np.linspace(0.0, 5.0, 11), "
-            f"{UNREACHABLE})[-1]",
+            "integrate(lambda z: np.exp(z * z), 0.0, 5.0)",
+            "integrate_cumulative(lambda z: np.exp(z * z), np.linspace(0.0, 5.0, 11))[-1]",
         ],
     )
     def test_unreachable_budget_raises_quickly(self, call):
-        out = run_limited(call)
+        out = run_limited(call, quad_tol=self.UNREACHABLE)
         assert out["error"] == MaxSubdivisionsExceeded.__name__
         assert out["seconds"] < 1.0
 
-    def test_cap_scales_with_segment_count(self):
+    def test_cap_scales_with_segment_count(self, monkeypatch):
         # Nearly every one of the 20000 segments holds 2.5 periods and is
         # bisected twice, so the third round holds ~80000 active panels:
         # past MIN_PANEL_CAP, inside PANELS_PER_SEGMENT per segment.
+        monkeypatch.setattr(numerics, "QUAD_ABS_TOL", 1e-10)
+        monkeypatch.setattr(numerics, "QUAD_REL_TOL", 1e-10)
         n = 20_000
         w = 16.0 * n
-        out = integrate_cumulative(
-            lambda z: np.cos(w * z), np.linspace(0.0, 1.0, n + 1), Tolerance(1e-10, 1e-10)
-        )
+        out = integrate_cumulative(lambda z: np.cos(w * z), np.linspace(0.0, 1.0, n + 1))
         assert 4 * n > MIN_PANEL_CAP and 4 <= PANELS_PER_SEGMENT
         assert out[-1] == pytest.approx(math.sin(w) / w, abs=1e-13)
 
@@ -250,29 +255,31 @@ class TestFindRootIncreasing:
         g = lambda x: math.sqrt(math.pi) * x * math.erf(x) * math.exp(x * x)
         want = bisect_oracle(g, 1.0, 0.1, 1.0)
         assert want == pytest.approx(CLASSICAL_LAM, abs=1e-12)
-        got = find_root_increasing(g, 1.0, Bracket(1e-8, 1.0))
+        got = find_root_increasing(g, 1.0, 1e-8, 1.0)
         assert got == pytest.approx(CLASSICAL_LAM, abs=1e-10)
 
     def test_expands_bracket_upward(self):
-        got = find_root_increasing(lambda x: x * x, 100.0, Bracket(1e-3, 1.0))
+        got = find_root_increasing(lambda x: x * x, 100.0, 1e-3, 1.0)
         assert got == pytest.approx(10.0, rel=1e-10)
 
     def test_shrinks_bracket_downward(self):
-        got = find_root_increasing(lambda x: x, 1e-6, Bracket(1.0, 2.0))
+        got = find_root_increasing(lambda x: x, 1e-6, 1.0, 2.0)
         assert got == pytest.approx(1e-6, rel=1e-9)
 
     def test_not_bracketed_below(self):
         with pytest.raises(NotBracketed):
-            find_root_increasing(lambda x: x + 1.0, 0.5, Bracket(1.0, 2.0))
+            find_root_increasing(lambda x: x + 1.0, 0.5, 1.0, 2.0)
 
     def test_expansion_cap(self):
         with pytest.raises(BracketExpansionFailed):
-            find_root_increasing(math.atan, 2.0, Bracket(0.5, 1.0))
+            find_root_increasing(math.atan, 2.0, 0.5, 1.0)
 
-    def test_residual_tolerance_honored(self):
+    def test_residual_tolerance_honored(self, monkeypatch):
+        monkeypatch.setattr(numerics, "ROOT_ABS_TOL", 1e-12)
+        monkeypatch.setattr(numerics, "ROOT_REL_TOL", 1e-14)
+        monkeypatch.setattr(numerics, "ROOT_MAX_ITER", 500)
         g = lambda x: x**3
-        tol = Tolerance(abs_tol=1e-12, rel_tol=1e-14, max_iter=500)
-        root = find_root_increasing(g, 8.0, Bracket(0.5, 4.0), tol)
+        root = find_root_increasing(g, 8.0, 0.5, 4.0)
         assert abs(g(root) - 8.0) <= 1e-12
 
     def test_classical_evaluation_budget(self):
@@ -283,14 +290,14 @@ class TestFindRootIncreasing:
             calls.append(x)
             return math.sqrt(math.pi) * x * math.erf(x) * math.exp(x * x)
 
-        got = find_root_increasing(g, 1.0, Bracket(1e-8, 1.0))
+        got = find_root_increasing(g, 1.0, 1e-8, 1.0)
         assert got == pytest.approx(CLASSICAL_LAM, rel=1e-12)
         assert len(calls) <= 20
 
     def test_steep_function_resolved_to_ulps(self):
         # Near the root g' = 1e13, so no double meets the residual tolerance;
         # the bracket must collapse to adjacent doubles instead.
-        got = find_root_increasing(lambda x: 1e12 * math.exp(x), 1e13, Bracket(1e-8, 1.0))
+        got = find_root_increasing(lambda x: 1e12 * math.exp(x), 1e13, 1e-8, 1.0)
         assert abs(got - math.log(10.0)) <= 4.0 * math.ulp(math.log(10.0))
 
     def test_infinite_values_above_root(self):
@@ -303,31 +310,23 @@ class TestFindRootIncreasing:
             calls.append(x)
             return math.inf if x > 1.0 else math.expm1(x)
 
-        got = find_root_increasing(g, 1.0, Bracket(1e-8, 50.0))
+        got = find_root_increasing(g, 1.0, 1e-8, 50.0)
         assert got == pytest.approx(math.log(2.0), rel=1e-12)
         assert len(calls) <= 16
 
     def test_overflow_counts_as_infinite(self):
         # exp(x^2) overflows a double once the expanding bracket reaches 32.
-        got = find_root_increasing(lambda x: math.exp(x * x), 1e300, Bracket(1e-8, 1.0))
+        got = find_root_increasing(lambda x: math.exp(x * x), 1e300, 1e-8, 1.0)
         assert got == pytest.approx(math.sqrt(math.log(1e300)), rel=1e-12)
 
     @pytest.mark.parametrize("target", [0.5, 1.0])
     def test_exact_hit_at_bracket_end(self, target):
-        assert find_root_increasing(lambda x: x, target, Bracket(0.5, 1.0)) == target
+        assert find_root_increasing(lambda x: x, target, 0.5, 1.0) == target
 
 
 class TestValidation:
-    def test_tolerance_rejects_nonpositive(self):
-        with pytest.raises(InvalidInput):
-            Tolerance(abs_tol=0.0)
-        with pytest.raises(InvalidInput):
-            Tolerance(rel_tol=-1e-9)
-        with pytest.raises(InvalidInput):
-            Tolerance(max_iter=0)
-
     def test_bracket_requires_order(self):
         with pytest.raises(InvalidInput):
-            Bracket(2.0, 1.0)
+            find_root_increasing(lambda x: x, 0.5, 2.0, 1.0)
         with pytest.raises(InvalidInput):
-            Bracket(math.nan, 1.0)
+            find_root_increasing(lambda x: x, 0.5, math.nan, 1.0)

@@ -29,7 +29,7 @@ from stefansim.model import (
     NoSource,
     SimilaritySource,
 )
-from stefansim.numerics import Tolerance, integrate, integrate_cumulative
+from stefansim.numerics import integrate, integrate_cumulative
 from stefansim.oracle import OracleConfig, OracleRun, compare, run_oracle_for
 from stefansim.reconstruct import front_position, temperature
 from stefansim.similarity import solve_problem
@@ -307,7 +307,6 @@ def unscaled_feedback_solution(sol):
     """
     model, lam = sol.model, sol.lam
     feedback, delta, target = model.feedback, model.delta, model.equation.target
-    tol = Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=200)
 
     def exp_sq(z):
         return np.exp(z * z)
@@ -315,15 +314,15 @@ def unscaled_feedback_solution(sol):
     def exp_sq_erf(z):
         return np.exp(z * z) * special.erf(z)
 
-    e_lam = integrate(exp_sq, 0.0, lam, tol)
+    e_lam = integrate(exp_sq, 0.0, lam)
     coeff = math.sqrt(math.pi) * lam * math.exp(lam * lam) / (
         model.ste * (1.0 + delta + feedback * e_lam)
     )
 
     def kernel(pts):
         nodes = np.concatenate([[0.0], pts])
-        big_e = integrate_cumulative(exp_sq, nodes, tol)[1:]
-        big_i = integrate_cumulative(exp_sq_erf, nodes, tol)[1:]
+        big_e = integrate_cumulative(exp_sq, nodes)[1:]
+        big_i = integrate_cumulative(exp_sq_erf, nodes)[1:]
         er = special.erf(pts)
         return target - coeff * (feedback * (er * big_e - big_i) + (1.0 + delta) * er)
 

@@ -61,7 +61,7 @@ def test_readme_quick_start_blocks_run_on_top_level_names():
 MODULE_NAMES = {
     "errors": ["MismatchedProblem"],
     "model": ["SourceSpec", "conductivity", "specific_heat"],
-    "numerics": ["Tolerance", "erf", "integrate", "integrate_cumulative"],
+    "numerics": ["erf", "integrate", "integrate_cumulative"],
     "oracle": ["compare"],
     "reconstruct": ["fixed_face_flux", "similarity_coordinate", "source_field"],
     "similarity": ["LambdaEquation", "PsiProfile", "SourceModel", "phi_inverse_quadratic",

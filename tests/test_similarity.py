@@ -27,7 +27,7 @@ from stefansim.model import (
     SimilaritySource,
 )
 from stefansim import similarity
-from stefansim.numerics import Bracket, Tolerance, erf, find_root_increasing, integrate_cumulative
+from stefansim.numerics import erf, find_root_increasing, integrate_cumulative
 from stefansim.oracle import OracleConfig
 from stefansim.reconstruct import similarity_coordinate, source_field, temperature
 from stefansim.similarity import (
@@ -323,6 +323,21 @@ class TestSolveProblem:
             sol = solve_problem(unit_material(1.0, 1.0, 1.0), UNIT_BD, src)
             assert sol.lam > 0.0 and abs(sol.lambda_residual()) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "source, order",
+        [(NoSource(), 2.0), (FEEDBACK, 2.0), (ExponentialSource(), 3.0)],
+        ids=["none", "feedback", "exponential"],
+    )
+    def test_root_below_the_seed(self, source, order):
+        # At Ste = 1e-20 the root lies below the seed's lower end, so the
+        # bracket walks down to it.  For small lam the front equations read
+        # order * lam^2 / Ste = target (feedback with A = 1).
+        ste = 1e-20
+        sol = solve_problem(unit_material(ste, 1.0, 1.0), UNIT_BD, source)
+        assert sol.lam < similarity.LAMBDA_SEED[0]
+        assert sol.lam == pytest.approx(math.sqrt(ste * 1.5 / order), rel=1e-9)
+        assert abs(sol.lambda_residual()) <= 1e-10
+
     def test_y_prime0_closed_form_exponential(self):
         # Exponential: (1 + delta) y'(0) = -(2/Ste) lam (e^{lam^2} + 1).
         sol = solve_problem(unit_material(1.0, 1.0, 1.0), UNIT_BD, ExponentialSource())
@@ -494,7 +509,7 @@ def _unit_psi(source, lam):
         (lambda: _unit_solution().y_many(np.array([])).shape, (0,)),
         (lambda: similarity_coordinate(_unit_solution(), 0.1, 0.0), InvalidInput),
         (lambda: BoundaryData(theta0=math.nan, theta_f=0.0), InvalidInput),
-        (lambda: find_root_increasing(lambda x: x, 0.5, Bracket(0.0, 1.0)), InvalidInput),
+        (lambda: find_root_increasing(lambda x: x, 0.5, 0.0, 1.0), InvalidInput),
         (lambda: integrate_cumulative(lambda z: z, np.zeros((2, 2))), InvalidInput),
         (lambda: integrate_cumulative(dawsn, np.array([0.0, math.nan, 1.0])), InvalidInput),
         (lambda: integrate_cumulative(dawsn, np.array([0.0, 1.0, math.nan])), InvalidInput),
@@ -516,7 +531,6 @@ def _unit_psi(source, lam):
         # Integer fields reject floats up front, not deep inside a run.
         (lambda: OracleConfig(n_space=64.0), InvalidInput),
         (lambda: OracleConfig(n_time=256.0), InvalidInput),
-        (lambda: Tolerance(max_iter=2.5), InvalidInput),
         # Time is a scalar; front_position alone takes an array t.
         (lambda: temperature(_unit_solution(), 0.1, np.array([1.0, 2.0])), InvalidInput),
         (lambda: similarity_coordinate(_unit_solution(), 0.1, np.array([1.0, 2.0])), InvalidInput),
@@ -530,7 +544,7 @@ def _unit_psi(source, lam):
         "custom-front-inf", "errata-B-front-inf", "none-psi-overflow", "exponential-psi-overflow",
         "exponential-replace-overflow", "custom-psi-overflow", "exponential-replace-slope-inf",
         "none-psi-slope-inf", "none-psi-coefficient-inf", "half-gaussian-psi-slope-inf",
-        "oracle-n_space-float", "oracle-n_time-float", "tolerance-max_iter-float",
+        "oracle-n_space-float", "oracle-n_time-float",
         "temperature-t-array",
         "similarity_coordinate-t-array", "source_field-t-array",
     ],
