@@ -43,23 +43,27 @@ from .reconstruct import front_position, similarity_coordinate
 from .similarity import SimilaritySolution, solve_problem
 
 
+# Largest profile.csv, in rows of --t times by --points samples: every row
+# is held in memory as text before the file is written.
+MAX_PROFILE_ROWS = 10**6
+
+
 def _fmt(value: float) -> str:
     return "%.17g" % value
 
 
 def _write_csv(
-    cfg: RunConfig, args: argparse.Namespace, filename: str,
-    header: list[str], rows: list[list[str]],
+    args: argparse.Namespace, filename: str, header: list[str], rows: list[list[str]]
 ) -> str:
-    """Write a CSV as filename in --out, else output.dir, else cwd; return its path.
+    """Write a CSV as filename in --out, else in the cwd; return its path.
 
     Raises:
         ConfigError: The directory cannot be made or the file written.
     """
-    out_dir = args.out or cfg.out_dir or "."
-    path = os.path.join(out_dir, filename)
+    directory = args.out or "."
+    path = os.path.join(directory, filename)
     try:
-        os.makedirs(out_dir, exist_ok=True)
+        os.makedirs(directory, exist_ok=True)
         with open(path, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(header)
@@ -103,7 +107,7 @@ def _summary_row(sol: SimilaritySolution) -> tuple[list[str], list[str]]:
 def cmd_solve(cfg: RunConfig, args: argparse.Namespace) -> int:
     sol = _solve_from_config(cfg)
     header, row = _summary_row(sol)
-    path = _write_csv(cfg, args, "summary.csv", header, [row])
+    path = _write_csv(args, "summary.csv", header, [row])
     print(f"lam = {_fmt(sol.lam)}")
     print(f"ste = {_fmt(sol.model.ste)}")
     if sol.model.feedback is not None:
@@ -130,6 +134,11 @@ def cmd_profile(cfg: RunConfig, args: argparse.Namespace) -> int:
     times = _parse_times(args.t)
     if args.points < 2:
         raise ConfigError("--points must be at least 2")
+    if len(times) * args.points > MAX_PROFILE_ROWS:
+        raise ConfigError(
+            f"--t and --points ask for {len(times)} x {args.points} rows; "
+            f"profile.csv holds at most {MAX_PROFILE_ROWS}"
+        )
     sol = _solve_from_config(cfg)
     span = sol.boundary.theta0 - sol.boundary.theta_f
     rows: list[list[str]] = []
@@ -141,7 +150,7 @@ def cmd_profile(cfg: RunConfig, args: argparse.Namespace) -> int:
         for x, eta, y in zip(xs, etas, ys):
             theta = sol.boundary.theta_f + span * y
             rows.append([_fmt(t), _fmt(x), _fmt(eta), _fmt(y), _fmt(theta)])
-    path = _write_csv(cfg, args, "profile.csv", ["t", "x", "eta", "y", "theta"], rows)
+    path = _write_csv(args, "profile.csv", ["t", "x", "eta", "y", "theta"], rows)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
@@ -153,7 +162,7 @@ def cmd_verify(cfg: RunConfig, args: argparse.Namespace) -> int:
         [r.name, _fmt(r.value), _fmt(r.threshold), "true" if r.passed else "false"]
         for r in results
     ]
-    path = _write_csv(cfg, args, "verify.csv", ["check", "value", "threshold", "passed"], rows)
+    path = _write_csv(args, "verify.csv", ["check", "value", "threshold", "passed"], rows)
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -195,7 +204,7 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_case, cfg.sweep))
     path = _write_csv(
-        cfg, args, "sweep.csv",
+        args, "sweep.csv",
         ["ste", "delta", "p", "feedback", "lam", "y_prime0", "lambda_residual", "status"],
         rows,
     )
@@ -222,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for p, func in ((solve, cmd_solve), (profile, cmd_profile), (verify, cmd_verify), (sweep, cmd_sweep)):
         p.add_argument("--config", required=True, help="path to the run config file")
-        p.add_argument("--out", default=None, help="output directory (default: config or cwd)")
+        p.add_argument("--out", default=None, help="output directory (default: cwd)")
         p.set_defaults(func=func)
     profile.add_argument("--t", default="1.0", help="comma-separated evaluation times")
     profile.add_argument("--points", type=int, default=101, help="samples per profile")

@@ -7,9 +7,10 @@ a default.  Each key is a field of the dataclass it builds and takes its
 type from it: `material.*`, `boundary.*`, `oracle.*` and `source.lambda0`
 are the fields of Material, BoundaryData, OracleConfig and
 FluxFeedbackSource; `oracle.*` take the OracleConfig defaults.  No key
-sets a solver tolerance.  The reduced keys are the fields of
-DimensionlessProblem: `problem.ste`, `problem.delta`, `problem.p` and
-`source.feedback`, each with a list key `sweep.<field>`.  They are realized
+sets a solver tolerance, the oracle's time window or the output
+directory, which only the command line's --out sets.  The reduced keys
+are the fields of DimensionlessProblem: `problem.ste`, `problem.delta`,
+`problem.p` and `source.feedback`, each with a list key `sweep.<field>`.  They are realized
 as rho = c0 = k0 = 1, theta0 = 1, theta_f = 0, latent_heat = 1/Ste,
 lambda0 = feedback/2.  A sweep is built into a list of DimensionlessProblem,
 and a swept parameter may omit its base key.
@@ -84,7 +85,7 @@ _FEEDBACK_KEYS = [*_keys("source", FluxFeedbackSource), _BASE_KEYS["feedback"], 
 _ORACLE_KEYS = _keys("oracle", OracleConfig)
 _KNOWN_KEYS = {
     *_PHYSICAL_KEYS, *_REDUCED_KEYS, *_ORACLE_KEYS,
-    "source.kind", "problem.dimensionless", "oracle.enabled", "output.dir",
+    "source.kind", "problem.dimensionless", "oracle.enabled",
 }
 
 
@@ -111,7 +112,6 @@ class RunConfig:
     source: Optional[SourceSpec]
     oracle: Optional[OracleConfig]
     sweep: list[DimensionlessProblem]
-    out_dir: Optional[str]
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -303,5 +303,4 @@ def build_run_config(raw: dict[str, str]) -> RunConfig:
         source=source,
         oracle=OracleConfig(**_section(raw, "oracle", OracleConfig)) if oracle_enabled else None,
         sweep=sweep,
-        out_dir=raw.get("output.dir"),
     )

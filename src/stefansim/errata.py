@@ -58,13 +58,13 @@ def variant_lambda_equation_exponential(
 ) -> LambdaEquation:
     """Variant B: circulated exponential-source front equation, +inf past overflow."""
 
-    def evaluate(x: float) -> float:
+    def lhs(x: float) -> float:
         return (-math.expm1(-x * x)) / ste + (SQRT_PI / ste) * x * math.erf(x) * (
             math.exp(x * x) - 1.0
         )
 
     return LambdaEquation(
-        evaluate,
+        lhs,
         1.0 + delta / (p + 1.0),
         "front equation (exponential source, rejected variant)",
     )

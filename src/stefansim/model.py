@@ -7,7 +7,9 @@ specific heat grow with temperature through the same dimensionless factor
 
     1 + delta * y**p,    y = (theta - theta_f) / (theta0 - theta_f),
 
-so y is the normalized temperature in [0, 1].  Four source models are
+so y is the normalized temperature in [0, 1].  The factor is evaluated
+where it is used: by the similarity layer through its integral Phi and by
+the oracle through its Kirchhoff map, never here.  Four source models are
 supported: no source, a bulk source prescribed in similarity form
 H = (rho * latent_heat / t) * beta(x / (2 a sqrt(t))), the exponential
 special case beta(eta) = exp(-eta^2) / 2 of that family, and a source
@@ -31,11 +33,6 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .errors import InvalidInput
-
-# Queries are allowed to stray this far (relative to theta0 - theta_f)
-# outside [theta_f, theta0] before being rejected; strays inside the slack
-# band clamp to the nearest endpoint.
-TEMPERATURE_RANGE_SLACK = 1e-9
 
 
 def _require_finite(name: str, value) -> float:
@@ -163,41 +160,3 @@ class FluxFeedbackSource:
 
 
 SourceSpec = Union[NoSource, SimilaritySource, ExponentialSource, FluxFeedbackSource]
-
-
-def _normalized_temperature(material: Material, boundary: BoundaryData, theta):
-    """Map theta to y = (theta - theta_f)/(theta0 - theta_f), clamped to [0, 1].
-
-    Raises InvalidInput if theta strays outside [theta_f, theta0] by more
-    than TEMPERATURE_RANGE_SLACK * (theta0 - theta_f).
-    """
-    span = boundary.theta0 - boundary.theta_f
-    y = (np.asarray(theta, dtype=float) - boundary.theta_f) / span
-    slack = TEMPERATURE_RANGE_SLACK
-    if np.any(y < -slack) or np.any(y > 1.0 + slack):
-        raise InvalidInput(
-            f"temperature outside [{boundary.theta_f}, {boundary.theta0}] "
-            f"beyond the {slack:g} relative slack"
-        )
-    return np.clip(y, 0.0, 1.0)
-
-
-def conductivity(material: Material, boundary: BoundaryData, theta):
-    """Thermal conductivity k0 * (1 + delta * y**p) at temperature theta.
-
-    Accepts scalars or arrays; the result matches the input shape.
-    """
-    y = _normalized_temperature(material, boundary, theta)
-    out = material.k0 * (1.0 + material.delta * y**material.p)
-    return float(out) if np.isscalar(theta) else out
-
-
-def specific_heat(material: Material, boundary: BoundaryData, theta):
-    """Specific heat c0 * (1 + delta * y**p) at temperature theta.
-
-    Shares the nonlinear factor with conductivity, which is what makes the
-    similarity reduction exact.
-    """
-    y = _normalized_temperature(material, boundary, theta)
-    out = material.c0 * (1.0 + material.delta * y**material.p)
-    return float(out) if np.isscalar(theta) else out

@@ -1,4 +1,7 @@
-"""Low-level numerical kernels: quadrature and root finding.
+"""Low-level numerical kernels: quadrature and root finding, and erf.
+
+erf is scipy.special.erf, the vectorized kernel that the Psi kernels call
+on arrays of eta.
 
 The routines here are deliberately self-contained and conservative.  The
 adaptive integrator uses an embedded Gauss-Kronrod 7/15 pair (Piessens et
@@ -30,7 +33,7 @@ import sys
 from collections.abc import Callable
 
 import numpy as np
-from scipy import special as _special
+from scipy.special import erf
 
 from .errors import (
     BracketExpansionFailed,
@@ -72,24 +75,6 @@ QUAD_REL_TOL = 1e-13
 ROOT_ABS_TOL = 1e-10
 ROOT_REL_TOL = 1e-12
 ROOT_MAX_ITER = 200
-
-
-def erf(x):
-    """Error function (2/sqrt(pi)) * integral of exp(-u^2) from 0 to x.
-
-    Scalars go through the C library implementation (correctly rounded to
-    within a unit in the last place); numpy arrays are dispatched to the
-    vectorized special-function kernel so batch callers pay no Python loop.
-
-    Args:
-        x: Point or array of points.
-
-    Returns:
-        erf(x), matching the shape of the input.
-    """
-    if isinstance(x, np.ndarray):
-        return _special.erf(x)
-    return math.erf(x)
 
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1].  Positive Kronrod

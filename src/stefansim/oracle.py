@@ -7,7 +7,7 @@ The moving-boundary problem is solved directly on the PDE
     k0 theta_x(s(t), t) = -rho latent_heat s'(t),
 
 with none of the closed-form machinery: the only contact with the
-similarity layer is the initial condition at t_start (the problem needs a
+similarity layer is the initial condition at T_START (the problem needs a
 compatible initial state, and criterion is agreement afterwards) and the
 final comparison.
 
@@ -32,7 +32,7 @@ comparison stays two-sided.
 
 Time stepping is Crank-Nicolson (Crank & Nicolson, 1947) on times uniform
 in sqrt(t), so a similarity front s = 2 lam a sqrt(t) advances by the same
-amount every step and the first steps out of t_start stay short (Landau,
+amount every step and the first steps out of T_START stay short (Landau,
 1950).  The unknowns of a step are the interior w and the front.  Its
 equations, the balance at the interior nodes averaged over the old and new
 levels and the Stefan condition s - s_old = dt (s' + s'_old) / 2, are
@@ -77,35 +77,45 @@ from .reconstruct import front_position, temperature
 from .similarity import SimilaritySolution, problem_model
 
 
+# The run starts at T_START, from the similarity solution, and steps to
+# T_END.  The discrete front-fixed problem is invariant under t -> c t, so
+# only the ratio T_END / T_START moves the errors.
+T_START = 0.01
+T_END = 1.0
+
+# Largest (n_time + 1) * n_space of a grid: each trajectory array of a run
+# holds that many doubles, 128 MiB at the cap.
+MAX_GRID_VALUES = 1 << 24
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Grid parameters for the finite-difference solver.
 
     Attributes:
         n_space: Spatial nodes on [0, 1] (>= 16).
-        n_time: Time steps from t_start to t_end (>= 16), uniform in
+        n_time: Time steps from T_START to T_END (>= 16), uniform in
             sqrt(t).
-        t_start: Initialization time, > 0 (the front must have left x = 0).
-        t_end: Final time, > t_start.
+
+    (n_time + 1) * n_space may not exceed MAX_GRID_VALUES.
     """
 
     n_space: int = 64
     n_time: int = 128
-    t_start: float = 0.01
-    t_end: float = 1.0
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral):
                 raise InvalidInput(f"{f.name} must be an integer, got {value!r}")
         if self.n_space < 16:
             raise InvalidInput(f"n_space must be >= 16, got {self.n_space}")
         if self.n_time < 16:
             raise InvalidInput(f"n_time must be >= 16, got {self.n_time}")
-        if not (0.0 < self.t_start < self.t_end) or not math.isfinite(self.t_end):
+        if (self.n_time + 1) * self.n_space > MAX_GRID_VALUES:
             raise InvalidInput(
-                f"need 0 < t_start < t_end, got t_start={self.t_start}, t_end={self.t_end}"
+                f"grid of n_space = {self.n_space} by n_time + 1 = {self.n_time + 1} "
+                f"exceeds {MAX_GRID_VALUES} values"
             )
 
 
@@ -123,7 +133,10 @@ class OracleRun:
     compare(solution, run) (relative, and absolute in K) are derived.
     compare checks the solution's problem against problem, so a run built,
     or replaced, with a solution of another problem raises
-    MismatchedProblem; another lam is allowed.
+    MismatchedProblem; another lam is allowed.  Temperatures outside
+    [theta_f, theta0] by more than 1e-6 of the span raise InvalidInput
+    naming the first step that leaves the band, its time, node, xi and
+    value.
     """
 
     config: OracleConfig
@@ -146,15 +159,19 @@ class OracleRun:
             )
         if np.any(np.diff(self.front) <= 0.0):
             raise FrontCollapse("oracle front trajectory is not strictly increasing")
-        bd = self.problem[1]
-        eps = 1e-6 * (bd.theta0 - bd.theta_f)
-        if self.fields.min() < bd.theta_f - eps or self.fields.max() > bd.theta0 + eps:
-            raise InvalidInput(
-                "oracle temperatures leave the [theta_f, theta0] band beyond the 1e-6 slack"
-            )
         xi, times = _grid(cfg)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "times", times)
+        bd = self.problem[1]
+        eps = 1e-6 * (bd.theta0 - bd.theta_f)
+        outside = (self.fields < bd.theta_f - eps) | (self.fields > bd.theta0 + eps)
+        if outside.any():
+            k, i = np.argwhere(outside)[0].tolist()
+            raise InvalidInput(
+                "oracle temperatures leave the [theta_f, theta0] band beyond the 1e-6 slack: "
+                f"first at step {k} (t = {times[k]:.6g}), node {i} (xi = {xi[i]:.6g}), "
+                f"value {self.fields[k, i]:.6g}"
+            )
         # compare is read as a module global, so a rebound oracle.compare sees this call.
         front_rel_err, temp_max_err = compare(self.solution, self)
         object.__setattr__(self, "front_rel_err", front_rel_err)
@@ -162,9 +179,9 @@ class OracleRun:
 
 
 def _grid(cfg: OracleConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes xi on [0, 1] and n_time + 1 times uniform in sqrt(t), ends exact."""
-    times = np.linspace(math.sqrt(cfg.t_start), math.sqrt(cfg.t_end), cfg.n_time + 1) ** 2
-    times[0], times[-1] = cfg.t_start, cfg.t_end
+    """Nodes xi on [0, 1] and n_time + 1 times uniform in sqrt(t) from T_START to T_END."""
+    times = np.linspace(math.sqrt(T_START), math.sqrt(T_END), cfg.n_time + 1) ** 2
+    times[0], times[-1] = T_START, T_END
     return np.linspace(0.0, 1.0, cfg.n_space), times
 
 
@@ -450,7 +467,7 @@ class _Stepper:
 def run_oracle_for(sol: SimilaritySolution, cfg: OracleConfig) -> OracleRun:
     """Solve the moving-boundary problem of sol numerically and compare.
 
-    The initial state at cfg.t_start is sampled from the similarity
+    The initial state at T_START is sampled from the similarity
     solution and mapped to w; everything afterwards is plain finite
     differences in w, mapped back to temperatures once, for the whole
     trajectory, at the end.  The returned run keeps sol's problem and sol,
@@ -466,8 +483,8 @@ def run_oracle_for(sol: SimilaritySolution, cfg: OracleConfig) -> OracleRun:
     fronts = np.empty(cfg.n_time + 1)
     fields = np.empty((cfg.n_time + 1, cfg.n_space))
     kirchhoff = np.empty_like(fields)
-    fronts[0] = front_position(sol, cfg.t_start)
-    fields[0] = temperature(sol, stepper.xi * fronts[0], cfg.t_start)
+    fronts[0] = front_position(sol, T_START)
+    fields[0] = temperature(sol, stepper.xi * fronts[0], T_START)
     kirchhoff[0] = stepper.to_kirchhoff(fields[0])
     # The boundary values are exact: w(0) = span Phi(1) and w(1) = 0.
     ends = np.array([sol.boundary.theta0, sol.boundary.theta_f])

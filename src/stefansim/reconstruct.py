@@ -3,8 +3,8 @@
 The similarity layer works in (eta, y); this module maps back to (x, t,
 theta): the front position s(t) = 2 a lam sqrt(t), the temperature field
 theta(x, t) = theta_f + (theta0 - theta_f) y(x / (2 a sqrt(t))) on the
-liquid region 0 <= x <= s(t), the heat flux entering at the fixed face,
-and the source field each model induces.
+liquid region 0 <= x <= s(t), and the similarity coordinate that links
+the two.
 """
 
 from __future__ import annotations
@@ -79,34 +79,4 @@ def temperature(sol: SimilaritySolution, x, t: float):
     y = sol.y_many(eta)
     span = sol.boundary.theta0 - sol.boundary.theta_f
     out = sol.boundary.theta_f + span * y
-    return float(out) if np.isscalar(x) else out
-
-
-def fixed_face_flux(sol: SimilaritySolution, t) -> float:
-    """Temperature gradient dtheta/dx at the fixed face x = 0 (negative).
-
-    Equals (theta0 - theta_f) * y'(0) / (2 a sqrt(t)); the conductive heat
-    flux entering the liquid is -k(theta0) times this value.
-    """
-    ta = np.asarray(t, dtype=float)
-    if np.any(ta <= 0.0) or not np.all(np.isfinite(ta)):
-        raise InvalidInput("fixed_face_flux needs finite t > 0")
-    span = sol.boundary.theta0 - sol.boundary.theta_f
-    out = span * sol.y_prime0 / (2.0 * sol.material.a * np.sqrt(ta))
-    return float(out) if np.isscalar(t) else out
-
-
-def source_field(sol: SimilaritySolution, x, t: float):
-    """Source term H(x, t) of the governing equation rho c theta_t = (k theta_x)_x - H.
-
-    For the similarity-form sources H = (rho latent_heat / t) beta(eta);
-    for the flux-feedback source H = (lambda0 / sqrt(t)) dtheta/dx(0, t),
-    independent of x; without a source H = 0.
-    """
-    _require_time("source_field", t)
-    xa = np.asarray(x, dtype=float)
-    if not np.all(xa >= 0.0):
-        raise OutOfDomain("source_field query at x < 0 or NaN")
-    eta = np.asarray(similarity_coordinate(sol, xa, t), dtype=float)
-    out = sol.model.heat_source(sol.material, eta, t, fixed_face_flux(sol, t))
     return float(out) if np.isscalar(x) else out

@@ -131,20 +131,6 @@ def _phi_inverse_p1(delta: float, w: np.ndarray) -> np.ndarray:
     return 2.0 * w / (1.0 + np.sqrt(1.0 + 2.0 * delta * w))
 
 
-def phi_inverse_quadratic(delta: float, w):
-    """Closed-form Phi^{-1} for p = 1, where Phi(x) = x + delta x^2 / 2.
-
-    Uses the cancellation-free root form y = 2 w / (1 + sqrt(1 + 2 delta w)),
-    which stays accurate for delta or w near zero.
-    """
-    _check_groups(1.0, delta, 1.0)
-    wa = np.asarray(w, dtype=float)
-    if np.any(1.0 + 2.0 * delta * wa < 0.0):
-        raise OutOfRange("phi_inverse_quadratic: argument below the map's range")
-    out = _phi_inverse_p1(delta, wa)
-    return float(out) if np.isscalar(w) else out
-
-
 def _phi_inverse_newton(delta: float, p: float, w: np.ndarray) -> np.ndarray:
     """Generic Phi^{-1} for w in [0, Phi(1)], any p > 0.
 
@@ -246,9 +232,8 @@ class PsiProfile:
 
     evaluate_many computes every requested point in one batched pass whose
     quadrature segments are shared between neighboring points, so
-    differences of nearby values stay accurate; always use a single
-    evaluate_many call (not repeated evaluate calls) when finite
-    differencing the result.
+    differences of nearby values stay accurate; take every point of a
+    finite difference from a single evaluate_many call.
     """
 
     lam: float
@@ -271,9 +256,6 @@ class PsiProfile:
         vals = np.empty_like(flat)
         vals[order] = self._kernel(flat[order])
         return vals.reshape(arr.shape)
-
-    def evaluate(self, eta: float) -> float:
-        return float(self.evaluate_many(np.array([eta]))[0])
 
 
 def y_from_psi(psi: PsiProfile, etas, clamp: bool = True) -> np.ndarray:
@@ -574,10 +556,6 @@ class SimilaritySolution:
         _phi_inverse_many.
         """
         return y_from_psi(self.psi, etas, clamp)
-
-    def y(self, eta: float) -> float:
-        """Profile y at a single similarity coordinate."""
-        return float(self.y_many(np.array([eta]))[0])
 
 
 def solve_problem(

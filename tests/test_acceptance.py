@@ -37,7 +37,7 @@ from stefansim.numerics import erf
 from stefansim.oracle import OracleConfig, run_oracle_for
 from stefansim.similarity import (
     _phi_inverse_newton,
-    phi_inverse_quadratic,
+    _phi_inverse_p1,
     phi_map,
     solve_lambda,
     solve_problem,
@@ -311,7 +311,7 @@ def test_criterion_6_consistency_limits():
     inverse_gap = 0.0
     for delta in (0.1, 1.0, 5.0):
         ws = np.linspace(0.0, phi_map(delta, 1.0, 1.0), 101)
-        quad = phi_inverse_quadratic(delta, ws)
+        quad = _phi_inverse_p1(delta, ws)
         generic = _phi_inverse_newton(delta, 1.0, ws)
         inverse_gap = max(inverse_gap, float(np.max(np.abs(quad - generic))))
 

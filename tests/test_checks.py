@@ -142,7 +142,7 @@ class TestCorruptedSolutionFails:
         # lam must also notice: the profile no longer vanishes there.
         lam_bad = exp_sol.lam + 0.1
         psi_bad = exp_sol.model.psi(lam_bad)
-        assert abs(psi_bad.evaluate(lam_bad)) > 1e-3
+        assert abs(psi_bad.evaluate_many([lam_bad])[0]) > 1e-3
 
     @pytest.mark.parametrize(
         "source", [NoSource(), ExponentialSource(), FluxFeedbackSource(lambda0=0.5)],

@@ -7,6 +7,10 @@ codes and emitted files are asserted directly.
 import csv
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -56,8 +60,10 @@ source.kind = none
 oracle.enabled = false
 """
 
-# Solver tolerances that were keys and are now constants, and the oracle's
-# time-stepping weight, which is now always Crank-Nicolson.
+# Solver tolerances that were keys and are now constants, the oracle's
+# time-stepping weight, which is now always Crank-Nicolson, its time window,
+# now the constants oracle.T_START and T_END, and the output directory,
+# which only --out sets.
 REMOVED_KEYS = (
     "solver.abs_tol = 1e-10",
     "solver.rel_tol = 1e-12",
@@ -65,6 +71,9 @@ REMOVED_KEYS = (
     "oracle.picard_tol = 1e-10",
     "oracle.picard_max_iter = 50",
     "oracle.theta_scheme = 1",
+    "oracle.t_start = 0.01",
+    "oracle.t_end = 1.0",
+    "output.dir = results",
 )
 
 
@@ -86,8 +95,7 @@ class TestParse:
 
     def test_unknown_key_rejected(self):
         # solver.table_nodes sized a profile table that no longer exists;
-        # REMOVED_KEYS set solver tolerances that are now constants and the
-        # oracle's removed scheme weight.
+        # REMOVED_KEYS set what is now a constant or left to --out.
         for line in ("problem.stf = 1.0", "solver.table_nodes = 129", *REMOVED_KEYS):
             with pytest.raises(ConfigError, match="unknown config key"):
                 parse_config_text(line + "\n")
@@ -115,8 +123,8 @@ class TestParse:
             for section, cls in sections.items()
             for field in dataclasses.fields(cls)
         )
-        assert len(parse_config_text(text)) == 12
-        assert len(config._KNOWN_KEYS) == 25
+        assert len(parse_config_text(text)) == 10
+        assert len(config._KNOWN_KEYS) == 22
         # The reduced problem's base and sweep keys, from its fields' metadata.
         reduced = [f for f in dataclasses.fields(DimensionlessProblem) if f.name != "kind"]
         derived = {f"{f.metadata.get('section', 'problem')}.{f.name}" for f in reduced}
@@ -234,6 +242,10 @@ class TestBuild:
             (
                 DIMLESS_EXP + "oracle.n_space = 64\n",
                 "oracle.n_space given but oracle.enabled = false",
+            ),
+            (
+                DIMLESS_EXP.replace("problem.ste = 1.0", "problem.ste = inf"),
+                "problem.ste: must be finite, got 'inf'",
             ),
         ],
     )
@@ -389,7 +401,6 @@ class TestSolveCommand:
         "line, message",
         [
             ("oracle.n_space = 1e3", "not an integer"),
-            ("oracle.t_end = inf", "must be finite"),
         ],
     )
     def test_exit_2_on_mistyped_field(self, tmp_path, capsys, line, message):
@@ -605,6 +616,61 @@ def test_scheme_weight_exits_2_on_every_command(tmp_path, capsys, argv):
     assert err.startswith("config error: line ")
     assert "unknown config key 'oracle.theta_scheme'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line", REMOVED_KEYS[-3:], ids=["t_start", "t_end", "output-dir"])
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["profile"], ["verify"], ["sweep"]],
+    ids=["solve", "profile", "verify", "sweep"],
+)
+def test_removed_keys_exit_2_on_every_command(tmp_path, capsys, argv, line):
+    text = DIMLESS_ORACLE + "sweep.ste = 0.5, 1.0\n" + line + "\n"
+    out = tmp_path / "out"
+    assert main([*argv, "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 2
+    key = line.split(" = ")[0]
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Address-space limit of the child that runs an oversized command.  Without
+# the size caps these commands allocate gigabytes and fail with MemoryError
+# (exit 1); with them they are refused before any allocation.
+CHILD_ADDRESS_LIMIT = 1 << 30
+
+
+def main_limited(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run cli.main(argv) in a child interpreter under CHILD_ADDRESS_LIMIT."""
+    script = textwrap.dedent(
+        f"""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_LIMIT}, {CHILD_ADDRESS_LIMIT}))
+        from stefansim.cli import main
+        sys.exit(main({argv!r}))
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+@pytest.mark.parametrize(
+    "line, argv, message",
+    [
+        ("oracle.n_space = 1000000000", ["verify"], "exceeds 16777216 values"),
+        ("oracle.n_time = 20000000", ["verify"], "exceeds 16777216 values"),
+        ("", ["profile", "--points", "1000000000"], "profile.csv holds at most 1000000"),
+        ("", ["profile", "--t", "0.5,1", "--points", "500001"], "2 x 500001 rows"),
+    ],
+    ids=["oracle-n_space", "oracle-n_time", "profile-points", "profile-rows"],
+)
+def test_oversized_run_exits_2(tmp_path, line, argv, message):
+    cfg = write_cfg(tmp_path, DIMLESS_ORACLE + line + "\n")
+    done = main_limited([*argv, "--config", cfg, "--out", str(tmp_path)])
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("config error: ")
+    assert message in done.stderr
 
 
 SWEEP_NO_BASE = DIMLESS_EXP.replace("problem.ste = 1.0\n", "") + "sweep.ste = 0.5, 1.0\n"

@@ -39,7 +39,7 @@ class TestFrontTermSign:
         variant = variant_psi_front_term_flipped(
             lam, STE, DELTA, P, ExponentialSource.beta
         )
-        assert abs(correct.evaluate(lam)) <= 1e-8
+        assert abs(correct.evaluate_many([lam])[0]) <= 1e-8
         # The defect is the identity 2 (sqrt(pi)/Ste) erf(lam) lam e^{lam^2}.
         defect = (
             2.0
@@ -49,10 +49,10 @@ class TestFrontTermSign:
             * lam
             * math.exp(lam * lam)
         )
-        assert variant.evaluate(lam) == pytest.approx(
-            correct.evaluate(lam) + defect, rel=1e-10
+        assert variant.evaluate_many([lam])[0] == pytest.approx(
+            correct.evaluate_many([lam])[0] + defect, rel=1e-10
         )
-        assert abs(variant.evaluate(lam)) > 0.1  # bounded away from zero
+        assert abs(variant.evaluate_many([lam])[0]) > 0.1  # bounded away from zero
 
     def test_variant_profile_cannot_reach_zero(self, lam):
         variant = variant_psi_front_term_flipped(
@@ -61,7 +61,7 @@ class TestFrontTermSign:
         # Psi_variant(lam) = 2.219 exceeds Phi(1) = 1.5: the profile value
         # at the front inverts to y > 1 (above the fixed-face value, not 0)
         # and the strict inverse rejects it outright.
-        assert variant.evaluate(lam) > phi_map(DELTA, P, 1.0)
+        assert variant.evaluate_many([lam])[0] > phi_map(DELTA, P, 1.0)
         y_front = y_from_psi(variant, np.array([lam]), clamp=False)[0]
         assert y_front > 1.3
         from stefansim.errors import OutOfRange

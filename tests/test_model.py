@@ -14,8 +14,6 @@ from stefansim.model import (
     Material,
     NoSource,
     SimilaritySource,
-    conductivity,
-    specific_heat,
 )
 from stefansim.cli import main
 from stefansim.similarity import problem_model, solve_problem
@@ -129,39 +127,6 @@ class TestGroups:
         cfg.write_text("\n".join(lines + ["oracle.enabled = false", ""]))
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 3
         assert f"solver error: {message}" in capsys.readouterr().err
-
-
-class TestCoefficients:
-    def test_endpoints(self):
-        assert conductivity(WATER_ICE, MELT, 273.15) == pytest.approx(0.6, rel=1e-15)
-        assert conductivity(WATER_ICE, MELT, 285.05) == pytest.approx(
-            0.6 * 1.5, rel=1e-15
-        )
-        assert specific_heat(WATER_ICE, MELT, 285.05) == pytest.approx(
-            4200.0 * 1.5, rel=1e-15
-        )
-
-    def test_monotone_in_temperature(self):
-        thetas = np.linspace(273.15, 285.05, 64)
-        ks = conductivity(WATER_ICE, MELT, thetas)
-        assert np.all(np.diff(ks) > 0.0)
-
-    def test_power_law_shape(self):
-        mat = Material(rho=1.0, c0=1.0, k0=2.0, latent_heat=1.0, delta=3.0, p=2.0)
-        bd = BoundaryData(theta0=2.0, theta_f=1.0)
-        # y = 0.5 midway: k = k0 (1 + delta y^p) = 2 (1 + 3/4).
-        assert conductivity(mat, bd, 1.5) == pytest.approx(3.5, rel=1e-14)
-
-    def test_out_of_band_rejected(self):
-        with pytest.raises(InvalidInput):
-            conductivity(WATER_ICE, MELT, 273.0)
-        with pytest.raises(InvalidInput):
-            specific_heat(WATER_ICE, MELT, 290.0)
-
-    def test_rounding_slack_clipped(self):
-        span = MELT.theta0 - MELT.theta_f
-        inside = conductivity(WATER_ICE, MELT, MELT.theta_f - 1e-10 * span)
-        assert inside == pytest.approx(0.6, rel=1e-9)
 
 
 class TestSources:

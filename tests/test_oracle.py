@@ -62,11 +62,14 @@ class TestConfigValidation:
         with pytest.raises(InvalidInput):
             OracleConfig(n_time=4)
 
-    def test_time_window(self):
-        with pytest.raises(InvalidInput):
-            OracleConfig(t_start=0.0)
-        with pytest.raises(InvalidInput):
-            OracleConfig(t_start=2.0, t_end=1.0)
+    def test_grid_size_capped(self):
+        # Each trajectory array holds (n_time + 1) * n_space doubles; a
+        # grid past the cap is refused before any array is made.
+        with pytest.raises(InvalidInput, match="exceeds 16777216 values"):
+            OracleConfig(n_space=10**9)
+        with pytest.raises(InvalidInput, match="exceeds 16777216 values"):
+            OracleConfig(n_space=16, n_time=2**20)
+        assert OracleConfig(n_space=16, n_time=2**20 - 1).n_time == 2**20 - 1
 
 
 class TestRunStructure:
@@ -81,9 +84,8 @@ class TestRunStructure:
         assert classical_run.fields.max() <= 1.0 + 1e-6
 
     def test_initial_state_copied_exactly(self, classical_sol, classical_run):
-        cfg = classical_run.config
-        s0 = front_position(classical_sol, cfg.t_start)
-        want = temperature(classical_sol, classical_run.xi * s0, cfg.t_start)
+        s0 = front_position(classical_sol, oracle.T_START)
+        want = temperature(classical_sol, classical_run.xi * s0, oracle.T_START)
         np.testing.assert_array_equal(classical_run.fields[0], want)
         assert classical_run.front[0] == s0
 
@@ -422,6 +424,25 @@ class TestCrankNicolsonOrder:
         assert 3.0 <= ratio <= 5.0
 
 
+class TestTimeWindow:
+    @pytest.mark.parametrize("scale", [100.0, 1e-2])
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_SOURCES))
+    def test_only_the_ratio_moves_the_errors(self, golden_runs, monkeypatch, kind, scale):
+        # The front-fixed problem is invariant under t -> c t, so a window
+        # scaled as a whole reproduces the errors: the oracle's state may
+        # depend on T_END / T_START alone.
+        run, _ = golden_runs[kind]
+        monkeypatch.setattr(oracle, "T_START", oracle.T_START * scale)
+        monkeypatch.setattr(oracle, "T_END", oracle.T_END * scale)
+        scaled = run_oracle_for(run.solution, run.config)
+        assert scaled.times[0] == pytest.approx(run.times[0] * scale, rel=1e-15)
+        span = BD.theta0 - BD.theta_f
+        assert scaled.front_rel_err == pytest.approx(run.front_rel_err, rel=0.0, abs=1e-12)
+        assert scaled.temp_max_err / span == pytest.approx(
+            run.temp_max_err / span, rel=0.0, abs=1e-12
+        )
+
+
 class TestPredictedFrontStart:
     @pytest.mark.parametrize("kind", sorted(SWEEP_BUDGET))
     def test_sweep_budget(self, golden_runs, kind):
@@ -543,6 +564,22 @@ class TestCompare:
         with pytest.raises(InvalidInput):
             OracleRun(cfg, problem, classical_sol, np.linspace(0.1, 0.2, rows), np.full(shape, 2.0))
 
+    def test_band_excursion_names_first_step_and_node(self, golden_runs):
+        # Two excursions below theta_f; the message names the earlier one,
+        # not the worse one.
+        run, _ = golden_runs["none"]
+        planted = run.fields.copy()
+        planted[7, 5] = -0.25
+        planted[20, 3] = -0.75
+        with pytest.raises(InvalidInput) as info:
+            dataclasses.replace(run, fields=planted)
+        message = str(info.value)
+        assert message.startswith("oracle temperatures leave the [theta_f, theta0] band")
+        assert message.endswith(
+            f"first at step 7 (t = {run.times[7]:.6g}), node 5 (xi = {run.xi[5]:.6g}), "
+            "value -0.25"
+        )
+
     @pytest.mark.parametrize(
         "front_rows, field_shape",
         [(17, (17, 63)), (17, (16, 64)), (16, (17, 64)), (17, (17 * 64,))],
@@ -558,11 +595,14 @@ class TestCompare:
         assert str(front.shape) in str(info.value)
         assert str(fields.shape) in str(info.value)
 
-    def test_grid(self):
-        cfg = OracleConfig(n_space=48, n_time=100, t_start=0.03, t_end=2.7)
+    def test_grid(self, monkeypatch):
+        # The window is read at call time.
+        monkeypatch.setattr(oracle, "T_START", 0.03)
+        monkeypatch.setattr(oracle, "T_END", 2.7)
+        cfg = OracleConfig(n_space=48, n_time=100)
         xi, times = oracle._grid(cfg)
         assert times.shape == (cfg.n_time + 1,)
-        assert (times[0], times[-1]) == (cfg.t_start, cfg.t_end)
+        assert (times[0], times[-1]) == (0.03, 2.7)
         steps = np.diff(np.sqrt(times))
         assert steps == pytest.approx(np.full(cfg.n_time, steps.mean()), rel=1e-12)
         np.testing.assert_array_equal(xi, np.linspace(0.0, 1.0, cfg.n_space))
@@ -745,7 +785,7 @@ class TestOperator:
         span = DIM_BD.theta0 - DIM_BD.theta_f
         rng = np.random.default_rng(11)
         for _ in range(5):
-            t = rng.uniform(cfg.t_start, cfg.t_end)
+            t = rng.uniform(oracle.T_START, oracle.T_END)
             s = front_position(sol, t) * rng.uniform(0.8, 1.2)
             y = np.sort(rng.random(cfg.n_space))[::-1]
             y[0], y[-1] = 1.0, 0.0

@@ -14,13 +14,7 @@ from stefansim.model import (
     NoSource,
     SimilaritySource,
 )
-from stefansim.reconstruct import (
-    fixed_face_flux,
-    front_position,
-    similarity_coordinate,
-    source_field,
-    temperature,
-)
+from stefansim.reconstruct import front_position, similarity_coordinate, temperature
 from stefansim.similarity import solve_problem
 
 MAT = Material(rho=1000.0, c0=4200.0, k0=0.6, latent_heat=334000.0, delta=0.5, p=1.0)
@@ -138,47 +132,29 @@ class TestSimilarityCoordinate:
         assert eta == pytest.approx(sol.lam, rel=1e-14)
 
 
-class TestFixedFaceFlux:
-    def test_negative_and_scaling(self, sol):
-        f1 = fixed_face_flux(sol, 1.0)
-        f4 = fixed_face_flux(sol, 4.0)
-        assert f1 < 0.0
-        assert f1 == pytest.approx(2.0 * f4, rel=1e-14)
+def heat_source(sol, x, t):
+    """H(x, t) of sol's source model, asked for as the oracle asks for it.
 
-    def test_formula(self, sol):
-        t = 0.7
-        want = (
-            (BD.theta0 - BD.theta_f)
-            * sol.y_prime0
-            / (2.0 * A_SCALE * math.sqrt(t))
-        )
-        assert fixed_face_flux(sol, t) == pytest.approx(want, rel=1e-14)
-
-    def test_unit_case(self):
-        # a = 1, span = 1, y'(0) = v, t = 0.25 -> flux = v.
-        mat = Material(rho=1.0, c0=1.0, k0=1.0, latent_heat=1.0, delta=1.0, p=1.0)
-        bd = BoundaryData(theta0=1.0, theta_f=0.0)
-        s = solve_problem(mat, bd, NoSource())
-        assert fixed_face_flux(s, 0.25) == pytest.approx(s.y_prime0, rel=1e-14)
-
-    def test_rejects_nonpositive_time(self, sol):
-        with pytest.raises(InvalidInput):
-            fixed_face_flux(sol, 0.0)
+    The model takes eta = x / (2 a sqrt(t)) and the fixed-face gradient
+    dtheta/dx(0, t) = (theta0 - theta_f) y'(0) / (2 a sqrt(t)), computed
+    here from the closed form.
+    """
+    span = sol.boundary.theta0 - sol.boundary.theta_f
+    face = span * sol.y_prime0 / (2.0 * sol.material.a * math.sqrt(t))
+    eta = similarity_coordinate(sol, np.asarray(x, dtype=float), t)
+    return sol.model.heat_source(sol.material, eta, t, face)
 
 
 class TestSourceField:
     def test_no_source_is_zero(self):
         s = solve_problem(MAT, BD, NoSource())
-        assert source_field(s, 0.0, 1.0) == 0.0
-        np.testing.assert_array_equal(
-            source_field(s, np.array([0.0, 0.001]), 1.0), [0.0, 0.0]
-        )
+        np.testing.assert_array_equal(heat_source(s, [0.0, 0.001], 1.0), [0.0, 0.0])
 
     def test_similarity_form_at_face(self, sol):
         # beta(0) = 1/2 so H(0, t) = rho l / (2 t).
         t = 0.25
         want = MAT.rho * MAT.latent_heat / (2.0 * t)
-        assert source_field(sol, 0.0, t) == pytest.approx(want, rel=1e-14)
+        assert heat_source(sol, [0.0], t)[0] == pytest.approx(want, rel=1e-14)
 
     def test_custom_beta_field(self):
         beta = lambda eta: np.exp(-3.0 * eta * eta)
@@ -187,21 +163,17 @@ class TestSourceField:
         x = 0.0005
         eta = similarity_coordinate(s, x, t)
         want = MAT.rho * MAT.latent_heat / t * math.exp(-3.0 * eta * eta)
-        assert source_field(s, x, t) == pytest.approx(want, rel=1e-12)
+        assert heat_source(s, [x], t)[0] == pytest.approx(want, rel=1e-12)
 
     def test_feedback_uniform_in_space_and_negative(self, sol_feedback):
         t = 2.0
-        vals = source_field(sol_feedback, np.array([0.0, 0.001, 0.002]), t)
+        vals = heat_source(sol_feedback, [0.0, 0.001, 0.002], t)
         assert np.all(vals == vals[0])
         assert vals[0] < 0.0
         # product of two 1/sqrt(t) factors: magnitude ~ 1/t.
-        assert source_field(sol_feedback, 0.0, 4.0 * t) == pytest.approx(
+        assert heat_source(sol_feedback, [0.0], 4.0 * t)[0] == pytest.approx(
             vals[0] / 4.0, rel=1e-14
         )
-
-    def test_rejects_nonpositive_time(self, sol):
-        with pytest.raises(InvalidInput):
-            source_field(sol, 0.0, -2.0)
 
 
 @pytest.mark.parametrize(
@@ -227,5 +199,3 @@ def test_nan_queries_rejected(source):
         temperature(s, math.nan, 1.0)
     with pytest.raises(OutOfDomain):
         temperature(s, [0.1, math.nan], 1.0)
-    with pytest.raises(OutOfDomain):
-        source_field(s, [0.1, math.nan], 1.0)

@@ -29,12 +29,12 @@ from stefansim.model import (
 from stefansim import similarity
 from stefansim.numerics import erf, find_root_increasing, integrate_cumulative
 from stefansim.oracle import OracleConfig
-from stefansim.reconstruct import similarity_coordinate, source_field, temperature
+from stefansim.reconstruct import similarity_coordinate, temperature
 from stefansim.similarity import (
     SimilaritySolution,
     _phi_inverse_many,
     _phi_inverse_newton,
-    phi_inverse_quadratic,
+    _phi_inverse_p1,
     phi_map,
     solve_lambda,
     solve_problem,
@@ -110,7 +110,7 @@ class TestPhi:
         for delta in (0.1, 1.0, 5.0):
             top = phi_map(delta, 1.0, 1.0)
             ws = np.linspace(0.0, top, 101)
-            quad = phi_inverse_quadratic(delta, ws)
+            quad = _phi_inverse_p1(delta, ws)
             generic = _phi_inverse_newton(delta, 1.0, ws)
             np.testing.assert_allclose(quad, generic, rtol=0, atol=1e-10)
 
@@ -130,7 +130,7 @@ class TestPhi:
         sol = solve_problem(
             unit_material(1.0, 0.12356865214155405, 1.0), UNIT_BD, ExponentialSource()
         )
-        assert sol.y(0.0) == 1.0
+        assert sol.y_many([0.0])[0] == 1.0
 
 
 class TestLambdaEquations:
@@ -212,10 +212,10 @@ class TestProfiles:
             model = source_model(ExponentialSource(), ste, delta, p)
             lam = solve_lambda(model.equation)
             psi = model.psi(lam)
-            assert psi.evaluate(0.0) == pytest.approx(
+            assert psi.evaluate_many([0.0])[0] == pytest.approx(
                 phi_map(delta, p, 1.0), rel=1e-12
             )
-            assert abs(psi.evaluate(lam)) <= 1e-8
+            assert abs(psi.evaluate_many([lam])[0]) <= 1e-8
 
     def test_profile_strictly_decreasing(self):
         model = source_model(ExponentialSource(), 1.0, 1.0, 0.5)
@@ -248,22 +248,22 @@ class TestProfiles:
         lam = solve_lambda(model.equation)
         psi = model.psi(lam)
         with pytest.raises(InvalidInput):
-            psi.evaluate(lam * 1.01)
+            psi.evaluate_many([lam * 1.01])
         with pytest.raises(InvalidInput):
-            psi.evaluate(-0.01)
+            psi.evaluate_many([-0.01])
 
     def test_feedback_source_needs_feedback_constructor(self):
         with pytest.raises(InvalidInput):
             source_model(FluxFeedbackSource(lambda0=1.0), 1.0, 1.0, 1.0)
         psi = source_model(FEEDBACK, 1.0, 1.0, 1.0, 1.0).psi(FB_LAM_111_A1)
-        assert abs(psi.evaluate(FB_LAM_111_A1)) <= 1e-6
+        assert abs(psi.evaluate_many([FB_LAM_111_A1])[0]) <= 1e-6
 
     def test_custom_similarity_source(self):
         beta = lambda eta: np.exp(-2.0 * eta * eta)
         model = source_model(SimilaritySource(beta=beta), 1.0, 1.0, 1.0)
         lam = solve_lambda(model.equation)
         psi = model.psi(lam)
-        assert abs(psi.evaluate(lam)) <= 1e-8
+        assert abs(psi.evaluate_many([lam])[0]) <= 1e-8
 
     def test_scalar_only_beta(self):
         # math.exp rejects arrays, so beta is wrapped once by the model.
@@ -309,8 +309,8 @@ class TestSolveProblem:
         sol = solve_problem(unit_material(1.0, 1.0, 1.0), UNIT_BD, ExponentialSource())
         assert sol.lam == pytest.approx(EXP_LAM_111, abs=1e-9)
         assert abs(sol.lambda_residual()) <= 1e-10
-        assert sol.y(0.0) == pytest.approx(1.0, abs=1e-12)
-        assert sol.y(sol.lam) == pytest.approx(0.0, abs=1e-8)
+        assert sol.y_many([0.0])[0] == pytest.approx(1.0, abs=1e-12)
+        assert sol.y_many([sol.lam])[0] == pytest.approx(0.0, abs=1e-8)
         assert sol.y_prime0 < 0.0
 
     def test_dispatches_all_sources(self):
@@ -355,7 +355,7 @@ class TestSolveProblem:
             float(
                 solve_problem(
                     unit_material(1.0, 1.0, 1.0), UNIT_BD, ExponentialSource()
-                ).y(lam / 2.0)
+                ).y_many([lam / 2.0])[0]
             ),
             rel=1e-12,
         )
@@ -504,7 +504,6 @@ def _unit_psi(source, lam):
     "call, expected",
     [
         (lambda: phi_map(1.0, 1.0, -0.5), InvalidInput),
-        (lambda: phi_inverse_quadratic(1.0, -1.0), OutOfRange),
         (lambda: source_model(object(), 1.0, 1.0, 1.0), InvalidInput),
         (lambda: _unit_solution().y_many(np.array([])).shape, (0,)),
         (lambda: similarity_coordinate(_unit_solution(), 0.1, 0.0), InvalidInput),
@@ -534,10 +533,9 @@ def _unit_psi(source, lam):
         # Time is a scalar; front_position alone takes an array t.
         (lambda: temperature(_unit_solution(), 0.1, np.array([1.0, 2.0])), InvalidInput),
         (lambda: similarity_coordinate(_unit_solution(), 0.1, np.array([1.0, 2.0])), InvalidInput),
-        (lambda: source_field(_unit_solution(), 0.1, np.array([1.0, 2.0])), InvalidInput),
     ],
     ids=[
-        "phi_map-negative", "phi_inverse_quadratic-below-range", "source_model-unknown-spec",
+        "phi_map-negative", "source_model-unknown-spec",
         "y_many-empty", "similarity_coordinate-t0", "boundary-nan",
         "find_root-lo-0", "integrate_cumulative-2d", "integrate_cumulative-nan-inside",
         "integrate_cumulative-nan-last", "none-front-inf", "exponential-front-inf",
@@ -546,7 +544,7 @@ def _unit_psi(source, lam):
         "none-psi-slope-inf", "none-psi-coefficient-inf", "half-gaussian-psi-slope-inf",
         "oracle-n_space-float", "oracle-n_time-float",
         "temperature-t-array",
-        "similarity_coordinate-t-array", "source_field-t-array",
+        "similarity_coordinate-t-array",
     ],
 )
 def test_edge_contracts(call, expected):
