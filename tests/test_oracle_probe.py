@@ -1,4 +1,4 @@
-"""Smoke test of tools/oracle_probe.py: one coarse case and the --grid errors."""
+"""Tests of tools/oracle_probe.py: one coarse case, the default-grid verdicts and --grid errors."""
 
 import importlib.util
 from pathlib import Path
@@ -21,6 +21,14 @@ def test_probe_case_runs_the_oracle():
     assert outcome in ("pass", "fail"), detail
     front, temp = (float(part) for part in detail.split(" / "))
     assert front >= 0.0 and temp >= 0.0
+
+
+def test_default_grid_verdicts(capsys):
+    # The verdicts of the 135 cases, pinned so that a change to the scheme
+    # that moves any of them shows here.
+    assert probe.main([]) == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary.startswith("135 cases: 126 pass, 7 fail, 1 no closed form, 1 oracle error; ")
 
 
 @pytest.mark.parametrize("grid", ["128", "8x8"])
