@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -43,8 +44,8 @@ from .reconstruct import front_position, similarity_coordinate
 from .similarity import SimilaritySolution, solve_problem
 
 
-# Largest profile.csv, in rows of --t times by --points samples: every row
-# is held in memory as text before the file is written.
+# Largest profile.csv, in rows of --t times by --points samples: the x, eta
+# and y of every row are held in memory before the file is written.
 MAX_PROFILE_ROWS = 10**6
 
 
@@ -53,9 +54,11 @@ def _fmt(value: float) -> str:
 
 
 def _write_csv(
-    args: argparse.Namespace, filename: str, header: list[str], rows: list[list[str]]
+    args: argparse.Namespace, filename: str, header: list[str], rows: Iterable[list[str]]
 ) -> str:
     """Write a CSV as filename in --out, else in the cwd; return its path.
+
+    rows may be a generator; each row is formatted as it is written.
 
     Raises:
         ConfigError: The directory cannot be made or the file written.
@@ -140,18 +143,22 @@ def cmd_profile(cfg: RunConfig, args: argparse.Namespace) -> int:
             f"profile.csv holds at most {MAX_PROFILE_ROWS}"
         )
     sol = _solve_from_config(cfg)
-    span = sol.boundary.theta0 - sol.boundary.theta_f
-    rows: list[list[str]] = []
+    theta_f, span = sol.boundary.theta_f, sol.boundary.theta0 - sol.boundary.theta_f
+    # Every y is computed before the file is opened, so a solver error
+    # leaves no partial profile.csv; the rows are formatted as they are
+    # written, so only the arrays are held.
+    blocks = []
     for t in times:
-        front = front_position(sol, t)
-        xs = np.linspace(0.0, front, args.points)
+        xs = np.linspace(0.0, front_position(sol, t), args.points)
         etas = similarity_coordinate(sol, xs, t)
-        ys = sol.y_many(etas)
-        for x, eta, y in zip(xs, etas, ys):
-            theta = sol.boundary.theta_f + span * y
-            rows.append([_fmt(t), _fmt(x), _fmt(eta), _fmt(y), _fmt(theta)])
+        blocks.append((t, xs, etas, sol.y_many(etas)))
+    rows = (
+        [_fmt(t), _fmt(x), _fmt(eta), _fmt(y), _fmt(theta_f + span * y)]
+        for t, xs, etas, ys in blocks
+        for x, eta, y in zip(xs, etas, ys)
+    )
     path = _write_csv(args, "profile.csv", ["t", "x", "eta", "y", "theta"], rows)
-    print(f"wrote {path} ({len(rows)} rows)")
+    print(f"wrote {path} ({len(times) * args.points} rows)")
     return 0
 
 
@@ -216,7 +223,14 @@ def cmd_sweep(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of main and shared by later ones.
+
+    parse_args keeps no state between calls, so the calls of main in one
+    process see the same parser and none of each other's arguments.  The
+    parser holds the cmd_* functions as they were when it was built.
+    """
     parser = argparse.ArgumentParser(
         prog="stefansim",
         description="Similarity solutions of a one-phase melting problem "

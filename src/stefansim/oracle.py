@@ -45,17 +45,23 @@ Douglas & Dupont (SIAM J. Numer. Anal. 7 (1970) 575), second order like the
 fully implicit one.  Against steps iterated to convergence it moves the
 errors by under 1e-6 of their value on smooth problems.
 
-The spatial operator is written once (_Stepper._operator) and serves both
-the old-time half and the residual.  The Jacobian (_Stepper._linearize) is
-tridiagonal in w, with bands that are scalars times xi, bordered by the
-front (a column in s, and the Stefan row on the last three nodes) and, for
-the flux-feedback source, by the face gradient, which feeds every node.
-Each step makes one call to solve_banded with the residual and the border
-columns as right-hand sides, then solves the 1 x 1 or 2 x 2 border in
-closed form.  solve_banded hands the system straight to LAPACK gtsv (the
-routine scipy.linalg.solve_banded uses for (1, 1) bands) and keeps scipy's
-guards: a non-finite coefficient or right-hand side, or a singular matrix,
-raises NonConvergence, whose message names the time of the failing step.
+The step is linearized at the old field, so its old level and its
+linearization share one pass of differences of that field, one front
+gradient and one face gradient (_Stepper._old_level), and the residual is
+minus the mean of the spatial operator at the two levels.  The residual and
+the border columns are one product of a few scalar weights with those
+differences and two _source calls' rows, H at the old level and, from one
+call, H at the front and at a bump of it (_Stepper._linearize).  The
+Jacobian is tridiagonal in w, with bands that are scalars times xi (a
+second small product), bordered by the front (a column in s, and the Stefan
+row on the last three nodes) and, for the flux-feedback source, by the face
+gradient, which feeds every node.  Each step makes one call to solve_banded
+with the residual and the border columns as right-hand sides, then solves
+the 1 x 1 or 2 x 2 border in closed form.  solve_banded hands the system
+straight to LAPACK gtsv (the routine scipy.linalg.solve_banded uses for
+(1, 1) bands) and keeps scipy's guards: a non-finite coefficient or
+right-hand side, or a singular matrix, raises NonConvergence, whose message
+names the time of the failing step.
 
 The trajectory of w is mapped to temperatures once, at the end, by the
 oracle's own Newton on Phi(y) = w / span (_Stepper.from_kirchhoff), not by
@@ -238,16 +244,25 @@ _INVERSE_MAX_ITER = 100
 class _Level(NamedTuple):
     """What a step's equations take from its old level, with its new time and length."""
 
-    v: np.ndarray  # the old field of w
+    v: np.ndarray  # the old field of w, where the step is linearized
     s: float  # the old front
     sdot: float  # its speed, from the old field
-    value: np.ndarray  # half the operator at the old level
+    face: float  # the old field's face gradient dw/dxi at xi = 0
     t: float  # the new time
     dt: float
 
 
 class _Stepper:
-    """One linearly implicit Crank-Nicolson time step of the front-fixed system in w."""
+    """One linearly implicit Crank-Nicolson time step of the front-fixed system in w.
+
+    A step writes its array work once, into the five rows of self.rows:
+    xi w_xi and the second difference of the old field (rows 0 and 1), H
+    at the linearization front s and at s (1 + _SOURCE_DS) (rows 2 and 3;
+    H(g = 1) and zero for flux feedback), and H at the old level (row 4).
+    Its right-hand sides are one small product of scalar weights with these
+    rows, and its bands one of scalars with the basis (xi_2h, 1)
+    (_linearize).
+    """
 
     def __init__(self, material: Material, boundary: BoundaryData, source: SourceSpec, cfg: OracleConfig):
         self.mat = material
@@ -264,6 +279,18 @@ class _Stepper:
         self.a = material.a
         self.rho_c0 = material.rho * material.c0
         self.rho_l = material.rho * material.latent_heat
+        self.rows = np.zeros((5, self.n - 2))
+        # Two rows of xi whose eta at the front s are those of s and s (1 + _SOURCE_DS).
+        self.xi_bump = np.array([[1.0], [1.0 + _SOURCE_DS]]) * self.xi_inner
+        # The three bands are the (3, 2) band_weights times this basis.
+        self.basis = np.vstack((self.xi_2h, np.ones(self.n - 2)))
+        self.band_weights = np.zeros((3, 2))
+        # cols is weights times rows (_linearize), which sets the entries
+        # that change from step to step.
+        self.weights = np.zeros((2 if self.model.feedback is None else 3, 5))
+        self.weights[0, 2:] = 0.5, 0.0, 0.5
+        if self.model.feedback is not None:
+            self.weights[2, 2] = 0.5
 
     def to_kirchhoff(self, u: np.ndarray) -> np.ndarray:
         """w = span Phi(y) of temperatures u, with y clipped to [0, 1]."""
@@ -289,28 +316,17 @@ class _Stepper:
                 return self.bd.theta_f + self.span * y
         raise NonConvergence(f"Phi(y) = w / span unsolved after {_INVERSE_MAX_ITER} iterations")
 
-    def _source(self, s: float, t: float, face: float) -> np.ndarray:
-        """H at the interior nodes, for the front s and the face gradient dw/dxi at xi = 0.
+    def _source(self, s: float, t: float, face: float, xi: np.ndarray) -> np.ndarray:
+        """H at the nodes xi for the front s and the face gradient dw/dxi at xi = 0.
 
-        The temperature gradient there is theta_x = w_xi / (s Phi'(1)).
+        The temperature gradient there is theta_x = w_xi / (s Phi'(1)).  xi
+        is self.xi_inner, or self.xi_bump for two rows, H(s) and
+        H(s (1 + _SOURCE_DS)), from one heat_source call on their flattened
+        eta.
         """
-        eta = self.xi_inner * (s / (2.0 * self.a * math.sqrt(t)))
-        return self.model.heat_source(self.mat, eta, t, face / (s * (1.0 + self.mat.delta)))
-
-    def _operator(
-        self, w: np.ndarray, s: float, sdot: float, source: np.ndarray
-    ) -> tuple[np.ndarray, ...]:
-        """rho c0 xi (s'/s) w_xi + (k0/s^2) w_xixi - H at the interior nodes.
-
-        Advection and diffusion are central differences of w.  The caller
-        passes H, which _source gives from the discrete state only.
-        Returns (value, xi w_xi, (k0/s^2) w_xixi): the value and the parts
-        the Jacobian reuses.
-        """
-        grad = self.xi_2h * (w[2:] - w[:-2])
-        dw = w[1:] - w[:-1]
-        diffused = (self.mat.k0 / (self.h * self.h * s * s)) * (dw[1:] - dw[:-1])
-        return (self.rho_c0 * sdot / s) * grad + diffused - source, grad, diffused
+        eta = xi * (s / (2.0 * self.a * math.sqrt(t)))
+        theta_x = face / (s * (1.0 + self.mat.delta))
+        return self.model.heat_source(self.mat, eta.ravel(), t, theta_x).reshape(eta.shape)
 
     def front_speed(self, w: np.ndarray, s: float) -> float:
         """Stefan condition s' = -k0 theta_x(s, t) / (rho latent_heat).
@@ -320,70 +336,84 @@ class _Stepper:
         return -self.mat.k0 * _front_gradient(w, self.h) / (self.rho_l * s)
 
     def _old_level(self, v: np.ndarray, s_old: float, t0: float, t1: float) -> _Level:
-        """What the step from (v, s_old) at t0 to t1 takes from its old level."""
-        sdot = self.front_speed(v, s_old)
-        source = self._source(s_old, t0, _face_gradient(v, self.h))
-        value = self._operator(v, s_old, sdot, source)[0]
-        return _Level(v, s_old, sdot, 0.5 * value, t1, t1 - t0)
+        """What the step from (v, s_old) at t0 to t1 takes from its old level.
 
-    def _linearize(self, w: np.ndarray, s: float, old: _Level) -> tuple:
-        """The step's equations at (w, s) and their Jacobian.
+        Writes the rows that the step's linearization at v shares with the
+        old level: xi w_xi = xi_2h (v[2:] - v[:-2]) (row 0), the second
+        difference of v (row 1) and H at (s_old, t0) (row 4, the one
+        _source call of the old level).
+        """
+        rows = self.rows
+        np.subtract(v[2:], v[:-2], out=rows[0])
+        rows[0] *= self.xi_2h
+        dw = v[1:] - v[:-1]
+        np.subtract(dw[1:], dw[:-1], out=rows[1])
+        face = _face_gradient(v, self.h)
+        rows[4] = self._source(s_old, t0, face, self.xi_inner)
+        return _Level(v, s_old, self.front_speed(v, s_old), face, t1, t1 - t0)
 
-        The advection takes the front speed that the Stefan condition gives
-        s, s' = 2 (s - s_old) / dt - s'_old; it is the gradient's speed
-        wherever that condition holds.  Returns (lower, diag, upper, cols,
-        stefan, row_s, d_ss):
+    def _linearize(self, s: float, old: _Level) -> tuple:
+        """The step's equations at (old.v, s) and their Jacobian.
 
-        - cols[0], the residual at the interior nodes: rho c0 (w - v) / dt,
-          minus half the operator at (w, s) and half of it at the old level;
-        - lower, diag, upper: its tridiagonal derivative in w;
-        - cols[1]: its derivative in s;
-        - cols[2], for a source linear in the face gradient g = w_xi(0)
-          (flux feedback) only: its derivative in g, which enters through
-          dg/dw = (2, -1/2) / h at nodes 1, 2 (self.face_row);
-        - stefan = s - s_old - dt (s'(w, s) + s'_old) / 2, with
+        The residual at the interior nodes is rho c0 (w - v) / dt -
+        (L(w, s) + L(v, s_old)) / 2 with L = rho c0 xi (s'/s) w_xi +
+        (k0/s^2) w_xixi - H.  The advection takes the front speed that the
+        Stefan condition gives s, s' = 2 (s - s_old) / dt - s'_old; it is
+        the gradient's speed wherever that condition holds.  At w = v the
+        residual is -(L(v, s) + L(v, s_old)) / 2.  One _source call writes
+        rows 2 and 3 of self.rows (_Stepper); _old_level wrote the others.
+        Returns (lower, diag, upper, cols, stefan, row_s, d_ss):
+
+        - cols, one product of (2, 5) or (3, 5) scalar weights with
+          self.rows: cols[0], the residual; cols[1], its derivative in s;
+          and, for flux feedback only, cols[2], its derivative in g, which
+          enters through dg/dw = (2, -1/2) / h at nodes 1, 2
+          (self.face_row);
+        - lower, diag, upper: the tridiagonal derivative in w, row views of
+          one product of (3, 2) scalars with the basis (xi_2h, 1);
+        - stefan = s - s_old - dt (s'(v, s) + s'_old) / 2, with
           s'(w, s) = front_speed, and its derivatives row_s in w at the
           last three interior nodes and d_ss in s.
         """
-        t, dt = old.t, old.dt
-        sdot = 2.0 * (s - old.s) / dt - old.sdot
-        face = _face_gradient(w, self.h)
-        cols = np.empty((2 if self.model.feedback is None else 3, self.n - 2))
+        t, dt, s_old = old.t, old.dt, old.s
+        sdot = 2.0 * (s - s_old) / dt - old.sdot
+        k0_h2 = self.mat.k0 / (self.h * self.h)
+        rho_c0 = self.rho_c0
+        # The weights of the rows in the residual (c[0]) and in its
+        # derivative in s (c[1]): s scales the diffusion by 1/s^2 and the
+        # advection by s'/s, and moves H through eta and the face
+        # gradient's 1/s.  H(s) and H at the old level weigh 1/2 in the
+        # residual, and for flux feedback H(g = 1) weighs 1/2 in c[2].
+        c = self.weights
+        c[0, 0] = -0.5 * rho_c0 * (sdot / s + old.sdot / s_old)
+        c[0, 1] = -0.5 * k0_h2 * (1.0 / (s * s) + 1.0 / (s_old * s_old))
+        c[1, 0] = -(1.0 / dt - 0.5 * sdot / s) * rho_c0 / s
+        c[1, 1] = k0_h2 / (s * s * s)
         if self.model.feedback is None:
-            source = self._source(s, t, face)
-            source_ds = self._source(s * (1.0 + _SOURCE_DS), t, face)
-            source_ds -= source
-            source_ds /= _SOURCE_DS * s
+            self.rows[2:4] = self._source(s, t, old.face, self.xi_bump)
+            c[1, 3] = 0.5 / (_SOURCE_DS * s)
+            c[1, 2] = -c[1, 3]
         else:
             # H = g H(g = 1) is uniform and linear in g, and H(g = 1) is
             # proportional to 1/s: one call gives H, dH/dg and dH/ds = -H/s.
-            unit = self._source(s, t, 1.0)
-            cols[2] = 0.5 * unit
-            source = face * unit
-            source_ds = source / -s
-        value, grad, diffused = self._operator(w, s, sdot, source)
-        heat = self.rho_c0 / dt
-        np.subtract(w[1:-1], old.v[1:-1], out=cols[0])
-        cols[0] *= heat
-        cols[0] -= 0.5 * value
-        cols[0] -= old.value
+            self.rows[2] = self._source(s, t, 1.0, self.xi_inner)
+            c[0, 2] = 0.5 * old.face
+            c[1, 2] = -0.5 * old.face / s
+        cols = c @ self.rows
 
-        kd = 0.5 * self.mat.k0 / (self.h * self.h * s * s)
-        adv = (0.5 * self.rho_c0 * sdot / s) * self.xi_2h
-        lower = adv[1:] - kd
-        upper = -kd - adv[:-1]
-        diag = np.full(self.n - 2, heat + 2.0 * kd)
+        kd = 0.5 * k0_h2 / (s * s)
+        adv = 0.5 * rho_c0 * sdot / s
+        b = self.band_weights
+        b[0, 0], b[2, 0] = adv, -adv
+        b[0, 1] = b[2, 1] = -kd
+        b[1, 1] = rho_c0 / dt + 2.0 * kd
+        bands = b @ self.basis
 
-        # s scales the diffusion by 1/s^2 and the advection by s'/s, and
-        # moves H through eta and the face gradient's 1/s.
-        source_ds *= 0.5
-        source_ds += (1.0 / s) * diffused
-        np.subtract(source_ds, ((1.0 / dt - 0.5 * sdot / s) * self.rho_c0 / s) * grad, out=cols[1])
-
-        front = self.front_speed(w, s)
-        stefan = s - old.s - 0.5 * dt * (front + old.sdot)
+        # s'(v, s): the front gradient of v is the old level's.
+        front = old.sdot * s_old / s
+        stefan = s - s_old - 0.5 * dt * (front + old.sdot)
         row_s = (0.5 * dt * self.mat.k0 / (self.rho_l * s * 6.0 * self.h)) * _FRONT_ROW
-        return lower, diag, upper, cols, stefan, row_s, 1.0 + 0.5 * dt * front / s
+        return bands[0, 1:], bands[1], bands[2, :-1], cols, stefan, row_s, 1.0 + 0.5 * dt * front / s
 
     def _border(self, x: np.ndarray, stefan: float, row_s: np.ndarray, d_ss: float) -> tuple:
         """(1, ds) or (1, ds, dg): the weights of x's columns in -dw.
@@ -409,8 +439,8 @@ class _Stepper:
         return 1.0, ds, -(pivot * g0 + g_s * (a0 - stefan)) / det
 
     def advance(
-        self, v: np.ndarray, fronts: np.ndarray, k: int, t0: float, t1: float
-    ) -> tuple[np.ndarray, float]:
+        self, v: np.ndarray, fronts: np.ndarray, k: int, t0: float, t1: float, out: np.ndarray
+    ) -> float:
         """Advance step k from (v, fronts[k]) at t0 to t1 by one bordered solve.
 
         v is the field of w, and fronts[:k + 1] are the fronts accepted so
@@ -423,13 +453,13 @@ class _Stepper:
         for it; an Euler step in t overshoots it, by 9e-5 relative on the
         golden runs.
 
-        One Newton update follows: _linearize, one solve_banded call against
-        the residual and the border columns, and the 1 x 1 or 2 x 2 border
-        in closed form (_border).  The returned front is the Stefan
-        condition's on the updated field, s_old + dt (s'(w) + s'_old) / 2.
-        The equations are linear in w for a fixed s, so the update leaves
-        only the front's nonlinearity unresolved.  Returns the field and
-        the front.
+        One Newton update follows: _old_level, _linearize, one solve_banded
+        call against the residual and the border columns, and the 1 x 1 or
+        2 x 2 border in closed form (_border).  The updated field's interior
+        is written into out, whose two boundary values the caller sets; the
+        returned front is the Stefan condition's on that field, s_old + dt
+        (s'(w) + s'_old) / 2.  The equations are linear in w for a fixed s,
+        so the update leaves only the front's nonlinearity unresolved.
 
         The start is part of the scheme.  Starts that amplify a step-to-step
         oscillation more strongly let Crank-Nicolson runs collapse: a cubic
@@ -445,20 +475,19 @@ class _Stepper:
             s = s_old + 2.0 * (math.sqrt(t1) - root_t0) * root_t0 * old.sdot
         if s <= 0.0:
             raise FrontCollapse(f"front position went nonpositive at t = {t1}")
-        lower, diag, upper, cols, stefan, row_s, d_ss = self._linearize(v, s, old)
+        lower, diag, upper, cols, stefan, row_s, d_ss = self._linearize(s, old)
         try:
             x = solve_banded(lower, diag, upper, cols.T)
             weights = self._border(x, stefan, row_s, d_ss)
         except NonConvergence as exc:
             raise NonConvergence(f"{exc} at t = {t1}") from exc
-        w = v.copy()
-        w[1:-1] -= x @ weights
-        s = s_old + 0.5 * old.dt * (self.front_speed(w, s + weights[1]) + old.sdot)
+        np.subtract(v[1:-1], x @ weights, out=out[1:-1])
+        s = s_old + 0.5 * old.dt * (self.front_speed(out, s + weights[1]) + old.sdot)
         if s <= s_old:
             raise FrontCollapse(
                 f"front failed to advance: s({t1}) = {s} <= s({t0}) = {s_old}"
             )
-        return w, s
+        return s
 
 
 def run_oracle_for(sol: SimilaritySolution, cfg: OracleConfig) -> OracleRun:
@@ -483,11 +512,12 @@ def run_oracle_for(sol: SimilaritySolution, cfg: OracleConfig) -> OracleRun:
     fronts[0] = front_position(sol, T_START)
     fields[0] = temperature(sol, stepper.xi * fronts[0], T_START)
     kirchhoff[0] = stepper.to_kirchhoff(fields[0])
-    # The boundary values are exact: w(0) = span Phi(1) and w(1) = 0.
+    # The boundary values are exact, w(0) = span Phi(1) and w(1) = 0, and
+    # set once for every row; each step writes its row's interior.
     ends = np.array([sol.boundary.theta0, sol.boundary.theta_f])
-    kirchhoff[0, [0, -1]] = stepper.to_kirchhoff(ends)
+    kirchhoff[:, [0, -1]] = stepper.to_kirchhoff(ends)
     for k, (t0, t1) in enumerate(zip(stepper.times[:-1], stepper.times[1:])):
-        kirchhoff[k + 1], fronts[k + 1] = stepper.advance(kirchhoff[k], fronts, k, t0, t1)
+        fronts[k + 1] = stepper.advance(kirchhoff[k], fronts, k, t0, t1, kirchhoff[k + 1])
     fields[1:] = stepper.from_kirchhoff(kirchhoff[1:])
     return OracleRun(cfg, problem, sol, fronts, fields)
 

@@ -180,25 +180,29 @@ class TestSolveBanded:
 class TestSweepCounter:
     @pytest.mark.parametrize("kind", ["exponential", "feedback", "none"])
     def test_one_solve_per_sweep(self, monkeypatch, kind):
-        # Each step makes two operator passes, its old level and its one
-        # linearization.  It evaluates the source once for each, and once
-        # more for the one-sided dH/ds of a source other than flux feedback,
-        # whose dH/ds is -H/s.  Counting changes nothing in the run.
+        # Each step evaluates the source twice, for every source: once at its
+        # old level, and once for its linearization, whose one call gives H
+        # and the bumped H of the one-sided dH/ds (or H(g = 1) for flux
+        # feedback, whose dH/ds is -H/s).  It makes one solve_banded call.
+        # Counting changes nothing in the run.
         sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
         cfg = OracleConfig(n_space=64, n_time=256)
         plain = run_oracle_for(sol, cfg)
-        calls = {"_operator": 0, "_source": 0}
-        for name in calls:
-            method = getattr(oracle._Stepper, name)
+        calls = {"_source": 0, "solve_banded": 0}
+        source, solve = oracle._Stepper._source, oracle.solve_banded
 
-            def counting(stepper, *args, name=name, method=method):
-                calls[name] += 1
-                return method(stepper, *args)
+        def counting_source(stepper, *args):
+            calls["_source"] += 1
+            return source(stepper, *args)
 
-            monkeypatch.setattr(oracle._Stepper, name, counting)
+        def counting_solve(*args):
+            calls["solve_banded"] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(oracle._Stepper, "_source", counting_source)
+        monkeypatch.setattr(oracle, "solve_banded", counting_solve)
         run = run_oracle_for(sol, cfg)
-        sources_per_step = 2 if kind == "feedback" else 3
-        assert calls == {"_operator": 2 * cfg.n_time, "_source": sources_per_step * cfg.n_time}
+        assert calls == {"_source": 2 * cfg.n_time, "solve_banded": cfg.n_time}
         assert run.front.tobytes() == plain.front.tobytes()
         assert run.fields.tobytes() == plain.fields.tobytes()
 
@@ -211,8 +215,8 @@ class TestSweepCounter:
 # digits, without any change to the scheme.
 GOLDEN_ERRORS = {
     "none": ("5.3502432978231824e-05", "5.4944200017441325e-05"),
-    "exponential": ("4.624631887363489e-05", "3.782924361008487e-05"),
-    "feedback": ("6.0559764838684534e-05", "7.265027749252598e-05"),
+    "exponential": ("4.624631887363489e-05", "3.7829243610093544e-05"),
+    "feedback": ("6.0559764838684534e-05", "7.265027749251904e-05"),
 }
 # The same errors with interface-mean conductivities, a front gradient of
 # theta itself and uniform time steps.  The Kirchhoff fluxes and the steps
@@ -300,24 +304,35 @@ def unscaled_feedback_solution(sol):
 def assert_matches_converged_steps(monkeypatch, run):
     """run's errors within 1e-3 relative of a run whose steps are converged.
 
-    Each step of that run continues advance's one update by Newton's
-    method (_linearize, solve_banded, _border) until an update moves w,
-    relative to the span, and the front by at most 1e-10.
+    For a fixed s the step's equations are linear in w, so the bordered
+    solve linearized at (v, s) (_linearize, solve_banded, _border) gives
+    the field that solves them exactly, and a front update ds that
+    vanishes only where that field also meets the Stefan condition.  Each
+    step of that run starts from advance's front and finds the root of ds
+    by the secant method in s, until an iterate moves w, relative to the
+    span, and the front by at most 1e-10.
     """
     advance = oracle._Stepper.advance
 
-    def converged_advance(stepper, v, fronts, k, t0, t1):
-        w, s = advance(stepper, v, fronts, k, t0, t1)
+    def bordered_solve(stepper, old, s):
+        lower, diag, upper, cols, stefan, row_s, d_ss = stepper._linearize(s, old)
+        x = oracle.solve_banded(lower, diag, upper, cols.T)
+        weights = stepper._border(x, stefan, row_s, d_ss)
+        return old.v[1:-1] - x @ weights, weights[1]
+
+    def converged_advance(stepper, v, fronts, k, t0, t1, out):
+        s_prev = advance(stepper, v, fronts, k, t0, t1, out)
         old = stepper._old_level(v, fronts[k], t0, t1)
+        w, ds_prev = bordered_solve(stepper, old, s_prev)
+        s = s_prev + ds_prev
         for _ in range(50):
-            lower, diag, upper, cols, stefan, row_s, d_ss = stepper._linearize(w, s, old)
-            x = oracle.solve_banded(lower, diag, upper, cols.T)
-            weights = stepper._border(x, stefan, row_s, d_ss)
-            step = x @ weights
-            w[1:-1] -= step
-            s += weights[1]
-            if max(np.max(np.abs(step)) / stepper.span, abs(weights[1]) / s) <= 1e-10:
-                return w, s
+            w_next, ds = bordered_solve(stepper, old, s)
+            moved = max(np.max(np.abs(w_next - w)) / stepper.span, abs(ds) / s)
+            w = w_next
+            if moved <= 1e-10:
+                out[1:-1] = w
+                return s + ds
+            s_prev, ds_prev, s = s, ds, s - ds * (s - s_prev) / (ds - ds_prev)
         raise AssertionError(f"step {k} did not converge")
 
     monkeypatch.setattr(oracle._Stepper, "advance", converged_advance)
@@ -348,8 +363,8 @@ class TestGoldenErrors:
         run, _ = golden_runs[kind]
         advance = oracle._Stepper.advance
 
-        def euler_start(stepper, v, fronts, k, t0, t1):
-            return advance(stepper, v, fronts[k:k + 1], 0, t0, t1)
+        def euler_start(stepper, v, fronts, k, t0, t1, out):
+            return advance(stepper, v, fronts[k:k + 1], 0, t0, t1, out)
 
         monkeypatch.setattr(oracle._Stepper, "advance", euler_start)
         sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
@@ -663,41 +678,95 @@ def kirchhoff(material, span, y):
     return span * (y + material.delta / (material.p + 1.0) * y ** (material.p + 1.0))
 
 
-def separate_spatial_operator(stepper, w, s, sdot, t):
-    """rho c0 xi (s'/s) w_xi + (k0/s^2) w_xixi - H at interior nodes.
+def separate_spatial_terms(stepper, w, s, sdot, t):
+    """rho c0 xi (s'/s) w_xi, (k0/s^2) w_xixi and -H at interior nodes.
 
-    The operator of the Kirchhoff variable w as its own formula: central
-    advection and diffusion, and H from the discrete face gradient of
-    theta, w_xi(0) / Phi'(1).
+    The terms of the operator of the Kirchhoff variable w as their own
+    formulas: central advection and diffusion, and H from the discrete face
+    gradient of theta, w_xi(0) / Phi'(1).
     """
     mat, h, xi_inner = stepper.mat, stepper.h, stepper.xi[1:-1]
     adv = mat.rho * mat.c0 * xi_inner * (sdot / s) * (w[2:] - w[:-2]) / (2.0 * h)
     dif = mat.k0 * (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (h * h * s * s)
     eta = xi_inner * s / (2.0 * stepper.a * math.sqrt(t))
     face_gradient = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * h * (1.0 + mat.delta))
-    return adv + dif - stepper.model.heat_source(mat, eta, t, face_gradient / s)
+    return adv, dif, -stepper.model.heat_source(mat, eta, t, face_gradient / s)
+
+
+def separate_spatial_operator(stepper, w, s, sdot, t):
+    """rho c0 xi (s'/s) w_xi + (k0/s^2) w_xixi - H at interior nodes."""
+    return sum(separate_spatial_terms(stepper, w, s, sdot, t))
+
+
+def separate_front_speed(stepper, w, s):
+    """s' = -k0 w_x(s) / (rho latent_heat) from a 4-point one-sided gradient."""
+    mat = stepper.mat
+    gradient = (11.0 * w[-1] - 18.0 * w[-2] + 9.0 * w[-3] - 2.0 * w[-4]) / (6.0 * stepper.h)
+    return -mat.k0 * gradient / (mat.rho * mat.latent_heat * s)
 
 
 def old_time_half(stepper, v, s, t):
     """Twice the old-time half of a step from (v, s, t), the separate
-    formula, and the size of the largest sum of the operator's terms."""
-    level = stepper._old_level(v, s, t, t + 1e-3)
-    value = 2.0 * level.value
-    h_src = stepper._source(s, t, oracle._face_gradient(v, stepper.h))
-    _, grad, diffused = stepper._operator(v, s, level.sdot, h_src)
-    terms = (stepper.rho_c0 * grad * (level.sdot / s), diffused, -h_src)
-    term_scale = float(np.max(sum(np.abs(term) for term in terms)))
-    return value, separate_spatial_operator(stepper, v, s, level.sdot, t), term_scale
+    formula, and the size of the largest sum of the operator's terms.
+
+    The step goes to t1 = t + 1e-3 and the similarity front s sqrt(t1 / t).
+    It is linearized at the old field v, where its residual is -(L(v, s1) +
+    L(v, s)) / 2; the oracle's old half is what remains once the separate
+    formula's new half is taken off.
+    """
+    t1 = t + 1e-3
+    level = stepper._old_level(v, s, t, t1)
+    s1 = s * math.sqrt(t1 / t)
+    residual = stepper._linearize(s1, level)[3][0]
+    new = separate_spatial_terms(stepper, v, s1, 2.0 * (s1 - s) / level.dt - level.sdot, t1)
+    old = separate_spatial_terms(stepper, v, s, level.sdot, t)
+    term_scale = float(np.max(sum(np.abs(term) for term in old + new)))
+    return -2.0 * residual - sum(new), sum(old), term_scale
+
+
+def jacobian(stepper, lower, diag, upper, cols):
+    """The dense derivative in the interior w of _linearize's residual.
+
+    The tridiagonal part and, for the feedback source, its face-gradient
+    coupling, col_g times face_row.
+    """
+    jac = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    if cols.shape[0] == 3:
+        jac[:, :2] += np.outer(cols[2], stepper.face_row)
+    return jac
 
 
 def step_equations(stepper, w, s, old):
-    """The residual at the interior nodes and the Stefan residual at (w, s)."""
-    _, _, _, cols, stefan, _, _ = stepper._linearize(w, s, old)
-    return cols[0].copy(), stefan
+    """The residual at the interior nodes and the Stefan residual at (w, s).
+
+    _linearize(s, old) gives both at the old field v, and their
+    derivatives in w.  For a fixed s both are linear in w, so R(w) = R(v) +
+    J (w - v) exactly, and the Stefan residual moves by row_s on the last
+    three interior nodes.
+    """
+    lower, diag, upper, cols, stefan, row_s, _ = stepper._linearize(s, old)
+    dw = (w - old.v)[1:-1]
+    return cols[0] + jacobian(stepper, lower, diag, upper, cols) @ dw, stefan + row_s @ dw[-3:]
 
 
-def central_jacobian(stepper, w, s, old):
-    """Central differences of step_equations in the interior w and in s."""
+def separate_step_equations(stepper, w, s, old, t0):
+    """step_equations as their own formula, for the step from old at t0.
+
+    rho c0 (w - v) / dt - (L(w, s) + L(v, s_old)) / 2 at the speed
+    s' = 2 (s - s_old) / dt - s'_old, and s - s_old - dt (s'(w, s) +
+    s'_old) / 2.
+    """
+    sdot = 2.0 * (s - old.s) / old.dt - old.sdot
+    residual = stepper.rho_c0 * (w - old.v)[1:-1] / old.dt - 0.5 * (
+        separate_spatial_operator(stepper, w, s, sdot, old.t)
+        + separate_spatial_operator(stepper, old.v, old.s, old.sdot, t0)
+    )
+    speed = separate_front_speed(stepper, w, s)
+    return residual, s - old.s - 0.5 * old.dt * (speed + old.sdot)
+
+
+def central_jacobian(stepper, w, s, old, t0):
+    """Central differences of separate_step_equations in the interior w and in s."""
     m = w.size - 2
     jac, row = np.empty((m, m)), np.empty(m)
     dw = 1e-6 * stepper.span
@@ -706,52 +775,60 @@ def central_jacobian(stepper, w, s, old):
         plus[j + 1] += dw
         minus[j + 1] -= dw
         (r_plus, s_plus), (r_minus, s_minus) = (
-            step_equations(stepper, x, s, old) for x in (plus, minus)
+            separate_step_equations(stepper, x, s, old, t0) for x in (plus, minus)
         )
         jac[:, j] = (r_plus - r_minus) / (2.0 * dw)
         row[j] = (s_plus - s_minus) / (2.0 * dw)
     ds = 1e-6 * s
     (r_plus, s_plus), (r_minus, s_minus) = (
-        step_equations(stepper, w, x, old) for x in (s + ds, s - ds)
+        separate_step_equations(stepper, w, x, old, t0) for x in (s + ds, s - ds)
     )
     return jac, row, (r_plus - r_minus) / (2.0 * ds), (s_plus - s_minus) / (2.0 * ds)
 
 
 def assert_jacobian_matches(sol):
-    """Check the Newton Jacobian of one step of sol's problem on 16 x 16.
+    """Check the linearization of one step of sol's problem on 16 x 16.
 
-    At states perturbed off the similarity solution, each block matches
-    central differences of the step's equations in (w, s): the tridiagonal
-    part (with the feedback source's face-gradient coupling, col_g times
-    face_row), the front column and d_ss, and the Stefan row, which is zero
-    but on the last three interior nodes.
+    The step is linearized at its old field v, so v itself is perturbed off
+    the similarity solution.  At each sample, each block matches central
+    differences of the separate formula of the step's equations at (v, s):
+    the tridiagonal part (with the feedback source's face-gradient
+    coupling, col_g times face_row), the front column and d_ss, and the
+    Stefan row, which is zero but on the last three interior nodes.  The
+    residuals at v, and by linearity at the exact new field, match the
+    separate formula to rounding.
     """
     cfg = OracleConfig(n_space=16, n_time=16)
     stepper = oracle._Stepper(sol.material, sol.boundary, sol.source, cfg)
     t0, t1 = stepper.times[3], stepper.times[4]
     s0 = front_position(sol, t0)
-    v = stepper.to_kirchhoff(temperature(sol, stepper.xi * s0, t0))
-    old = stepper._old_level(v, s0, t0, t1)
+    exact_old = stepper.to_kirchhoff(temperature(sol, stepper.xi * s0, t0))
     s1 = front_position(sol, t1)
     exact = stepper.to_kirchhoff(temperature(sol, stepper.xi * s1, t1))
     rng = np.random.default_rng(3)
     m = cfg.n_space - 2
     for _ in range(3):
         s = s1 * rng.uniform(0.97, 1.03)
-        w = exact.copy()
-        w[1:-1] += 0.01 * stepper.span * rng.uniform(-1.0, 1.0, m)
-        lower, diag, upper, cols, _, row_s, d_ss = stepper._linearize(w, s, old)
-        jac = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-        if sol.source.kind == "feedback":
-            jac[:, :2] += np.outer(cols[2], stepper.face_row)
-        else:
+        v = exact_old.copy()
+        v[1:-1] += 0.01 * stepper.span * rng.uniform(-1.0, 1.0, m)
+        old = stepper._old_level(v, s0, t0, t1)
+        assert old.sdot == pytest.approx(separate_front_speed(stepper, v, s0), rel=1e-12)
+        lower, diag, upper, cols, _, row_s, d_ss = stepper._linearize(s, old)
+        if sol.source.kind != "feedback":
             assert cols.shape == (2, m)
+        jac = jacobian(stepper, lower, diag, upper, cols)
         row = np.zeros(m)
         row[-3:] = row_s
-        fd_jac, fd_row, fd_col, fd_d_ss = central_jacobian(stepper, w, s, old)
+        fd_jac, fd_row, fd_col, fd_d_ss = central_jacobian(stepper, v, s, old, t0)
         for got, want in ((jac, fd_jac), (row, fd_row), (cols[1], fd_col)):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-7 * np.max(np.abs(want)))
         assert d_ss == pytest.approx(fd_d_ss, rel=1e-9)
+        for w in (v, exact):
+            got, got_stefan = step_equations(stepper, w, s, old)
+            want, want_stefan = separate_step_equations(stepper, w, s, old, t0)
+            scale = float(np.max(np.abs(jac) @ np.abs(w - v)[1:-1] + np.abs(want)))
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+            assert got_stefan == pytest.approx(want_stefan, rel=0.0, abs=1e-12 * s)
 
 
 # A dimensional problem whose rho c0 (4.2e6) and k0 (0.6) put the advection
