@@ -280,14 +280,23 @@ class SourceModel:
     * ode_rhs(etas, y_prime0): right-hand side r(eta) of the reduced ODE;
     * heat_source(material, eta, t, face_gradient): physical source H at
       similarity coordinates eta and time t, given the fixed-face
-      temperature gradient dtheta/dx(0, t).  It never reads lam, Psi or
-      y'(0), so the oracle can feed it its own discrete face gradient.
+      temperature gradient dtheta/dx(0, t), with eta's shape.  t and
+      face_gradient may be arrays that broadcast to eta's shape (the
+      oracle asks for three rows of eta at once, with a column of their
+      times).  It never reads lam, Psi or y'(0), so the oracle can feed it
+      its own discrete face gradient;
+    * uniform: True when H does not vary along the strip (does not depend
+      on eta) and is proportional to the face gradient, so that H =
+      dtheta/dx(0, t) heat_source(material, eta, t, 1) at every eta (no
+      source and flux feedback).  The oracle then takes H as a scalar per
+      time step.
 
     The CSV label of a source is the kind attribute of its spec.
     """
 
     label = ""
     feedback: float | None = None
+    uniform = False
 
     def __init__(self, source: SourceSpec, ste: float, delta: float, p: float) -> None:
         _check_groups(ste, delta, p)
@@ -308,6 +317,7 @@ class _NoSourceModel(SourceModel):
     """r = 0: (sqrt(pi)/Ste) x erf(x) e^{x^2} = 1 + delta/(p+1)."""
 
     label = "no source"
+    uniform = True
 
     def _lhs(self, x: float) -> float:
         return (SQRT_PI / self.ste) * x * math.erf(x) * math.exp(x * x)
@@ -325,7 +335,10 @@ class _NoSourceModel(SourceModel):
     def ode_rhs(self, etas: np.ndarray, y_prime0: float) -> np.ndarray:
         return np.zeros_like(etas)
 
-    def heat_source(self, material: Material, eta: np.ndarray, t: float, face_gradient: float):
+    def heat_source(
+        self, material: Material, eta: np.ndarray, t: float | np.ndarray,
+        face_gradient: float | np.ndarray,
+    ) -> np.ndarray:
         return np.zeros_like(eta)
 
 
@@ -384,8 +397,13 @@ class _SimilarityModel(SourceModel):
     def ode_rhs(self, etas: np.ndarray, y_prime0: float) -> np.ndarray:
         return (4.0 / self.ste) * self.beta(etas)
 
-    def heat_source(self, material: Material, eta: np.ndarray, t: float, face_gradient: float):
-        return (material.rho * material.latent_heat / t) * self.beta(eta)
+    def heat_source(
+        self, material: Material, eta: np.ndarray, t: float | np.ndarray,
+        face_gradient: float | np.ndarray,
+    ) -> np.ndarray:
+        # beta is called on flat arrays only, as the quadrature calls it.
+        beta = self.beta(eta.reshape(-1)).reshape(eta.shape)
+        return (material.rho * material.latent_heat / t) * beta
 
 
 class _ExponentialModel(_SimilarityModel):
@@ -427,6 +445,7 @@ class _FeedbackModel(SourceModel):
     """
 
     label = "flux-feedback source"
+    uniform = True
 
     def __init__(
         self, source: SourceSpec, ste: float, delta: float, p: float, feedback: float
@@ -459,8 +478,11 @@ class _FeedbackModel(SourceModel):
     def ode_rhs(self, etas: np.ndarray, y_prime0: float) -> np.ndarray:
         return np.full_like(etas, self.feedback * y_prime0)
 
-    def heat_source(self, material: Material, eta: np.ndarray, t: float, face_gradient: float):
-        return np.full_like(eta, self.source.lambda0 / math.sqrt(t) * face_gradient)
+    def heat_source(
+        self, material: Material, eta: np.ndarray, t: float | np.ndarray,
+        face_gradient: float | np.ndarray,
+    ) -> np.ndarray:
+        return np.full_like(eta, self.source.lambda0 / np.sqrt(t) * face_gradient)
 
 
 def source_model(

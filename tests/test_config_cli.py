@@ -473,29 +473,14 @@ class TestProfileCommand:
     def test_peak_memory_bounded(self, tmp_path):
         # 2e5 rows peaked at about 150 MB when every row was held as text;
         # the rows are now formatted as they are written.
-        script = textwrap.dedent(
-            """
-            import resource, sys
-            from stefansim.cli import main
-            code = main(["profile", "--config", sys.argv[1], "--t", "1",
-                         "--points", "200000", "--out", sys.argv[2]])
-            print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-            """
-        )
-        # Linux starts a process's ru_maxrss at the peak of the process it
-        # was started from, so the run goes through a small launcher, not
-        # straight from this test process.
-        launcher = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
-        env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
         config = os.path.join(ROOT, "configs", "exponential.cfg")
-        done = subprocess.run(
-            [sys.executable, "-c", launcher, "-c", script, config, str(tmp_path)],
-            capture_output=True, text=True, env=env, check=True,
+        code, max_rss_kib = child_main_peak(
+            ["profile", "--config", config, "--t", "1", "--points", "200000",
+             "--out", str(tmp_path)]
         )
-        code, max_rss_kib = done.stdout.split()[-2:]
         assert code == "0"
         assert len(read_csv(tmp_path / "profile.csv")) == 200001
-        assert int(max_rss_kib) < 100 * 1024
+        assert max_rss_kib < 100 * 1024
 
 
 def test_in_process_calls_share_no_state(tmp_path, capsys):
@@ -512,6 +497,31 @@ def test_in_process_calls_share_no_state(tmp_path, capsys):
     assert "unrecognized arguments: --bogus" in capsys.readouterr().err
     assert main(["solve", "--config", cfg, *out]) == 0
     assert cli._build_parser() is cli._build_parser()
+
+
+def child_main_peak(argv):
+    """(exit code, peak RSS in KiB) of cli.main(argv) run in a child process.
+
+    Linux starts a process's ru_maxrss at the peak of the process it was
+    started from, so the run goes through a small launcher, not straight
+    from this test process.
+    """
+    script = textwrap.dedent(
+        """
+        import resource, sys
+        from stefansim.cli import main
+        code = main(sys.argv[1:])
+        print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        """
+    )
+    launcher = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", launcher, "-c", script, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    code, max_rss_kib = done.stdout.split()[-2:]
+    return code, int(max_rss_kib)
 
 
 class TestVerifyCommand:
@@ -543,6 +553,19 @@ class TestVerifyCommand:
         failed = [row[0] for row in rows[1:] if row[3] == "false"]
         assert "oracle_front_rel_err" in failed
 
+    def test_peak_memory_bounded(self, tmp_path):
+        # A 64 x 8192 oracle peaked at 107 MB with about eleven trajectory
+        # arrays alive; the run now maps w to temperatures in place, and the
+        # map and compare work in blocks of rows.
+        text = DIMLESS_EXP.replace(
+            "oracle.enabled = false", "oracle.n_space = 64\noracle.n_time = 8192"
+        )
+        cfg = write_cfg(tmp_path, text)
+        code, max_rss_kib = child_main_peak(["verify", "--config", cfg, "--out", str(tmp_path)])
+        assert code == "0"
+        names = [row[0] for row in read_csv(tmp_path / "verify.csv")[1:]]
+        assert "oracle_temp_max_err" in names
+        assert max_rss_kib < 90 * 1024
 
     def test_exit_3_when_oracle_solve_fails(self, tmp_path, capsys, monkeypatch):
         def singular(lower, diag, upper, rhs, *flags):

@@ -4,6 +4,8 @@ import ast
 import dataclasses
 import inspect
 import math
+import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -71,6 +73,26 @@ class TestConfigValidation:
             OracleConfig(n_space=16, n_time=2**20)
         assert OracleConfig(n_space=16, n_time=2**20 - 1).n_time == 2**20 - 1
 
+    @pytest.mark.parametrize("kind", ["exponential", "feedback", "none"])
+    def test_widest_grid_steps_in_linear_memory(self, kind):
+        # The widest grid the cap accepts builds its stepper and one step's
+        # system and solve in a few rows of n_space doubles (about 25),
+        # not in a matrix of n_space^2.
+        cfg = OracleConfig(n_space=2**16, n_time=255)
+        sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
+        v = np.linspace(1.5, 0.0, cfg.n_space)
+        tracemalloc.start()
+        try:
+            stepper = oracle._Stepper(*problem_of(sol), cfg)
+            t0, t1 = stepper.times[:2].tolist()
+            s0 = front_position(sol, t0)
+            stepper.step_system(v, s0, 1.01 * s0, t0, t1)
+            oracle.solve_banded(stepper.system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 8 * cfg.n_space
+
 
 class TestRunStructure:
     def test_shapes_and_monotone_front(self, classical_run):
@@ -119,16 +141,30 @@ def tridiagonal(m=12, seed=0):
     return rng.random(m - 1), 4.0 + rng.random(m), rng.random(m - 1), rng.random(m)
 
 
+def banded_system(lower, diag, upper, *rhs):
+    """solve_banded's (3 + k, m) buffer of the bands and k right-hand sides."""
+    system = np.zeros((3 + len(rhs), diag.size))
+    system[0, 1:], system[1], system[2, :-1] = lower, diag, upper
+    system[3:] = rhs
+    return system
+
+
+def scipy_banded(lower, diag, upper):
+    """The bands in scipy.linalg.solve_banded's (1, 1) layout."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = upper
+    ab[1] = diag
+    ab[2, :-1] = lower
+    return ab
+
+
 class TestSolveBanded:
     def test_matches_scipy_solve_banded(self):
         lower, diag, upper, rhs = tridiagonal()
-        ab = np.zeros((3, diag.size))
-        ab[0, 1:] = upper
-        ab[1] = diag
-        ab[2, :-1] = lower
-        want = scipy.linalg.solve_banded((1, 1), ab, rhs)
-        got = oracle.solve_banded(lower, diag, upper, rhs)
-        assert got.tobytes() == want.tobytes()
+        want = scipy.linalg.solve_banded((1, 1), scipy_banded(lower, diag, upper), rhs)
+        got = oracle.solve_banded(banded_system(lower, diag, upper, rhs))
+        assert got.shape == (diag.size, 1)
+        assert got[:, 0].tobytes() == want.tobytes()
 
     # entry 3 is the right-hand side.
     @pytest.mark.parametrize("entry", [0, 1, 2, 3])
@@ -137,20 +173,19 @@ class TestSolveBanded:
         arrays = list(tridiagonal())
         arrays[entry][3] = bad
         with pytest.raises(StefanError, match="non-finite"):
-            oracle.solve_banded(*arrays)
+            oracle.solve_banded(banded_system(*arrays))
 
-    @pytest.mark.parametrize("order", ["F", "C"])
-    def test_many_columns_match_scipy_solve_banded(self, order):
-        # The Newton step solves its residual and border columns together.
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_many_columns_match_scipy_solve_banded(self, k):
+        # The Newton step solves its residual and border columns together,
+        # in place: the solution is a view of the buffer's right-hand sides.
         lower, diag, upper, _ = tridiagonal()
-        rhs = np.asarray(np.random.default_rng(1).random((diag.size, 3)), order=order)
-        ab = np.zeros((3, diag.size))
-        ab[0, 1:] = upper
-        ab[1] = diag
-        ab[2, :-1] = lower
-        want = scipy.linalg.solve_banded((1, 1), ab, rhs)
-        got = oracle.solve_banded(lower, diag, upper, rhs.copy(order="K"))
-        assert got.shape == rhs.shape
+        rhs = np.random.default_rng(1).random((k, diag.size))
+        want = scipy.linalg.solve_banded((1, 1), scipy_banded(lower, diag, upper), rhs.T)
+        system = banded_system(lower, diag, upper, *rhs)
+        got = oracle.solve_banded(system)
+        assert got.shape == (diag.size, k)
+        assert np.shares_memory(got, system)
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -159,14 +194,14 @@ class TestSolveBanded:
         rhs = np.ones((3, diag.size))
         rhs[2, 7] = bad
         with pytest.raises(NonConvergence, match="non-finite"):
-            oracle.solve_banded(lower, diag, upper, rhs.T)
+            oracle.solve_banded(banded_system(lower, diag, upper, *rhs))
 
     def test_singular_matrix_rejected(self):
         lower, diag, upper, rhs = tridiagonal()
         lower[:] = 0.0
         diag[5] = 0.0
         with pytest.raises(NonConvergence, match="singular"):
-            oracle.solve_banded(lower, diag, upper, rhs)
+            oracle.solve_banded(banded_system(lower, diag, upper, rhs))
 
     def test_failed_solve_names_the_step_time(self, classical_sol, monkeypatch):
         def singular(lower, diag, upper, rhs, *flags):
@@ -177,32 +212,49 @@ class TestSolveBanded:
             run_oracle_for(classical_sol, OracleConfig(n_space=32, n_time=16))
 
 
+def counting_heat_source(monkeypatch, calls):
+    """Make every source model the oracle builds count its heat_source calls."""
+    build = oracle.problem_model
+
+    def counting_model(*problem):
+        model = build(*problem)
+        heat_source = model.heat_source
+
+        def counted(*args):
+            calls["heat_source"] += 1
+            return heat_source(*args)
+
+        model.heat_source = counted
+        return model
+
+    monkeypatch.setattr(oracle, "problem_model", counting_model)
+
+
 class TestSweepCounter:
     @pytest.mark.parametrize("kind", ["exponential", "feedback", "none"])
     def test_one_solve_per_sweep(self, monkeypatch, kind):
-        # Each step evaluates the source twice, for every source: once at its
-        # old level, and once for its linearization, whose one call gives H
-        # and the bumped H of the one-sided dH/ds (or H(g = 1) for flux
-        # feedback, whose dH/ds is -H/s).  It makes one solve_banded call.
-        # Counting changes nothing in the run.
+        # A source that varies along the strip is evaluated once per step,
+        # on the three rows H(s), H(s (1 + _SOURCE_DS)) and H at the old
+        # level.  A uniform one (none, flux feedback) is evaluated once per
+        # run, over the time grid, and enters each step as scalars.  Each
+        # step makes one solve_banded call.  Counting changes nothing in
+        # the run.
         sol = solve_problem(unit_material(), BD, GOLDEN_SOURCES[kind])
         cfg = OracleConfig(n_space=64, n_time=256)
         plain = run_oracle_for(sol, cfg)
-        calls = {"_source": 0, "solve_banded": 0}
-        source, solve = oracle._Stepper._source, oracle.solve_banded
-
-        def counting_source(stepper, *args):
-            calls["_source"] += 1
-            return source(stepper, *args)
+        calls = {"heat_source": 0, "solve_banded": 0}
+        solve = oracle.solve_banded
 
         def counting_solve(*args):
             calls["solve_banded"] += 1
             return solve(*args)
 
-        monkeypatch.setattr(oracle._Stepper, "_source", counting_source)
+        counting_heat_source(monkeypatch, calls)
         monkeypatch.setattr(oracle, "solve_banded", counting_solve)
         run = run_oracle_for(sol, cfg)
-        assert calls == {"_source": 2 * cfg.n_time, "solve_banded": cfg.n_time}
+        per_run = 1 if sol.model.uniform else cfg.n_time
+        assert sol.model.uniform == (kind != "exponential")
+        assert calls == {"heat_source": per_run, "solve_banded": cfg.n_time}
         assert run.front.tobytes() == plain.front.tobytes()
         assert run.fields.tobytes() == plain.fields.tobytes()
 
@@ -215,8 +267,8 @@ class TestSweepCounter:
 # digits, without any change to the scheme.
 GOLDEN_ERRORS = {
     "none": ("5.3502432978231824e-05", "5.4944200017441325e-05"),
-    "exponential": ("4.624631887363489e-05", "3.7829243610093544e-05"),
-    "feedback": ("6.0559764838684534e-05", "7.265027749251904e-05"),
+    "exponential": ("4.624631887363489e-05", "3.7829243610079666e-05"),
+    "feedback": ("6.0559764838684534e-05", "7.265027749251557e-05"),
 }
 # The same errors with interface-mean conductivities, a front gradient of
 # theta itself and uniform time steps.  The Kirchhoff fluxes and the steps
@@ -301,11 +353,19 @@ def unscaled_feedback_solution(sol):
     return out
 
 
+def bordered_solve(stepper, v, s_old, s, t0, t1):
+    """The field and front update of one bordered solve linearized at (v, s)."""
+    system, _, stefan, stefan_w, d_ss = stepper.step_system(v, s_old, s, t0, t1)
+    x = oracle.solve_banded(system)
+    weights = stepper._border(x, stefan, stefan_w, d_ss)
+    return v[1:-1] - x @ weights, weights[1]
+
+
 def assert_matches_converged_steps(monkeypatch, run):
     """run's errors within 1e-3 relative of a run whose steps are converged.
 
     For a fixed s the step's equations are linear in w, so the bordered
-    solve linearized at (v, s) (_linearize, solve_banded, _border) gives
+    solve linearized at (v, s) (step_system, solve_banded, _border) gives
     the field that solves them exactly, and a front update ds that
     vanishes only where that field also meets the Stefan condition.  Each
     step of that run starts from advance's front and finds the root of ds
@@ -314,19 +374,13 @@ def assert_matches_converged_steps(monkeypatch, run):
     """
     advance = oracle._Stepper.advance
 
-    def bordered_solve(stepper, old, s):
-        lower, diag, upper, cols, stefan, row_s, d_ss = stepper._linearize(s, old)
-        x = oracle.solve_banded(lower, diag, upper, cols.T)
-        weights = stepper._border(x, stefan, row_s, d_ss)
-        return old.v[1:-1] - x @ weights, weights[1]
-
     def converged_advance(stepper, v, fronts, k, t0, t1, out):
         s_prev = advance(stepper, v, fronts, k, t0, t1, out)
-        old = stepper._old_level(v, fronts[k], t0, t1)
-        w, ds_prev = bordered_solve(stepper, old, s_prev)
+        s_old = float(fronts[k])
+        w, ds_prev = bordered_solve(stepper, v, s_old, s_prev, t0, t1)
         s = s_prev + ds_prev
         for _ in range(50):
-            w_next, ds = bordered_solve(stepper, old, s)
+            w_next, ds = bordered_solve(stepper, v, s_old, s, t0, t1)
             moved = max(np.max(np.abs(w_next - w)) / stepper.span, abs(ds) / s)
             w = w_next
             if moved <= 1e-10:
@@ -657,6 +711,17 @@ class TestCompare:
         assert front_err == pytest.approx(run.front_rel_err, rel=0.0, abs=2e-9)
         assert temp_err == pytest.approx(run.temp_max_err, rel=0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_SOURCES))
+    def test_blocks_of_rows_match_one_block(self, golden_runs, monkeypatch, kind):
+        # The 257 x 64 golden runs take two blocks (256 rows, then 1); in
+        # blocks of 10 rows the errors agree to the rounding of the profile values (each block's
+        # profile is its own evaluate_many call, and the feedback profile
+        # integrates over the block's own nodes), on a unit drop.
+        run, _ = golden_runs[kind]
+        whole = compare(run.solution, run)
+        monkeypatch.setattr(oracle, "_BLOCK_VALUES", 10 * run.config.n_space)
+        assert compare(run.solution, run) == pytest.approx(whole, rel=0.0, abs=1e-14)
+
     def test_one_compare_per_run(self, classical_sol, monkeypatch):
         # The errors come from one call of the module's compare, the call a
         # wrapper of oracle.compare times.
@@ -705,67 +770,79 @@ def separate_front_speed(stepper, w, s):
     return -mat.k0 * gradient / (mat.rho * mat.latent_heat * s)
 
 
-def old_time_half(stepper, v, s, t):
-    """Twice the old-time half of a step from (v, s, t), the separate
-    formula, and the size of the largest sum of the operator's terms.
+def old_time_half(stepper, v, s, k):
+    """Twice the old-time half of step k from (v, s), the separate formula,
+    and the size of the largest sum of the operator's terms.
 
-    The step goes to t1 = t + 1e-3 and the similarity front s sqrt(t1 / t).
-    It is linearized at the old field v, where its residual is -(L(v, s1) +
-    L(v, s)) / 2; the oracle's old half is what remains once the separate
-    formula's new half is taken off.
+    The step goes from the grid's time t = times[k] to t1 = times[k + 1],
+    and to the similarity front s sqrt(t1 / t).  It is linearized at the
+    old field v, where its residual is -(L(v, s1) + L(v, s)) / 2; the
+    oracle's old half is what remains once the separate formula's new half
+    is taken off.
     """
-    t1 = t + 1e-3
-    level = stepper._old_level(v, s, t, t1)
+    t, t1 = stepper.times[k : k + 2].tolist()
     s1 = s * math.sqrt(t1 / t)
-    residual = stepper._linearize(s1, level)[3][0]
-    new = separate_spatial_terms(stepper, v, s1, 2.0 * (s1 - s) / level.dt - level.sdot, t1)
-    old = separate_spatial_terms(stepper, v, s, level.sdot, t)
+    system, sdot_old, *_ = stepper.step_system(v, s, s1, t, t1)
+    residual = system[3]
+    new = separate_spatial_terms(stepper, v, s1, 2.0 * (s1 - s) / (t1 - t) - sdot_old, t1)
+    old = separate_spatial_terms(stepper, v, s, sdot_old, t)
     term_scale = float(np.max(sum(np.abs(term) for term in old + new)))
     return -2.0 * residual - sum(new), sum(old), term_scale
 
 
-def jacobian(stepper, lower, diag, upper, cols):
-    """The dense derivative in the interior w of _linearize's residual.
+class Step(NamedTuple):
+    """The old level (v, s_old) at t0 of a step to t1, and its front speed."""
+
+    v: np.ndarray
+    s_old: float
+    sdot_old: float
+    t0: float
+    t1: float
+
+
+def jacobian(stepper, system):
+    """The dense derivative in the interior w of step_system's residual.
 
     The tridiagonal part and, for the feedback source, its face-gradient
-    coupling, col_g times face_row.
+    coupling, col_g (row 5) times d(face gradient)/dw (border row 1).
     """
-    jac = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
-    if cols.shape[0] == 3:
-        jac[:, :2] += np.outer(cols[2], stepper.face_row)
+    jac = np.diag(system[1]) + np.diag(system[0, 1:], -1) + np.diag(system[2, :-1], 1)
+    if system.shape[0] == 6:
+        jac += np.outer(system[5], stepper.border[1])
     return jac
 
 
-def step_equations(stepper, w, s, old):
+def step_equations(stepper, w, s, step):
     """The residual at the interior nodes and the Stefan residual at (w, s).
 
-    _linearize(s, old) gives both at the old field v, and their
-    derivatives in w.  For a fixed s both are linear in w, so R(w) = R(v) +
-    J (w - v) exactly, and the Stefan residual moves by row_s on the last
-    three interior nodes.
+    step_system gives both at the old field v, and their derivatives in w.
+    For a fixed s both are linear in w, so R(w) = R(v) + J (w - v) exactly,
+    and the Stefan residual moves by stefan_w border[0] . (w - v).
     """
-    lower, diag, upper, cols, stefan, row_s, _ = stepper._linearize(s, old)
-    dw = (w - old.v)[1:-1]
-    return cols[0] + jacobian(stepper, lower, diag, upper, cols) @ dw, stefan + row_s @ dw[-3:]
+    system, _, stefan, stefan_w, _ = stepper.step_system(step.v, step.s_old, s, step.t0, step.t1)
+    dw = (w - step.v)[1:-1]
+    row = stefan_w * stepper.border[0]
+    return system[3] + jacobian(stepper, system) @ dw, stefan + row @ dw
 
 
-def separate_step_equations(stepper, w, s, old, t0):
-    """step_equations as their own formula, for the step from old at t0.
+def separate_step_equations(stepper, w, s, step):
+    """step_equations as their own formula.
 
     rho c0 (w - v) / dt - (L(w, s) + L(v, s_old)) / 2 at the speed
     s' = 2 (s - s_old) / dt - s'_old, and s - s_old - dt (s'(w, s) +
     s'_old) / 2.
     """
-    sdot = 2.0 * (s - old.s) / old.dt - old.sdot
-    residual = stepper.rho_c0 * (w - old.v)[1:-1] / old.dt - 0.5 * (
-        separate_spatial_operator(stepper, w, s, sdot, old.t)
-        + separate_spatial_operator(stepper, old.v, old.s, old.sdot, t0)
+    dt = step.t1 - step.t0
+    sdot = 2.0 * (s - step.s_old) / dt - step.sdot_old
+    residual = stepper.rho_c0 * (w - step.v)[1:-1] / dt - 0.5 * (
+        separate_spatial_operator(stepper, w, s, sdot, step.t1)
+        + separate_spatial_operator(stepper, step.v, step.s_old, step.sdot_old, step.t0)
     )
     speed = separate_front_speed(stepper, w, s)
-    return residual, s - old.s - 0.5 * old.dt * (speed + old.sdot)
+    return residual, s - step.s_old - 0.5 * dt * (speed + step.sdot_old)
 
 
-def central_jacobian(stepper, w, s, old, t0):
+def central_jacobian(stepper, w, s, step):
     """Central differences of separate_step_equations in the interior w and in s."""
     m = w.size - 2
     jac, row = np.empty((m, m)), np.empty(m)
@@ -775,13 +852,13 @@ def central_jacobian(stepper, w, s, old, t0):
         plus[j + 1] += dw
         minus[j + 1] -= dw
         (r_plus, s_plus), (r_minus, s_minus) = (
-            separate_step_equations(stepper, x, s, old, t0) for x in (plus, minus)
+            separate_step_equations(stepper, x, s, step) for x in (plus, minus)
         )
         jac[:, j] = (r_plus - r_minus) / (2.0 * dw)
         row[j] = (s_plus - s_minus) / (2.0 * dw)
     ds = 1e-6 * s
     (r_plus, s_plus), (r_minus, s_minus) = (
-        separate_step_equations(stepper, w, x, old, t0) for x in (s + ds, s - ds)
+        separate_step_equations(stepper, w, x, step) for x in (s + ds, s - ds)
     )
     return jac, row, (r_plus - r_minus) / (2.0 * ds), (s_plus - s_minus) / (2.0 * ds)
 
@@ -793,14 +870,14 @@ def assert_jacobian_matches(sol):
     the similarity solution.  At each sample, each block matches central
     differences of the separate formula of the step's equations at (v, s):
     the tridiagonal part (with the feedback source's face-gradient
-    coupling, col_g times face_row), the front column and d_ss, and the
-    Stefan row, which is zero but on the last three interior nodes.  The
-    residuals at v, and by linearity at the exact new field, match the
-    separate formula to rounding.
+    coupling, col_g times d(face gradient)/dw), the front column and d_ss,
+    and the Stefan row, which is zero but on the last three interior
+    nodes.  The residuals at v, and by linearity at the exact new field,
+    match the separate formula to rounding.
     """
     cfg = OracleConfig(n_space=16, n_time=16)
     stepper = oracle._Stepper(sol.material, sol.boundary, sol.source, cfg)
-    t0, t1 = stepper.times[3], stepper.times[4]
+    t0, t1 = stepper.times[3:5].tolist()
     s0 = front_position(sol, t0)
     exact_old = stepper.to_kirchhoff(temperature(sol, stepper.xi * s0, t0))
     s1 = front_position(sol, t1)
@@ -811,21 +888,20 @@ def assert_jacobian_matches(sol):
         s = s1 * rng.uniform(0.97, 1.03)
         v = exact_old.copy()
         v[1:-1] += 0.01 * stepper.span * rng.uniform(-1.0, 1.0, m)
-        old = stepper._old_level(v, s0, t0, t1)
-        assert old.sdot == pytest.approx(separate_front_speed(stepper, v, s0), rel=1e-12)
-        lower, diag, upper, cols, _, row_s, d_ss = stepper._linearize(s, old)
-        if sol.source.kind != "feedback":
-            assert cols.shape == (2, m)
-        jac = jacobian(stepper, lower, diag, upper, cols)
-        row = np.zeros(m)
-        row[-3:] = row_s
-        fd_jac, fd_row, fd_col, fd_d_ss = central_jacobian(stepper, v, s, old, t0)
-        for got, want in ((jac, fd_jac), (row, fd_row), (cols[1], fd_col)):
+        system, sdot_old, _, stefan_w, d_ss = stepper.step_system(v, s0, s, t0, t1)
+        assert sdot_old == pytest.approx(separate_front_speed(stepper, v, s0), rel=1e-12)
+        assert system.shape == (6 if sol.source.kind == "feedback" else 5, m)
+        step = Step(v, s0, sdot_old, t0, t1)
+        jac = jacobian(stepper, system)
+        row = stefan_w * stepper.border[0]
+        assert not row[:-3].any()
+        fd_jac, fd_row, fd_col, fd_d_ss = central_jacobian(stepper, v, s, step)
+        for got, want in ((jac, fd_jac), (row, fd_row), (system[4], fd_col)):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-7 * np.max(np.abs(want)))
         assert d_ss == pytest.approx(fd_d_ss, rel=1e-9)
         for w in (v, exact):
-            got, got_stefan = step_equations(stepper, w, s, old)
-            want, want_stefan = separate_step_equations(stepper, w, s, old, t0)
+            got, got_stefan = step_equations(stepper, w, s, step)
+            want, want_stefan = separate_step_equations(stepper, w, s, step)
             scale = float(np.max(np.abs(jac) @ np.abs(w - v)[1:-1] + np.abs(want)))
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
             assert got_stefan == pytest.approx(want_stefan, rel=0.0, abs=1e-12 * s)
@@ -855,24 +931,25 @@ class TestOperator:
         span = DIM_BD.theta0 - DIM_BD.theta_f
         rng = np.random.default_rng(11)
         for _ in range(5):
-            t = rng.uniform(oracle.T_START, oracle.T_END)
-            s = front_position(sol, t) * rng.uniform(0.8, 1.2)
+            k = int(rng.integers(cfg.n_time))
+            s = front_position(sol, stepper.times[k]) * rng.uniform(0.8, 1.2)
             y = np.sort(rng.random(cfg.n_space))[::-1]
             y[0], y[-1] = 1.0, 0.0
-            got, want, _ = old_time_half(stepper, kirchhoff(DIM_MATERIAL, span, y), s, t)
+            got, want, _ = old_time_half(stepper, kirchhoff(DIM_MATERIAL, span, y), s, k)
             scale = float(np.max(np.abs(want)))
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
     @pytest.mark.parametrize("kind", sorted(GOLDEN_SOURCES))
     def test_old_time_half_along_golden_run(self, golden_runs, kind):
-        # Every accepted state of a golden run.  Near a similarity state
-        # the terms nearly cancel, so the rounding scale is the size of the
-        # terms, not of the result.
+        # Every accepted state of a golden run but the last.  Near a
+        # similarity state the terms nearly cancel, so the rounding scale is
+        # the size of the terms, not of the result.
         run, _ = golden_runs[kind]
         sol = run.solution
         stepper = oracle._Stepper(sol.material, sol.boundary, sol.source, run.config)
-        for u, s, t in zip(run.fields, run.front, run.times):
-            got, want, term_scale = old_time_half(stepper, stepper.to_kirchhoff(u), s, t)
+        for k in range(run.config.n_time):
+            v = stepper.to_kirchhoff(run.fields[k])
+            got, want, term_scale = old_time_half(stepper, v, run.front[k], k)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * term_scale)
 
     @pytest.mark.parametrize("kind", sorted(GOLDEN_SOURCES))
@@ -933,6 +1010,20 @@ class TestKirchhoffMap:
         np.testing.assert_allclose(
             similarity._phi_inverse_many(delta, p, w, True), back, rtol=0.0, atol=1e-15
         )
+
+    def test_blocks_of_rows_each_converge(self, monkeypatch):
+        # Past _BLOCK_VALUES the rows go in blocks, each with its own stop:
+        # each block maps as it maps alone, also when written into w itself.
+        monkeypatch.setattr(oracle, "_BLOCK_VALUES", 5 * 16)
+        material = unit_material(delta=2.0, p=1.7)
+        stepper = oracle._Stepper(material, BD, NoSource(), OracleConfig(n_space=16, n_time=16))
+        w = np.random.default_rng(6).uniform(-0.1, 2.0, (17, 16))
+        got = stepper.from_kirchhoff(w)
+        for start in range(0, 17, 5):
+            rows = slice(start, start + 5)
+            assert got[rows].tobytes() == stepper.from_kirchhoff(w[rows]).tobytes()
+        assert stepper.from_kirchhoff(w, out=w) is w
+        assert w.tobytes() == got.tobytes()
 
     def test_inverse_extends_below_zero(self):
         # Phi is extended by its tangent y below 0, so an undershoot of w

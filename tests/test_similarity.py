@@ -463,6 +463,54 @@ class TestStoredFacts:
         assert similarity_coordinate(moved, 1.0, 1.0) == 1.0 / (2.0 * material.a)
 
 
+class TestHeatSource:
+    """heat_source on the oracle's (3, m) eta with columns of times and face gradients."""
+
+    SOURCES = (NoSource(), ExponentialSource(), SimilaritySource(CUSTOM_BETA), FEEDBACK)
+
+    @pytest.mark.parametrize("source", SOURCES, ids=lambda source: source.kind)
+    def test_rows_equal_row_calls(self, source):
+        material = unit_material(1.3, 2.0, 1.7)
+        model = similarity.problem_model(material, UNIT_BD, source)
+        eta = np.random.default_rng(2).uniform(0.0, 1.0, (3, 62))
+        t = np.array([[0.3], [0.3], [0.25]])
+        face = np.array([[-1.1], [-1.2], [-1.3]])
+        got = model.heat_source(material, eta, t, face)
+        assert got.shape == eta.shape
+        for i in range(3):
+            want = model.heat_source(material, eta[i], float(t[i, 0]), float(face[i, 0]))
+            assert got[i].tobytes() == want.tobytes()
+
+    def test_beta_is_called_on_flat_arrays(self):
+        # A beta that iterates over its argument sees the (3, m) eta as one
+        # flat array of numbers, as the quadrature passes it.
+        material = unit_material(1.3, 2.0, 1.7)
+        beta = lambda eta: np.array([0.5 * (1.0 + x) * math.exp(-x * x) for x in eta])
+        model = similarity.problem_model(material, UNIT_BD, SimilaritySource(beta))
+        array_native = similarity.problem_model(material, UNIT_BD, SimilaritySource(CUSTOM_BETA))
+        eta = np.random.default_rng(2).uniform(0.0, 1.0, (3, 62))
+        t = np.array([[0.3], [0.3], [0.25]])
+        got = model.heat_source(material, eta, t, 1.0)
+        assert got.shape == eta.shape
+        want = array_native.heat_source(material, eta, t, 1.0)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("source", SOURCES, ids=lambda source: source.kind)
+    def test_uniform_source_ignores_eta(self, source):
+        # A uniform source is H = dtheta/dx(0, t) heat_source(..., t, 1) at
+        # every eta, which the oracle takes as one scalar per time.
+        material = unit_material(1.3, 2.0, 1.7)
+        model = similarity.problem_model(material, UNIT_BD, source)
+        assert model.uniform == (source.kind in ("none", "feedback"))
+        eta = np.linspace(0.0, 2.0, 9)
+        got = model.heat_source(material, eta, 0.4, -0.7)
+        if model.uniform:
+            unit = model.heat_source(material, np.zeros(1), 0.4, 1.0)[0]
+            np.testing.assert_array_equal(got, np.full(9, -0.7 * unit))
+        else:
+            assert np.unique(got).size == 9
+
+
 class TestFrontEquationIncreases:
     """A sampled check, not a proof, that each front equation's left-hand
     side increases strictly, which makes lam its unique root."""
