@@ -9,7 +9,6 @@ overview and the cli module for the command-line entry points.
 
 from .checks import CheckResult, run_checks
 from .errors import (
-    BracketExpansionFailed,
     ConfigError,
     FrontCollapse,
     InvalidInput,
@@ -34,7 +33,6 @@ from .similarity import SimilaritySolution, solve_lambda, solve_problem, source_
 
 __all__ = [
     "BoundaryData",
-    "BracketExpansionFailed",
     "CheckResult",
     "ConfigError",
     "ExponentialSource",

@@ -30,10 +30,6 @@ class NotBracketed(StefanError):
     """A root-finding bracket does not straddle the target value."""
 
 
-class BracketExpansionFailed(StefanError):
-    """Upward bracket expansion hit its hard cap without straddling the target."""
-
-
 class MaxSubdivisionsExceeded(StefanError):
     """Adaptive quadrature hit its subdivision depth limit before converging."""
 

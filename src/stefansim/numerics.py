@@ -18,9 +18,9 @@ rather than running out of memory.
 Root finding works only on (strictly) increasing functions, which is all
 the similarity layer ever needs: every transcendental equation in this
 problem family has a monotone left-hand side.  A Brent-Dekker iteration
-contracts a bracket whose ends keep opposite signs, so the bracket stays a
-proof of the root while interpolation takes it to ROOT_ABS_TOL and
-ROOT_REL_TOL in a fraction of the evaluations bisection needs.
+contracts the caller's bracket, whose ends keep opposite signs, so the
+bracket stays a proof of the root while interpolation takes it to
+ROOT_ABS_TOL and ROOT_REL_TOL in a fraction of the evaluations bisection needs.
 
 Each routine runs one budget, held as module constants that are read at
 call time; no routine takes a tolerance argument.
@@ -36,23 +36,15 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import (
-    BracketExpansionFailed,
     InvalidInput,
     MaxSubdivisionsExceeded,
     NonConvergence,
     NotBracketed,
+    OutOfRange,
 )
 
 SQRT_PI = math.sqrt(math.pi)
 _EPS = sys.float_info.epsilon
-
-# Hard cap for upward bracket expansion.  The sourceless and similarity-source
-# equations grow like exp(x^2), which overflows a double near x = 27, so a
-# root of theirs beyond this cap is unrepresentable anyway.  The scaled
-# flux-feedback equation grows only like x^2 log x and stays finite; for it
-# the cap is a documented domain limit (e.g. Ste = 1e4, delta = 1e3,
-# p = 1e-3 has its root beyond 50).  Failing cleanly beats looping.
-BRACKET_EXPANSION_CAP = 50.0
 
 # Limits of an adaptive quadrature pass.  Subdivision is breadth first, so
 # every active panel of a round has the same depth: depth 60 means panels
@@ -282,37 +274,35 @@ def _eval_clipped(g: Callable[[float], float], x: float) -> float:
 def find_root_increasing(
     g: Callable[[float], float], target: float, lo: float, hi: float
 ) -> float:
-    """Solve g(x) = target for increasing g on a positive domain.
+    """Solve g(x) = target for increasing g on the bracket [lo, hi].
 
-    The seed bracket is expanded first: hi doubles (capped at
-    BRACKET_EXPANSION_CAP) until g(hi) >= target, and lo shrinks toward
-    0+ until g(lo) <= target.  A Brent-Dekker iteration then contracts the
-    bracket: inverse quadratic interpolation or a secant step where it
-    lands well inside the bracket, bisection otherwise (Brent, Algorithms
-    for Minimization without Derivatives, 1973, ch. 4).  Every iterate
-    keeps a sign change of g - target between the two bracket ends, so the
-    bracket stays a proof that the root lies inside it.  Overflow in g
-    counts as +inf, so equations growing like exp(x^2) fail over to a
-    finite bracket instead of crashing; while an end of the bracket has an
-    infinite value the iteration bisects.
+    One sign test, g(lo) <= target <= g(hi), which a NaN fails, checks the
+    bracket.  A Brent-Dekker iteration then contracts it: inverse quadratic
+    interpolation or a secant step where it lands well inside the bracket,
+    bisection otherwise (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4).  Every iterate keeps a sign change of
+    g - target between the two bracket ends, so the bracket stays a proof
+    that the root lies inside it.  Overflow in g counts as +inf; while an
+    end of the bracket has an infinite value the iteration bisects.
 
     The iteration stops once |g(x) - target| <= ROOT_ABS_TOL and the
     bracket width is <= ROOT_REL_TOL * x, or once the bracket collapses to
-    adjacent doubles, at its end with the smaller residual.
+    adjacent doubles, at its end with the smaller residual, unless the
+    other end overflows and that residual is unmet.
 
     Args:
         g: Strictly increasing function of one positive variable.
         target: Right-hand side value to match.
-        lo: Lower end of the seed bracket, finite and > 0.
-        hi: Upper end of the seed bracket, finite and > lo.
+        lo: Lower end of the bracket, finite and > 0.
+        hi: Upper end of the bracket, finite and > lo.
 
     Returns:
         The root x*.
 
     Raises:
-        InvalidInput: Seed bracket is not finite with 0 < lo < hi.
-        BracketExpansionFailed: g(hi) < target even at the expansion cap.
-        NotBracketed: g(lo) > target even with lo shrunk to its floor.
+        InvalidInput: The bracket is not finite with 0 < lo < hi.
+        NotBracketed: g(lo) <= target <= g(hi) does not hold.
+        OutOfRange: The root lies past the overflow of g.
         NonConvergence: ROOT_MAX_ITER iterations did not meet the stop.
     """
     if not (0.0 < lo < hi and math.isfinite(hi)):
@@ -321,22 +311,10 @@ def find_root_increasing(
         )
     glo = _eval_clipped(g, lo)
     ghi = _eval_clipped(g, hi)
-    while ghi < target:
-        if hi >= BRACKET_EXPANSION_CAP:
-            raise BracketExpansionFailed(
-                f"g({hi}) = {ghi:.6e} < target {target:.6e} at the expansion cap"
-            )
-        lo, glo = hi, ghi
-        hi = min(2.0 * hi, BRACKET_EXPANSION_CAP)
-        ghi = _eval_clipped(g, hi)
-    while glo > target:
-        if lo < 1e-300:
-            raise NotBracketed(
-                f"g({lo}) = {glo:.6e} > target {target:.6e} with lo at its floor"
-            )
-        hi, ghi = lo, glo
-        lo = 0.25 * lo
-        glo = _eval_clipped(g, lo)
+    # Written so that NaN fails it too.
+    if not (glo <= target <= ghi):
+        raise NotBracketed(f"g({lo!r}) = {glo:.6e} and g({hi!r}) = {ghi:.6e} "
+                           f"do not straddle target {target:.6e}")
     if glo == target:
         return lo
     if ghi == target:
@@ -360,6 +338,9 @@ def find_root_increasing(
         if fb == 0.0 or (abs(fb) <= ROOT_ABS_TOL and abs(c - b) <= ROOT_REL_TOL * abs(b)):
             return b
         if b + half in (b, c):
+            if abs(fb) > ROOT_ABS_TOL and not math.isfinite(fc):
+                raise OutOfRange(f"g overflows past x = {b!r} (x^2 = {b * b:.6g}) "
+                                 f"with g - target = {fb:.6e}: the root is not a double")
             return b
         # Smallest step: half the width tolerance once the residual meets
         # ROOT_ABS_TOL, a couple of ulps while it does not, so that a steep g

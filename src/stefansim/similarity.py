@@ -44,9 +44,10 @@ beta(eta) = e^{-eta^2}/2 every integral collapses:
                + (1 - e^{-eta^2})/Ste.
 
 Each reduced equation has a strictly increasing left-hand side, so lam is
-the unique root, and the sign-changing bracket that the Brent-Dekker solve
-keeps around it is a proof of existence in the computed interval.  An
-e^{x^2} that overflows reads +inf, so the proof holds up to lam^2 ~ 709.78.
+the unique root, and the closed-form bracket that the Brent-Dekker solve
+contracts around it (docs/errata.md, "Brackets") is a proof of existence.
+An e^{x^2} that overflows reads +inf, so the proof holds up to
+lam^2 ~ 709.78; a root past that raises OutOfRange.
 
 The per-source formulas live on one SourceModel subclass per source kind;
 source_model is the only place that maps a source spec to its formulas, and
@@ -88,9 +89,8 @@ from .numerics import (
 # inversion rejects them; strays inside the band clamp to the boundary.
 PSI_CLAMP_SLACK = 1e-9
 
-# Seed bracket (lo, hi) for every front-coefficient solve;
-# find_root_increasing expands it as needed.
-LAMBDA_SEED = (1e-8, 1.0)
+# Lower end of every front-equation bracket (docs/errata.md, "Brackets").
+_BRACKET_LO = 1e-300
 
 
 def _finite(value: float) -> float:
@@ -199,24 +199,26 @@ class LambdaEquation:
         evaluate: Strictly increasing left-hand side on x > 0; +inf where it overflows.
         target: Right-hand side 1 + delta/(p+1).
         label: Human-readable equation name for error messages.
+        bracket: (lo, hi) with evaluate(lo) <= target <= evaluate(hi).
     """
 
     evaluate: Callable[[float], float]
     target: float
     label: str
+    bracket: tuple[float, float]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "evaluate", partial(_eval_clipped, self.evaluate))
 
 
 def solve_lambda(eq: LambdaEquation) -> float:
-    """Root of a reduced equation, bracketed from the seed LAMBDA_SEED.
+    """Root of a reduced equation, by one Brent-Dekker solve on its bracket.
 
     Failures are re-raised with the equation's label attached so callers
     (and CLI users) see which reduced equation could not be solved.
     """
     try:
-        return find_root_increasing(eq.evaluate, eq.target, *LAMBDA_SEED)
+        return find_root_increasing(eq.evaluate, eq.target, *eq.bracket)
     except StefanError as exc:
         raise type(exc)(f"solving {eq.label}: {exc}") from exc
 
@@ -273,7 +275,8 @@ class SourceModel:
     differs between sources is a member, so the solver, the checks,
     reconstruct and the oracle never test the spec's type:
 
-    * equation: reduced equation whose root is the front coefficient lam;
+    * equation: reduced equation whose root is the front coefficient lam,
+      with its bracket (_BRACKET_LO, _hi(target));
     * psi(lam): integrated profile Psi at front coefficient lam, carrying
       the fixed-face slope y'(0) as psi(lam).y_prime0 (InvalidInput where
       e^{lam^2}, y'(0) or a coefficient of Psi overflows);
@@ -302,9 +305,15 @@ class SourceModel:
         _check_groups(ste, delta, p)
         self.source = source
         self.ste, self.delta, self.p = ste, delta, p
+        target = 1.0 + delta / (p + 1.0)
         self.equation = LambdaEquation(
-            self._lhs, 1.0 + delta / (p + 1.0), f"front equation ({self.label})"
+            self._lhs, target, f"front equation ({self.label})", (_BRACKET_LO, self._hi(target))
         )
+
+    def _hi(self, target: float) -> float:
+        """An x with LHS(x) >= target, for no source or beta >= 0 (docs/errata.md, "Brackets")."""
+        log_s = math.log(self.ste) + math.log(target)
+        return math.sqrt(min(self.ste * target, max(1.0, log_s)))
 
     def psi(self, lam: float) -> PsiProfile:
         try:
@@ -450,10 +459,21 @@ class _FeedbackModel(SourceModel):
     def __init__(
         self, source: SourceSpec, ste: float, delta: float, p: float, feedback: float
     ) -> None:
+        self.feedback = _require_positive("feedback", feedback)
         super().__init__(source, ste, delta, p)
-        _require_positive("feedback", feedback)
-        self.feedback = feedback
         self._erf_coeff = (1.0 + delta) * (SQRT_PI / 2.0)
+
+    def _hi(self, target: float) -> float:
+        """An x with LHS(x) >= target, in logs throughout (docs/errata.md, "Brackets")."""
+        log_s = math.log(self.ste) + math.log(target)
+        if log_s <= -1.0:
+            return math.exp(0.5 * (log_s + 1.0))
+        log_a, log_d = math.log(self.feedback), math.log1p(self.delta)
+        # ln N1, N1 = A F(1) + (1 + delta) (sqrt(pi)/2) erf(1); F(1) = 0.36972... rounded down.
+        log_n = float(np.logaddexp(log_a + math.log(0.3697),
+                                   log_d + math.log(0.5 * SQRT_PI * math.erf(1.0))))
+        return max(math.sqrt(max(1.0, log_s + log_d - log_n)),
+                   math.exp(0.5 * (log_s + log_a - log_n)))
 
     def _den(self, x: float) -> float:
         return math.exp(-x * x) * (1.0 + self.delta) + self.feedback * float(dawsn(x))
@@ -596,8 +616,9 @@ def solve_problem(
 
     Raises:
         InvalidInput: Malformed problem data.
-        BracketExpansionFailed / NotBracketed / NonConvergence: Front
-            coefficient could not be bracketed or resolved.
+        OutOfRange: The root is past the e^{x^2} overflow, lam^2 ~ 709.78.
+        MaxSubdivisionsExceeded / NotBracketed / NonConvergence: Front
+            coefficient could not be evaluated, bracketed or resolved.
     """
     model = problem_model(material, boundary, source)
     return SimilaritySolution(material, boundary, source, solve_lambda(model.equation))

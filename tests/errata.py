@@ -7,7 +7,8 @@ in similarity.py and docs/errata.md records the derivation.  This module
 keeps the rejected variants executable so the test suite can demonstrate,
 permanently, that they violate the problem's own requirements (the profile
 must vanish at the front; the front coefficient must agree with an
-independent PDE solver).  Nothing here is used by the solver.
+independent PDE solver).  Nothing in the package uses them: this module
+lives beside the tests that import it.
 
 Variant A (similarity-form source profile): the front term of the profile
 appears as (2 Ibe(lam) - lam e^{lam^2}) instead of the derived
@@ -32,9 +33,9 @@ import math
 from collections.abc import Callable
 from dataclasses import replace
 
-from .model import SimilaritySource
-from .numerics import SQRT_PI, erf
-from .similarity import LambdaEquation, PsiProfile, source_model
+from stefansim.model import SimilaritySource
+from stefansim.numerics import SQRT_PI, erf
+from stefansim.similarity import LambdaEquation, PsiProfile, source_model
 
 
 def variant_psi_front_term_flipped(
@@ -56,16 +57,22 @@ def variant_psi_front_term_flipped(
 def variant_lambda_equation_exponential(
     ste: float, delta: float, p: float
 ) -> LambdaEquation:
-    """Variant B: circulated exponential-source front equation, +inf past overflow."""
+    """Variant B: circulated exponential-source front equation, +inf past overflow.
+
+    Its bracket: for x >= 1, e^{x^2} - 1 >= x^2 and sqrt(pi) x erf(x)
+    >= sqrt(pi) erf(1) > 1, so the left-hand side is >= x^3 / Ste, which
+    reaches the target at x = max(1, (Ste target)^(1/3)).
+    """
 
     def lhs(x: float) -> float:
         return (-math.expm1(-x * x)) / ste + (SQRT_PI / ste) * x * math.erf(x) * (
             math.exp(x * x) - 1.0
         )
 
+    target = 1.0 + delta / (p + 1.0)
     return LambdaEquation(
         lhs,
-        1.0 + delta / (p + 1.0),
+        target,
         "front equation (exponential source, rejected variant)",
+        (1e-300, max(1.0, (ste * target) ** (1.0 / 3.0))),
     )
-

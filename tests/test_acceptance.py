@@ -24,7 +24,7 @@ from stefansim.checks import (
     lambda_residual_check,
     ode_residual_check,
 )
-from stefansim.errata import variant_psi_front_term_flipped
+from errata import variant_psi_front_term_flipped
 from stefansim.model import (
     BoundaryData,
     ExponentialSource,

@@ -379,6 +379,17 @@ class TestSolveCommand:
         b = (tmp_path / "b" / "summary.csv").read_bytes()
         assert a == b
 
+    def test_exit_3_on_root_past_overflow(self, tmp_path, capsys):
+        # The root's e^{lam^2} is past the largest double; no lam is written.
+        text = DIMLESS_EXP.replace("problem.ste = 1.0", "problem.ste = 1e300")
+        cfg = write_cfg(tmp_path, text.replace("problem.delta = 1.0", "problem.delta = 1e300"))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "solver error: solving front equation (exponential source): "
+            "g overflows past x = 26.64"
+        )
+        assert not (tmp_path / "summary.csv").exists()
+
     def test_exit_2_on_bad_config(self, tmp_path, capsys):
         for line in ("problem.bogus = 1", "solver.table_nodes = 129", *REMOVED_KEYS):
             cfg = write_cfg(tmp_path, DIMLESS_EXP + line + "\n")
@@ -655,6 +666,18 @@ class TestSweepCommand:
             "error: InvalidInput: delta must be a finite positive number, got -1.0"
         )
         assert statuses["1"] == "ok"
+
+    def test_root_past_overflow_recorded_in_row(self, tmp_path):
+        text = DIMLESS_EXP.replace("problem.ste = 1.0", "problem.ste = 1e300")
+        cfg = write_cfg(tmp_path, text + "sweep.delta = 1.0, 1e300\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        statuses = [row[7] for row in read_csv(tmp_path / "sweep.csv")[1:]]
+        assert statuses[0] == "ok"
+        assert statuses[1].startswith(
+            "error: OutOfRange: solving front equation (exponential source): "
+            "g overflows past x = 26.64"
+        )
+        assert "(x^2 = 709.78" in statuses[1]
 
     def test_zero_ste_recorded_in_row(self, tmp_path):
         text = DIMLESS_EXP.replace("problem.ste = 1.0\n", "") + "sweep.ste = 0, 1\n"

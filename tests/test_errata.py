@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from stefansim.errata import (
+from errata import (
     variant_lambda_equation_exponential,
     variant_psi_front_term_flipped,
 )

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from stefansim.errors import (
-    BracketExpansionFailed,
     InvalidInput,
     MaxSubdivisionsExceeded,
     NotBracketed,
+    OutOfRange,
 )
 from stefansim import numerics
 from stefansim.numerics import (
@@ -258,21 +258,28 @@ class TestFindRootIncreasing:
         got = find_root_increasing(g, 1.0, 1e-8, 1.0)
         assert got == pytest.approx(CLASSICAL_LAM, abs=1e-10)
 
-    def test_expands_bracket_upward(self):
-        got = find_root_increasing(lambda x: x * x, 100.0, 1e-3, 1.0)
-        assert got == pytest.approx(10.0, rel=1e-10)
-
-    def test_shrinks_bracket_downward(self):
-        got = find_root_increasing(lambda x: x, 1e-6, 1.0, 2.0)
-        assert got == pytest.approx(1e-6, rel=1e-9)
-
     def test_not_bracketed_below(self):
         with pytest.raises(NotBracketed):
             find_root_increasing(lambda x: x + 1.0, 0.5, 1.0, 2.0)
 
-    def test_expansion_cap(self):
-        with pytest.raises(BracketExpansionFailed):
-            find_root_increasing(math.atan, 2.0, 0.5, 1.0)
+    def test_not_bracketed_above(self):
+        # The bracket is taken as given: no end moves to find the root.
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return x * x
+
+        with pytest.raises(NotBracketed):
+            find_root_increasing(g, 100.0, 1e-3, 1.0)
+        assert calls == [1e-3, 1.0]
+
+    @pytest.mark.parametrize("nan_at", ["lo", "hi"])
+    def test_nan_end_fails_sign_test(self, nan_at):
+        lo, hi = 0.5, 2.0
+        bad = lo if nan_at == "lo" else hi
+        with pytest.raises(NotBracketed):
+            find_root_increasing(lambda x: math.nan if x == bad else x, 1.0, lo, hi)
 
     def test_residual_tolerance_honored(self, monkeypatch):
         monkeypatch.setattr(numerics, "ROOT_ABS_TOL", 1e-12)
@@ -297,7 +304,7 @@ class TestFindRootIncreasing:
     def test_steep_function_resolved_to_ulps(self):
         # Near the root g' = 1e13, so no double meets the residual tolerance;
         # the bracket must collapse to adjacent doubles instead.
-        got = find_root_increasing(lambda x: 1e12 * math.exp(x), 1e13, 1e-8, 1.0)
+        got = find_root_increasing(lambda x: 1e12 * math.exp(x), 1e13, 1e-8, 4.0)
         assert abs(got - math.log(10.0)) <= 4.0 * math.ulp(math.log(10.0))
 
     def test_infinite_values_above_root(self):
@@ -315,9 +322,15 @@ class TestFindRootIncreasing:
         assert len(calls) <= 16
 
     def test_overflow_counts_as_infinite(self):
-        # exp(x^2) overflows a double once the expanding bracket reaches 32.
-        got = find_root_increasing(lambda x: math.exp(x * x), 1e300, 1e-8, 1.0)
+        # exp(x^2) overflows a double at the bracket's upper end, 32.
+        got = find_root_increasing(lambda x: math.exp(x * x), 1e300, 1e-8, 32.0)
         assert got == pytest.approx(math.sqrt(math.log(1e300)), rel=1e-12)
+
+    def test_root_past_overflow_is_out_of_range(self):
+        # 1e-10 exp(x^2) stays below 1e300 wherever exp(x^2) is a double: the
+        # bracket collapses onto the last finite value, which is not a root.
+        with pytest.raises(OutOfRange, match=r"g overflows past x = 26\.64.* \(x\^2 = 709\.78"):
+            find_root_increasing(lambda x: 1e-10 * math.exp(x * x), 1e300, 1e-8, 32.0)
 
     @pytest.mark.parametrize("target", [0.5, 1.0])
     def test_exact_hit_at_bracket_end(self, target):

@@ -27,9 +27,8 @@ PUBLIC_NAMES = [
     # Results they return.
     "CheckResult", "OracleRun", "SimilaritySolution",
     # Errors a caller can catch.
-    "BracketExpansionFailed", "ConfigError", "FrontCollapse", "InvalidInput",
-    "MaxSubdivisionsExceeded", "NonConvergence", "NotBracketed", "OutOfDomain",
-    "OutOfRange", "StefanError",
+    "ConfigError", "FrontCollapse", "InvalidInput", "MaxSubdivisionsExceeded",
+    "NonConvergence", "NotBracketed", "OutOfDomain", "OutOfRange", "StefanError",
 ]
 
 
@@ -42,7 +41,7 @@ def _quick_start_blocks() -> list[str]:
 
 def test_all_is_pinned():
     assert sorted(stefansim.__all__) == sorted(PUBLIC_NAMES)
-    assert len(stefansim.__all__) == 27
+    assert len(stefansim.__all__) == 26
 
 
 def test_every_name_resolves():
@@ -80,12 +79,8 @@ def test_dropped_names_stay_in_their_modules(module):
         assert hasattr(mod, name), name
 
 
-# Names kept without a caller in src/, tools/ or bench/: the package's export
-# list, and the rejected transcriptions that the errata tests run
-# (docs/errata.md).
-UNCALLED_ON_PURPOSE = {
-    "__all__", "variant_psi_front_term_flipped", "variant_lambda_equation_exponential",
-}
+# Names kept without a caller in src/, tools/ or bench/: the package's export list.
+UNCALLED_ON_PURPOSE = {"__all__"}
 
 
 def _module_level_names(tree: ast.Module) -> list[str]:
