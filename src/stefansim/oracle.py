@@ -377,8 +377,13 @@ class _Stepper:
         """
         return -self.mat.k0 * gradient / (self.rho_l * s)
 
-    def step_system(self, v: np.ndarray, s_old: float, s: float, t0: float, t1: float) -> tuple:
+    def step_system(
+        self, v: np.ndarray, s_old: float, s: float, t0: float, t1: float, gradient: float
+    ) -> tuple:
         """The system of the step from (v, s_old) at t0 to t1, linearized at (v, s).
+
+        gradient is v's front gradient _front_gradient(v, h), which advance
+        carries over from the step that wrote v.
 
         The residual at the interior nodes is rho c0 (w - v) / dt -
         (L(w, s) + L(v, s_old)) / 2 with L = rho c0 xi (s'/s) w_xi +
@@ -407,7 +412,7 @@ class _Stepper:
         np.dot(_DIFFERENCES, self.windows, out=rows[:2])
         rows[0] *= self.xi_2h
         face = _face_gradient(v, h)
-        sdot_old = self.front_speed(_front_gradient(v, h), s_old)
+        sdot_old = self.front_speed(gradient, s_old)
         sdot = 2.0 * (s - s_old) / dt - sdot_old
         kd = 0.5 * k0_h2 / (s * s)
         adv = 0.5 * rho_c0 * sdot / s
@@ -483,13 +488,15 @@ class _Stepper:
         return 1.0, ds, -(pivot * g0 + g_s * (a0 - stefan)) / det
 
     def advance(
-        self, v: np.ndarray, fronts: np.ndarray, k: int, t0: float, t1: float, out: np.ndarray
-    ) -> float:
+        self, v: np.ndarray, gradient: float, fronts: np.ndarray, k: int, t0: float, t1: float,
+        out: np.ndarray,
+    ) -> tuple[float, float]:
         """Advance step k from (v, fronts[k]) at t0 to t1 by one bordered solve.
 
-        v is the field of w, and fronts[:k + 1] are the fronts accepted so
-        far, at times uniform in sqrt(t).  s is linear in sqrt(t), and so in
-        the step index, for a similarity front.  The step is linearized at v
+        v is the field of w, gradient its front gradient _front_gradient(v,
+        h), and fronts[:k + 1] are the fronts accepted so far, at times
+        uniform in sqrt(t).  s is linear in sqrt(t), and so in the step
+        index, for a similarity front.  The step is linearized at v
         and, for k >= 2, at the front sqrt(3 s_k^2 - 3 s_{k-1}^2 +
         s_{k-2}^2), a quadratic extrapolation of s^2 that is exact for a
         similarity front.  Steps 0 and 1 start from the explicit Euler front
@@ -500,10 +507,11 @@ class _Stepper:
         One Newton update follows: step_system, one solve_banded call on
         its system, and the 1 x 1 or 2 x 2 border in closed form (_border).
         The updated field's interior is written into out, whose two
-        boundary values the caller sets; the returned front is the Stefan
-        condition's on that field, s_old + dt (s'(w) + s'_old) / 2.  The
-        equations are linear in w for a fixed s, so the update leaves only
-        the front's nonlinearity unresolved.
+        boundary values the caller sets.  Returns the Stefan condition's
+        front on that field, s_old + dt (s'(w) + s'_old) / 2, and the
+        field's front gradient, which the next step takes as its gradient.
+        The equations are linear in w for a fixed s, so the update leaves
+        only the front's nonlinearity unresolved.
 
         The start is part of the scheme.  Starts that amplify a step-to-step
         oscillation more strongly let Crank-Nicolson runs collapse: a cubic
@@ -516,24 +524,25 @@ class _Stepper:
         else:
             s_old = float(fronts[k])
             root_t0 = math.sqrt(t0)
-            speed = self.front_speed(_front_gradient(v, self.h), s_old)
+            speed = self.front_speed(gradient, s_old)
             s = s_old + 2.0 * (math.sqrt(t1) - root_t0) * root_t0 * speed
         if s <= 0.0:
             raise FrontCollapse(f"front position went nonpositive at t = {t1}")
-        system, sdot_old, stefan, stefan_w, d_ss = self.step_system(v, s_old, s, t0, t1)
+        system, sdot_old, stefan, stefan_w, d_ss = self.step_system(v, s_old, s, t0, t1, gradient)
         try:
             x = solve_banded(system)
             weights = self._border(x, stefan, stefan_w, d_ss)
         except NonConvergence as exc:
             raise NonConvergence(f"{exc} at t = {t1}") from exc
         np.subtract(v[1:-1], np.dot(x, weights), out=out[1:-1])
-        speed = self.front_speed(_front_gradient(out, self.h), s + weights[1])
+        gradient = _front_gradient(out, self.h)
+        speed = self.front_speed(gradient, s + weights[1])
         s = s_old + 0.5 * (t1 - t0) * (speed + sdot_old)
         if s <= s_old:
             raise FrontCollapse(
                 f"front failed to advance: s({t1}) = {s} <= s({t0}) = {s_old}"
             )
-        return s
+        return s, gradient
 
 
 def run_oracle_for(sol: SimilaritySolution, cfg: OracleConfig) -> OracleRun:
@@ -563,8 +572,11 @@ def run_oracle_for(sol: SimilaritySolution, cfg: OracleConfig) -> OracleRun:
     ends = np.array([sol.boundary.theta0, sol.boundary.theta_f])
     fields[:, [0, -1]] = stepper.to_kirchhoff(ends)
     times = stepper.times.tolist()
+    gradient = _front_gradient(fields[0], stepper.h)
     for k, (t0, t1) in enumerate(zip(times[:-1], times[1:])):
-        fronts[k + 1] = stepper.advance(fields[k], fronts, k, t0, t1, fields[k + 1])
+        fronts[k + 1], gradient = stepper.advance(
+            fields[k], gradient, fronts, k, t0, t1, fields[k + 1]
+        )
     stepper.from_kirchhoff(fields[1:], out=fields[1:])
     fields[0] = first
     return OracleRun(cfg, problem, sol, fronts, fields)

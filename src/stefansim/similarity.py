@@ -27,7 +27,9 @@ The y'(0) formulas drop out of the first integration evaluated at lam:
 with D(x) = e^{-x^2} integral_0^x e^{z^2} dz Dawson's function.  The
 flux-feedback front equation, y'(0) and Psi are divided through by
 e^{lam^2}, so they hold only bounded terms: with F(x) the integral of D
-from 0 to x,
+from 0 to x, which numerics.dawson_integral evaluates pointwise (a knot
+table and one fixed Gauss-Legendre panel below x = 10, the large-x series
+above), with no adaptive quadrature,
 
     lam solves   2 x (A F(x) + (1 + delta) (sqrt(pi)/2) erf(x))
                  / (Ste (e^{-x^2} (1 + delta) + A D(x))) = 1 + delta/(p+1),
@@ -79,6 +81,7 @@ from .numerics import (
     SQRT_PI,
     _call_vectorized,
     _eval_clipped,
+    dawson_integral,
     erf,
     find_root_increasing,
     integrate,
@@ -89,6 +92,9 @@ from .numerics import (
 # inversion rejects them; strays inside the band clamp to the boundary.
 PSI_CLAMP_SLACK = 1e-9
 
+# Largest delta at which _phi_inverse_p1 forms 2 delta w: 2 delta (1 + delta/2) is finite.
+_P1_ROOT_DELTA = 1e154
+
 # Lower end of every front-equation bracket (docs/errata.md, "Brackets").
 _BRACKET_LO = 1e-300
 
@@ -98,6 +104,18 @@ def _finite(value: float) -> float:
     if not math.isfinite(value):
         raise OverflowError
     return value
+
+
+def _quotient(a: float, b: float, c: float, d: float) -> float:
+    """a b / (c d) for finite a, b, c, d >= 0, from mantissas and exponents.
+
+    No partial product over- or underflows, so only a quotient past the
+    largest double fails: with OverflowError, as for c d = 0.
+    """
+    if not (c and d):
+        raise OverflowError
+    (ma, ea), (mb, eb), (mc, ec), (md, ed) = map(math.frexp, (a, b, c, d))
+    return math.ldexp(ma * mb / (mc * md), ea + eb - ec - ed)
 
 
 def _check_groups(ste: float, delta: float, p: float) -> None:
@@ -127,8 +145,15 @@ def phi_map(delta: float, p: float, x):
 
 
 def _phi_inverse_p1(delta: float, w: np.ndarray) -> np.ndarray:
-    """The root form 2 w / (1 + sqrt(1 + 2 delta w)) of Phi^{-1} at p = 1."""
-    return 2.0 * w / (1.0 + np.sqrt(1.0 + 2.0 * delta * w))
+    """The root form 2 w / (1 + sqrt(1 + 2 delta w)) of Phi^{-1} at p = 1.
+
+    For w up to Phi(1) = 1 + delta/2, 2 delta w overflows above delta ~
+    1.3e154.  Above _P1_ROOT_DELTA the root is taken as sqrt(delta)
+    sqrt(1/delta + 2 w) instead, so every smaller delta keeps its bytes.
+    """
+    if delta <= _P1_ROOT_DELTA:
+        return 2.0 * w / (1.0 + np.sqrt(1.0 + 2.0 * delta * w))
+    return 2.0 * w / (1.0 + math.sqrt(delta) * np.sqrt(1.0 / delta + 2.0 * w))
 
 
 def _phi_inverse_newton(delta: float, p: float, w: np.ndarray) -> np.ndarray:
@@ -232,10 +257,11 @@ class PsiProfile:
     the fixed-face slope y'(0) (negative); it comes from the same first
     integral at lam as the profile.
 
-    evaluate_many computes every requested point in one batched pass whose
-    quadrature segments are shared between neighboring points, so
-    differences of nearby values stay accurate; take every point of a
-    finite difference from a single evaluate_many call.
+    evaluate_many computes every requested point in one batched pass.  For
+    a custom beta its quadrature segments are shared between neighboring
+    points, so differences of nearby values stay accurate; take every
+    point of a finite difference from a single evaluate_many call.  The
+    other sources evaluate each point on its own.
     """
 
     lam: float
@@ -444,13 +470,21 @@ class _FeedbackModel(SourceModel):
 
     Every term is bounded: the formulas are the e^{x^2}-scaled front
     equation of docs/errata.md, written with Dawson's function
-    D(x) = e^{-x^2} integral_0^x e^{z^2} dz (0 <= D < 0.55 for x >= 0):
+    D(x) = e^{-x^2} integral_0^x e^{z^2} dz (0 <= D < 0.55 for x >= 0)
+    and its integral F (numerics.dawson_integral, pointwise and without
+    quadrature), and divided through by s = max(A, 1):
 
-    LHS = 2 x (A F(x) + (1 + delta) (sqrt(pi)/2) erf(x)) / (Ste den(x)),
-    Psi(eta) = target + y'(0) (A F(eta) + (1 + delta) (sqrt(pi)/2) erf(eta)),
-    y'(0) = -2 lam / (Ste den(lam)),
-    den(x) = e^{-x^2} (1 + delta) + A D(x),
+    LHS = 2 x num(x) / (Ste den(x)),
+    Psi(eta) = target + c num(eta),   c = -2 lam / (Ste den(lam)),
+    y'(0) = c / s,
+    num(x) = (A/s) F(x) + ((1 + delta)/s) (sqrt(pi)/2) erf(x),
+    den(x) = ((1 + delta)/s) e^{-x^2} + (A/s) D(x),
     F(x) = integral_0^x D(z) dz.
+
+    So num is at most F(x) + (1 + delta) and den at most 1.55 + delta,
+    whatever A, and LHS and c are quotients of four factors (_quotient):
+    A and Ste near 1e300 overflow none of them.  den > 0 unless both of
+    its terms underflow, and LHS is then taken as +inf.
     """
 
     label = "flux-feedback source"
@@ -461,7 +495,10 @@ class _FeedbackModel(SourceModel):
     ) -> None:
         self.feedback = _require_positive("feedback", feedback)
         super().__init__(source, ste, delta, p)
-        self._erf_coeff = (1.0 + delta) * (SQRT_PI / 2.0)
+        self._scale = max(feedback, 1.0)
+        self._f_weight = feedback / self._scale
+        self._exp_weight = (1.0 + delta) / self._scale
+        self._erf_weight = self._exp_weight * (SQRT_PI / 2.0)
 
     def _hi(self, target: float) -> float:
         """An x with LHS(x) >= target, in logs throughout (docs/errata.md, "Brackets")."""
@@ -476,24 +513,21 @@ class _FeedbackModel(SourceModel):
                    math.exp(0.5 * (log_s + log_a - log_n)))
 
     def _den(self, x: float) -> float:
-        return math.exp(-x * x) * (1.0 + self.delta) + self.feedback * float(dawsn(x))
+        return self._exp_weight * math.exp(-x * x) + self._f_weight * float(dawsn(x))
 
     def _lhs(self, x: float) -> float:
-        f = integrate(dawsn, 0.0, x)
-        return 2.0 * x * (self.feedback * f + self._erf_coeff * math.erf(x)) / (
-            self.ste * self._den(x)
-        )
+        num = self._f_weight * dawson_integral(x) + self._erf_weight * math.erf(x)
+        return _quotient(2.0 * x, num, self.ste, self._den(x))
 
     def _psi(self, lam: float) -> PsiProfile:
-        feedback, erf_coeff, target = self.feedback, self._erf_coeff, self.equation.target
-        slope = -2.0 * lam / (self.ste * self._den(lam))
+        target = self.equation.target
+        coeff = -_quotient(2.0, lam, self.ste, self._den(lam))
+        f_coeff, erf_coeff = coeff * self._f_weight, coeff * self._erf_weight
 
         def kernel(pts: np.ndarray) -> np.ndarray:
-            nodes = np.concatenate([[0.0], pts])
-            f = integrate_cumulative(dawsn, nodes)[1:]
-            return target + slope * (feedback * f + erf_coeff * erf(pts))
+            return target + f_coeff * dawson_integral(pts) + erf_coeff * erf(pts)
 
-        return PsiProfile(lam, self.delta, self.p, slope, kernel)
+        return PsiProfile(lam, self.delta, self.p, coeff / self._scale, kernel)
 
     def ode_rhs(self, etas: np.ndarray, y_prime0: float) -> np.ndarray:
         return np.full_like(etas, self.feedback * y_prime0)
@@ -618,7 +652,8 @@ def solve_problem(
         InvalidInput: Malformed problem data.
         OutOfRange: The root is past the e^{x^2} overflow, lam^2 ~ 709.78.
         MaxSubdivisionsExceeded / NotBracketed / NonConvergence: Front
-            coefficient could not be evaluated, bracketed or resolved.
+            coefficient could not be evaluated (a custom beta's
+            quadrature), bracketed or resolved.
     """
     model = problem_model(material, boundary, source)
     return SimilaritySolution(material, boundary, source, solve_lambda(model.equation))

@@ -7,13 +7,15 @@ function, so it is independent of the scaled form in stefansim.similarity.
 tests/data/reference_closed_forms.json holds the same values for the
 no-source and exponential closed forms, solved with mp.findroot, and
 tests/data/reference_custom_beta.json for the similarity source with
-beta(eta) = (1 + eta) e^{-eta^2} / 2, integrated with mp.quad.  These
-tests only read the files; `python tools/mp_reference.py --check`
-recomputes them.
+beta(eta) = (1 + eta) e^{-eta^2} / 2, integrated with mp.quad, and
+tests/data/reference_dawson_integral.json for the integral F of Dawson's
+function, from its 2F2 closed form.  These tests only read the files;
+`python tools/mp_reference.py --check` recomputes them.
 """
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from stefansim.model import (
     NoSource,
     SimilaritySource,
 )
+from stefansim.numerics import _F_FAR_CONST, dawson_integral
 from stefansim.similarity import solve_problem
 
 DATA = Path(__file__).parent / "data"
@@ -42,7 +45,11 @@ CUSTOM_CASES = json.loads((DATA / "reference_custom_beta.json").read_text())["ca
 CUSTOM_IDS = [f"ste={c['ste']:g}-delta={c['delta']:g}-p={c['p']:g}" for c in CUSTOM_CASES]
 CUSTOM_SOURCE = SimilaritySource(lambda eta: 0.5 * (1.0 + eta) * np.exp(-eta * eta))
 
+DAWSON = json.loads((DATA / "reference_dawson_integral.json").read_text())
+F_LADDER = [c["x"] for c in DAWSON["cases"]]
+
 LAM_REL_TOL = 1e-11
+F_REL_TOL = 1e-14
 PSI_ABS_TOL = 1e-10
 
 # (Ste, delta, p) rows of the closed-form and custom-beta tables: the 8
@@ -128,3 +135,31 @@ def test_custom_beta_matches_reference(case):
     lam_err, psi_err = reference_errors(case, sol.model, sol.lam * (1.0 + 1e-9))
     assert lam_err > LAM_REL_TOL
     assert psi_err > PSI_ABS_TOL
+
+
+def test_dawson_ladder_spans_both_ranges():
+    # 1e-8 to 1e4, both sides of a knot (2.5 = 320/128) and of the series' X0 = 10.
+    assert min(F_LADDER) <= 1e-8 and max(F_LADDER) >= 1e4
+    for edge in (2.5, 10.0):
+        assert {math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)} <= set(F_LADDER)
+
+
+@pytest.mark.parametrize("case", DAWSON["cases"], ids=[f"x={x!r}" for x in F_LADDER])
+def test_dawson_integral_matches_reference(case):
+    want = float(case["F"])
+    assert abs(dawson_integral(case["x"]) - want) <= F_REL_TOL * want
+
+
+def test_dawson_integral_array_matches_reference():
+    # The whole ladder in one array: table points and series points mixed.
+    want = np.array([float(c["F"]) for c in DAWSON["cases"]])
+    got = dawson_integral(np.array(F_LADDER))
+    np.testing.assert_array_less(np.abs(got - want), F_REL_TOL * want)
+
+
+def test_large_x_constant():
+    # gamma/4 + ln(2)/2, the limit of F(x) - ln(x)/2, against mpmath's F at
+    # x = 1e4 with the series' 13 terms added back.
+    assert DAWSON["limit_x"] >= 1e4
+    assert _F_FAR_CONST == float(DAWSON["limit"])
+    assert _F_FAR_CONST == pytest.approx(float(DAWSON["limit_at_x"]), rel=1e-16)

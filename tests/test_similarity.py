@@ -114,6 +114,15 @@ class TestPhi:
             generic = _phi_inverse_newton(delta, 1.0, ws)
             np.testing.assert_allclose(quad, generic, rtol=0, atol=1e-10)
 
+    @pytest.mark.parametrize("delta", [1e100, 1e154, 1.5e154, 1e200, 1e300])
+    def test_quadratic_inverse_without_overflow(self, delta):
+        # 2 delta w overflows above delta ~ 1.3e154 for w up to Phi(1).
+        ws = phi_map(delta, 1.0, np.linspace(0.0, 1.0, 101))
+        with np.errstate(all="raise"):
+            quad = _phi_inverse_p1(delta, ws)
+            generic = _phi_inverse_newton(delta, 1.0, ws)
+        np.testing.assert_allclose(quad, generic, rtol=0, atol=1e-12)
+
     def test_inverse_rejects_out_of_range(self):
         with pytest.raises(OutOfRange):
             _phi_inverse_many(1.0, 1.0, np.array([2.0]), clamp=True)
@@ -359,8 +368,8 @@ class TestSolveProblem:
         )
 
     def test_feedback_quadrature_counts(self, monkeypatch):
-        # The scaled feedback form integrates Dawson's function once per
-        # root evaluation; psi(lam), which carries y'(0), needs no quadrature.
+        # F is evaluated pointwise (numerics.dawson_integral): neither the
+        # front equation nor Psi calls the adaptive quadrature.
         counts = Counter()
 
         def counted(name, fn):
@@ -379,12 +388,19 @@ class TestSolveProblem:
         for name in ("integrate", "integrate_cumulative"):
             monkeypatch.setattr(similarity, name, counted(name, getattr(similarity, name)))
         sol = solve_problem(unit_material(1.0, 1.0, 1.0), UNIT_BD, FEEDBACK)
-        assert counts["root_evals"] > 0
-        assert counts["integrate"] == counts["root_evals"]
-        assert counts["integrate_cumulative"] == 0
         sol.y_many(np.linspace(0.0, sol.lam, 5))
-        assert counts["integrate"] == counts["root_evals"]
-        assert counts["integrate_cumulative"] == 1
+        assert counts["root_evals"] > 0
+        assert counts["integrate"] == counts["integrate_cumulative"] == 0
+
+    def test_feedback_root_past_the_quadrature_cap(self):
+        # integrate(dawsn, 0, x) raised MaxSubdivisionsExceeded for x of a
+        # few 1e4, so this root (lam ~ 2.3e4) did not solve.
+        sol = solve_problem(unit_material(1e10, 1.0, 1.0), UNIT_BD, FEEDBACK)
+        eq = sol.model.equation
+        assert eq.evaluate(sol.lam * (1.0 - 1e-10)) < eq.target < eq.evaluate(sol.lam * (1.0 + 1e-10))
+        psi = sol.psi.evaluate_many(np.array([0.0, sol.lam]))
+        assert psi[0] == pytest.approx(eq.target, rel=1e-14)
+        assert abs(psi[1]) <= 1e-10
 
     def test_custom_beta_front_integral_once(self, monkeypatch):
         # psi(lam) takes Ibe(lam) once and derives both the profile's front

@@ -53,6 +53,13 @@ with mp.quad for the integrals and mp.findroot for lam.  These are the
 formulas the float code evaluates with its adaptive quadrature, so the rows
 check its rounding, its quadrature and its root solve, not the derivation.
 
+The Dawson-integral table holds F(x) = integral_0^x D(z) dz on a ladder of
+x from 1e-8 to 1e4, from the closed form F(x) = (x^2/2) 2F2(1, 1; 3/2, 2;
+-x^2) (mp.hyp2f2), which the float code (a knot table, Gauss-Legendre
+panels and a large-x series) never uses.  It also holds gamma/4 + ln(2)/2,
+the limit of F(x) - ln(x)/2, and that difference at x = 1e4 with the
+series' 13 terms added back, which must agree with it.
+
 Usage, from the root of a checkout:
 
     python tools/mp_reference.py           # write the tables under tests/data
@@ -78,20 +85,39 @@ DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 OUT = DATA / "reference.json"
 CLOSED_OUT = DATA / "reference_closed_forms.json"
 CUSTOM_OUT = DATA / "reference_custom_beta.json"
+DAWSON_OUT = DATA / "reference_dawson_integral.json"
 
 # Psi is tabulated at these fractions of lam.
 ETA_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 # (Ste, delta, p, A): the 16 corners of the acceptance grid (Ste in
 # [0.1, 5], delta in [0.1, 5], p in [0.5, 3], A in [0.5, 2]), the unit
-# case, and three cases at Ste = 1e2 and 1e4, where lam is 3.7, 30.7 and 11.7.
+# case, three cases at Ste = 1e2 and 1e4, where lam is 3.7, 30.7 and 11.7,
+# and three past the large-x series' X0 = 10: lam is 40.1 at A = 1e3,
+# 272 at Ste = 1e6 and 22699 at Ste = 1e10.
 CASES = [
     *itertools.product((0.1, 5.0), (0.1, 5.0), (0.5, 3.0), (0.5, 2.0)),
     (1.0, 1.0, 1.0, 1.0),
     (1e2, 1.0, 1.0, 1.0),
     (1e4, 1.0, 1.0, 1.0),
     (1e4, 1e3, 20.0, 1.0),
+    (1e4, 1.0, 1.0, 1e3),
+    (1e6, 1.0, 1.0, 1.0),
+    (1e10, 1.0, 1.0, 1.0),
 ]
+
+# x of the Dawson-integral table: 1e-8 to 1e4, with both sides of the knot
+# 2.5 = 320/128 and of the series' start X0 = 10 (each side the adjacent double).
+F_LADDER = [
+    1e-8, 1e-4, 0.01, 0.3, 1.0,
+    2.4999999999999996, 2.5, 2.5000000000000004,
+    5.0, 9.999999999999998, 10.0, 10.000000000000002,
+    30.0, 100.0, 1e3, 1e4,
+]
+# The series of F(x) - ln(x)/2 - gamma/4 - ln(2)/2 is
+# -sum_k (2k-1)!! / (2^{k+2} k x^{2k}); it is added back at LIMIT_X.
+LIMIT_X = 1e4
+SERIES_TERMS = 13
 
 # (Ste, delta, p) of the closed-form and custom-beta tables: the 8 corners
 # of the acceptance grid, the unit case, and two cases at Ste = 1e306 and
@@ -260,6 +286,30 @@ def custom_reference_case(ste, delta, p):
     }
 
 
+def dawson_integral(x):
+    """F(x) = (x^2/2) 2F2(1, 1; 3/2, 2; -x^2), the integral of Dawson's function."""
+    x = mp.mpf(x)
+    return x * x / 2 * mp.hyp2f2(1, 1, mp.mpf(3) / 2, 2, -x * x)
+
+
+def build_dawson():
+    mp.mp.dps = DIGITS
+    big = mp.mpf(LIMIT_X)
+    series = mp.fsum(
+        mp.fac2(2 * k - 1) / (2 ** (k + 2) * k * big ** (2 * k))
+        for k in range(1, SERIES_TERMS + 1)
+    )
+    return {
+        "source": "Dawson integral F",
+        "digits": DIGITS,
+        "mpmath": mp.__version__,
+        "cases": [{"x": x, "F": mp.nstr(dawson_integral(x), STORED_DIGITS)} for x in F_LADDER],
+        "limit": mp.nstr(mp.euler / 4 + mp.log(2) / 2, STORED_DIGITS),
+        "limit_x": LIMIT_X,
+        "limit_at_x": mp.nstr(dawson_integral(big) - mp.log(big) / 2 + series, STORED_DIGITS),
+    }
+
+
 def build():
     return {
         "source": "flux-feedback",
@@ -291,7 +341,12 @@ def build_custom():
     }
 
 
-TABLES = ((OUT, build), (CLOSED_OUT, build_closed), (CUSTOM_OUT, build_custom))
+TABLES = (
+    (OUT, build),
+    (CLOSED_OUT, build_closed),
+    (CUSTOM_OUT, build_custom),
+    (DAWSON_OUT, build_dawson),
+)
 
 
 def _differs(old: str, new: str) -> bool:
@@ -301,7 +356,14 @@ def _differs(old: str, new: str) -> bool:
 
 
 def _key(case):
-    return tuple(case.get(name) for name in ("source", "ste", "delta", "p", "feedback"))
+    return tuple(case.get(name) for name in ("source", "ste", "delta", "p", "feedback", "x"))
+
+
+def _values(case):
+    """(name, stored digits) of each value of one case."""
+    if "x" in case:
+        return [(f"F({case['x']!r})", case["F"])]
+    return [("lam", case["lam"]), *((f"psi({eta!r})", v) for eta, v in zip(case["eta"], case["psi"]))]
 
 
 def check(table, fresh) -> int:
@@ -311,16 +373,18 @@ def check(table, fresh) -> int:
         return 1
     for old, new in zip(table["cases"], fresh["cases"]):
         key = _key(old)
-        if key != _key(new) or old["eta"] != new["eta"]:
+        if key != _key(new) or old.get("eta") != new.get("eta"):
             print(f"{key}: parameters or eta points differ from the recomputed case")
             bad += 1
             continue
-        pairs = [("lam", old["lam"], new["lam"])]
-        pairs += [(f"psi({eta!r})", o, n) for eta, o, n in zip(old["eta"], old["psi"], new["psi"])]
-        for name, o, n in pairs:
+        for (name, o), (_, n) in zip(_values(old), _values(new)):
             if _differs(o, n):
                 print(f"{key} {name}: file {o}, recomputed {n}")
                 bad += 1
+    for name in ("limit", "limit_at_x"):
+        if name in table and _differs(table[name], fresh[name]):
+            print(f"{name}: file {table[name]}, recomputed {fresh[name]}")
+            bad += 1
     print(f"{len(table['cases'])} cases checked, {bad} differences")
     return 1 if bad else 0
 
