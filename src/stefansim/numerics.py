@@ -20,10 +20,12 @@ rather than running out of memory.
 
 Root finding works only on (strictly) increasing functions, which is all
 the similarity layer ever needs: every transcendental equation in this
-problem family has a monotone left-hand side.  A Brent-Dekker iteration
-contracts the caller's bracket, whose ends keep opposite signs, so the
-bracket stays a proof of the root while interpolation takes it to
-ROOT_ABS_TOL and ROOT_REL_TOL in a fraction of the evaluations bisection needs.
+problem family has a monotone left-hand side.  The caller passes
+ln(g / target), so a g far past the largest double needs no special case.
+A Brent-Dekker iteration contracts the caller's bracket, whose ends keep
+opposite signs, so the bracket stays a proof of the root while
+interpolation takes it to ROOT_ABS_TOL and ROOT_REL_TOL in a fraction of
+the evaluations bisection needs.
 
 Each routine runs one budget, held as module constants that are read at
 call time; no routine takes a tolerance argument.
@@ -43,7 +45,6 @@ from .errors import (
     MaxSubdivisionsExceeded,
     NonConvergence,
     NotBracketed,
-    OutOfRange,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -377,36 +378,31 @@ def integrate_cumulative(f: Callable[[np.ndarray], np.ndarray], points: np.ndarr
     return out
 
 
-def _eval_clipped(g: Callable[[float], float], x: float) -> float:
-    """Evaluate g(x), mapping overflow to +inf (g is increasing)."""
-    try:
-        return g(x)
-    except OverflowError:
-        return math.inf
-
-
 def find_root_increasing(
-    g: Callable[[float], float], target: float, lo: float, hi: float
+    log_ratio: Callable[[float], float], target: float, lo: float, hi: float
 ) -> float:
-    """Solve g(x) = target for increasing g on the bracket [lo, hi].
+    """Solve g(x) = target for positive increasing g on the bracket [lo, hi], in logs.
 
-    One sign test, g(lo) <= target <= g(hi), which a NaN fails, checks the
+    The iteration runs on f(x) = log_ratio(x) = ln(g(x) / target), so g
+    itself, which may lie far past the largest double, is never formed.
+    One sign test, f(lo) <= 0 <= f(hi), which a NaN fails, checks the
     bracket.  A Brent-Dekker iteration then contracts it: inverse quadratic
     interpolation or a secant step where it lands well inside the bracket,
     bisection otherwise (Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 4).  Every iterate keeps a sign change of
-    g - target between the two bracket ends, so the bracket stays a proof
-    that the root lies inside it.  Overflow in g counts as +inf; while an
-    end of the bracket has an infinite value the iteration bisects.
+    Derivatives, 1973, ch. 4).  Every iterate keeps a sign change of f
+    between the two bracket ends, so the bracket stays a proof that the
+    root lies inside it.
 
-    The iteration stops once |g(x) - target| <= ROOT_ABS_TOL and the
-    bracket width is <= ROOT_REL_TOL * x, or once the bracket collapses to
-    adjacent doubles, at its end with the smaller residual, unless the
-    other end overflows and that residual is unmet.
+    ROOT_ABS_TOL bounds g itself: the iteration stops once
+    |g(x) - target| = target |expm1(f(x))| <= ROOT_ABS_TOL and the bracket
+    width is <= ROOT_REL_TOL * x, or once the bracket collapses to adjacent
+    doubles, at its end with the smaller residual; f must be exact enough to
+    tell adjacent doubles apart.
 
     Args:
-        g: Strictly increasing function of one positive variable.
-        target: Right-hand side value to match.
+        log_ratio: f = ln(g / target), for g strictly increasing and
+            positive on [lo, hi].
+        target: Right-hand side value to match, finite and > 0.
         lo: Lower end of the bracket, finite and > 0.
         hi: Upper end of the bracket, finite and > lo.
 
@@ -414,31 +410,30 @@ def find_root_increasing(
         The root x*.
 
     Raises:
-        InvalidInput: The bracket is not finite with 0 < lo < hi.
-        NotBracketed: g(lo) <= target <= g(hi) does not hold.
-        OutOfRange: The root lies past the overflow of g.
+        InvalidInput: The bracket is not finite with 0 < lo < hi, or the
+            target is not finite and > 0.
+        NotBracketed: f(lo) <= 0 <= f(hi) does not hold.
         NonConvergence: ROOT_MAX_ITER iterations did not meet the stop.
     """
-    if not (0.0 < lo < hi and math.isfinite(hi)):
-        raise InvalidInput(
-            f"find_root_increasing requires finite 0 < lo < hi, got [{lo}, {hi}]"
-        )
-    glo = _eval_clipped(g, lo)
-    ghi = _eval_clipped(g, hi)
+    if not (0.0 < lo < hi and math.isfinite(hi) and 0.0 < target < math.inf):
+        raise InvalidInput(f"find_root_increasing requires finite 0 < lo < hi and "
+                           f"target > 0, got [{lo}, {hi}] and {target}")
+    flo = log_ratio(lo)
+    fhi = log_ratio(hi)
     # Written so that NaN fails it too.
-    if not (glo <= target <= ghi):
-        raise NotBracketed(f"g({lo!r}) = {glo:.6e} and g({hi!r}) = {ghi:.6e} "
-                           f"do not straddle target {target:.6e}")
-    if glo == target:
+    if not (flo <= 0.0 <= fhi):
+        raise NotBracketed(f"ln(g / target) is {flo:.6e} at {lo!r} and {fhi:.6e} at "
+                           f"{hi!r}: the bracket does not straddle target {target:.6e}")
+    if flo == 0.0:
         return lo
-    if ghi == target:
+    if fhi == 0.0:
         return hi
-    # Residuals f = g - target.  b is the bracket end with the smaller
+    # Residuals f = ln(g / target).  b is the bracket end with the smaller
     # residual, c the other end (f(b) and f(c) differ in sign), and a the
     # previous b, the third point of the interpolation.  step is the last
     # step taken and prev_step the one before it.
-    a, fa = lo, glo - target
-    b, fb = hi, ghi - target
+    a, fa = lo, flo
+    b, fb = hi, fhi
     c, fc = a, fa
     step = prev_step = b - a
     for _ in range(ROOT_MAX_ITER):
@@ -449,25 +444,15 @@ def find_root_increasing(
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
         half = 0.5 * (c - b)
-        if fb == 0.0 or (abs(fb) <= ROOT_ABS_TOL and abs(c - b) <= ROOT_REL_TOL * abs(b)):
-            return b
-        if b + half in (b, c):
-            if abs(fb) > ROOT_ABS_TOL and not math.isfinite(fc):
-                raise OutOfRange(f"g overflows past x = {b!r} (x^2 = {b * b:.6g}) "
-                                 f"with g - target = {fb:.6e}: the root is not a double")
+        met = target * abs(math.expm1(fb)) <= ROOT_ABS_TOL
+        if fb == 0.0 or (met and abs(c - b) <= ROOT_REL_TOL * abs(b)) or b + half in (b, c):
             return b
         # Smallest step: half the width tolerance once the residual meets
         # ROOT_ABS_TOL, a couple of ulps while it does not, so that a steep g
         # still converges down to the resolution of a double.
-        width_share = 0.5 * ROOT_REL_TOL if abs(fb) <= ROOT_ABS_TOL else 0.0
+        width_share = 0.5 * ROOT_REL_TOL if met else 0.0
         min_step = max(width_share, 2.0 * _EPS) * abs(b)
-        if (
-            abs(half) > min_step
-            and abs(prev_step) >= min_step
-            and abs(fa) > abs(fb)
-            and math.isfinite(fa)
-            and math.isfinite(fc)
-        ):
+        if abs(half) > min_step and abs(prev_step) >= min_step and abs(fa) > abs(fb):
             s = fb / fa
             if a == c:
                 p = 2.0 * half * s
@@ -493,7 +478,7 @@ def find_root_increasing(
             b += step
         else:
             b += math.copysign(min_step, half)
-        fb = _eval_clipped(g, b) - target
+        fb = log_ratio(b)
     raise NonConvergence(
         f"find_root_increasing: no root to tolerance within {ROOT_MAX_ITER} iterations"
     )

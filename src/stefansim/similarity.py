@@ -48,8 +48,9 @@ beta(eta) = e^{-eta^2}/2 every integral collapses:
 Each reduced equation has a strictly increasing left-hand side, so lam is
 the unique root, and the closed-form bracket that the Brent-Dekker solve
 contracts around it (docs/errata.md, "Brackets") is a proof of existence.
-An e^{x^2} that overflows reads +inf, so the proof holds up to
-lam^2 ~ 709.78; a root past that raises OutOfRange.
+The solve runs on ln(LHS / (1 + delta/(p+1))), with e^{x^2} as the term
+x^2, so any root that is a double is found; Psi's coefficients and y'(0)
+are exp of such logs (docs/errata.md, "The front equations in logs").
 
 The per-source formulas live on one SourceModel subclass per source kind;
 source_model is the only place that maps a source spec to its formulas, and
@@ -64,7 +65,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.special import dawsn
+from scipy.special import dawsn, exprel
 
 from .errors import InvalidInput, NonConvergence, OutOfRange, StefanError
 from .model import (
@@ -80,7 +81,6 @@ from .model import (
 from .numerics import (
     SQRT_PI,
     _call_vectorized,
-    _eval_clipped,
     dawson_integral,
     erf,
     find_root_increasing,
@@ -98,24 +98,25 @@ _P1_ROOT_DELTA = 1e154
 # Lower end of every front-equation bracket (docs/errata.md, "Brackets").
 _BRACKET_LO = 1e-300
 
-
-def _finite(value: float) -> float:
-    """value, which a float product may have overflowed to inf: OverflowError then."""
-    if not math.isfinite(value):
-        raise OverflowError
-    return value
+_LN2 = math.log(2.0)
 
 
-def _quotient(a: float, b: float, c: float, d: float) -> float:
-    """a b / (c d) for finite a, b, c, d >= 0, from mantissas and exponents.
+def _log_quotient(num: tuple[float, ...], den: tuple[float, ...]) -> float:
+    """ln(prod(num) / prod(den)) for finite factors > 0, from mantissas and exponents.
 
-    No partial product over- or underflows, so only a quotient past the
-    largest double fails: with OverflowError, as for c d = 0.
+    The exponents add as integers, so no partial product over- or
+    underflows and logs near +-700 of single factors cancel exactly: the
+    result is good to a few eps plus an ulp of itself, where a sum of logs
+    carries eps times its largest log, too coarse to tell adjacent doubles apart.
     """
-    if not (c and d):
-        raise OverflowError
-    (ma, ea), (mb, eb), (mc, ec), (md, ed) = map(math.frexp, (a, b, c, d))
-    return math.ldexp(ma * mb / (mc * md), ea + eb - ec - ed)
+    m, e = 1.0, 0
+    for v in num:
+        mv, ev = math.frexp(v)
+        m, e = m * mv, e + ev
+    for v in den:
+        mv, ev = math.frexp(v)
+        m, e = m / mv, e - ev
+    return math.log(m) + e * _LN2
 
 
 def _check_groups(ste: float, delta: float, p: float) -> None:
@@ -218,22 +219,24 @@ def _phi_inverse_many(delta: float, p: float, w: np.ndarray, clamp: bool) -> np.
 
 @dataclass(frozen=True)
 class LambdaEquation:
-    """Reduced transcendental equation phi(x) = target for the front coefficient.
+    """Reduced transcendental equation LHS(x) = target for the front coefficient, in logs.
 
     Attributes:
-        evaluate: Strictly increasing left-hand side on x > 0; +inf where it overflows.
+        log_ratio: ln(LHS(x) / target) for a strictly increasing LHS; finite on
+            the bracket, however far LHS is past the largest double.
         target: Right-hand side 1 + delta/(p+1).
         label: Human-readable equation name for error messages.
-        bracket: (lo, hi) with evaluate(lo) <= target <= evaluate(hi).
+        bracket: (lo, hi) with log_ratio(lo) <= 0 <= log_ratio(hi).
     """
 
-    evaluate: Callable[[float], float]
+    log_ratio: Callable[[float], float]
     target: float
     label: str
     bracket: tuple[float, float]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "evaluate", partial(_eval_clipped, self.evaluate))
+    def residual(self, x: float) -> float:
+        """LHS(x) - target, formed as target expm1(ln(LHS(x) / target))."""
+        return self.target * math.expm1(self.log_ratio(x))
 
 
 def solve_lambda(eq: LambdaEquation) -> float:
@@ -243,7 +246,7 @@ def solve_lambda(eq: LambdaEquation) -> float:
     (and CLI users) see which reduced equation could not be solved.
     """
     try:
-        return find_root_increasing(eq.evaluate, eq.target, *eq.bracket)
+        return find_root_increasing(eq.log_ratio, eq.target, *eq.bracket)
     except StefanError as exc:
         raise type(exc)(f"solving {eq.label}: {exc}") from exc
 
@@ -258,10 +261,11 @@ class PsiProfile:
     integral at lam as the profile.
 
     evaluate_many computes every requested point in one batched pass.  For
-    a custom beta its quadrature segments are shared between neighboring
-    points, so differences of nearby values stay accurate; take every
-    point of a finite difference from a single evaluate_many call.  The
-    other sources evaluate each point on its own.
+    a custom beta the kernel sorts the points and shares its quadrature
+    segments between neighboring points, so differences of nearby values
+    stay accurate; take every point of a finite difference from a single
+    evaluate_many call.  The other kernels evaluate each point on its own,
+    in the order given.
     """
 
     lam: float
@@ -279,11 +283,7 @@ class PsiProfile:
             raise InvalidInput(
                 f"profile query outside [0, {self.lam!r}] beyond the rounding slack"
             )
-        flat = np.clip(flat, 0.0, self.lam)
-        order = np.argsort(flat, kind="stable")
-        vals = np.empty_like(flat)
-        vals[order] = self._kernel(flat[order])
-        return vals.reshape(arr.shape)
+        return self._kernel(np.clip(flat, 0.0, self.lam)).reshape(arr.shape)
 
 
 def y_from_psi(psi: PsiProfile, etas, clamp: bool = True) -> np.ndarray:
@@ -302,10 +302,10 @@ class SourceModel:
     reconstruct and the oracle never test the spec's type:
 
     * equation: reduced equation whose root is the front coefficient lam,
-      with its bracket (_BRACKET_LO, _hi(target));
+      in logs, with its bracket (_BRACKET_LO, _hi(target));
     * psi(lam): integrated profile Psi at front coefficient lam, carrying
       the fixed-face slope y'(0) as psi(lam).y_prime0 (InvalidInput where
-      e^{lam^2}, y'(0) or a coefficient of Psi overflows);
+      y'(0) or a coefficient of Psi overflows);
     * ode_rhs(etas, y_prime0): right-hand side r(eta) of the reduced ODE;
     * heat_source(material, eta, t, face_gradient): physical source H at
       similarity coordinates eta and time t, given the fixed-face
@@ -332,14 +332,24 @@ class SourceModel:
         self.source = source
         self.ste, self.delta, self.p = ste, delta, p
         target = 1.0 + delta / (p + 1.0)
-        self.equation = LambdaEquation(
-            self._lhs, target, f"front equation ({self.label})", (_BRACKET_LO, self._hi(target))
-        )
+        self.equation = LambdaEquation(self._log_ratio, target, f"front equation ({self.label})",
+                                       (_BRACKET_LO, self._hi(target)))
 
     def _hi(self, target: float) -> float:
         """An x with LHS(x) >= target, for no source or beta >= 0 (docs/errata.md, "Brackets")."""
         log_s = math.log(self.ste) + math.log(target)
         return math.sqrt(min(self.ste * target, max(1.0, log_s)))
+
+    def _log_ratio_of(self, x: float, h: float) -> float:
+        """ln(LHS(x) / target) for LHS = (sqrt(pi)/Ste) e^{x^2} x h, h of order erf(x)."""
+        return x * x + _log_quotient((SQRT_PI, x, h), (self.ste, self.equation.target))
+
+    def _coefficients(self, lam: float, b: float) -> tuple[float, float]:
+        """(coeff, y'(0)): Psi's erf(eta) coefficient coeff = (sqrt(pi)/Ste) e^{lam^2} b,
+        and y'(0) = -2 coeff / (sqrt(pi) (1 + delta))."""
+        coeff = math.exp(lam * lam + _log_quotient((SQRT_PI, b), (self.ste,)))
+        slope = -math.exp(lam * lam + _log_quotient((2.0, b), (self.ste, 1.0 + self.delta)))
+        return coeff, slope
 
     def psi(self, lam: float) -> PsiProfile:
         try:
@@ -354,13 +364,12 @@ class _NoSourceModel(SourceModel):
     label = "no source"
     uniform = True
 
-    def _lhs(self, x: float) -> float:
-        return (SQRT_PI / self.ste) * x * math.erf(x) * math.exp(x * x)
+    def _log_ratio(self, x: float) -> float:
+        return self._log_ratio_of(x, math.erf(x))
 
     def _psi(self, lam: float) -> PsiProfile:
         target = self.equation.target
-        coeff = _finite((SQRT_PI / self.ste) * lam * math.exp(lam * lam))
-        slope = _finite(-(2.0 / (self.ste * (1.0 + self.delta))) * (lam * math.exp(lam * lam)))
+        coeff, slope = self._coefficients(lam, lam)
 
         def kernel(pts: np.ndarray) -> np.ndarray:
             return target - coeff * erf(pts)
@@ -387,6 +396,10 @@ class _SimilarityModel(SourceModel):
     Ibe(x)  = integral_0^x beta e^{xi^2} dxi,
     Ibee(x) = integral_0^x beta e^{xi^2} erf(xi) dxi,
     B = lam e^{lam^2} + 2 Ibe(lam).
+
+    Each integrand is scaled by e^{-x^2}, x the upper end of the front
+    equation's integral or lam for Psi, so it is at most beta (xi <= x):
+    LHS = (sqrt(pi)/Ste) e^{x^2} x (erf(x) + (2/x) integral_0^x e^{xi^2 - x^2} erf beta).
     """
 
     label = "similarity source"
@@ -397,35 +410,33 @@ class _SimilarityModel(SourceModel):
         self.beta, _ = _call_vectorized(source.beta, np.array([0.25, 0.5]))
         super().__init__(source, ste, delta, p)
 
-    def _lhs(self, x: float) -> float:
-        head = (SQRT_PI / self.ste) * x * math.erf(x) * math.exp(x * x)
-        return head + (2.0 * SQRT_PI / self.ste) * integrate(self._f_bee, 0.0, x)
+    def _log_ratio(self, x: float) -> float:
+        # J underflows near x = 1e-300, which drops a term of h only there.
+        j = integrate(partial(self._f_bee, x), 0.0, x)
+        return self._log_ratio_of(x, math.erf(x) + 2.0 * (j / x))
 
-    def _f_be(self, z: np.ndarray) -> np.ndarray:
-        return self.beta(z) * np.exp(z * z)
+    def _f_be(self, x: float, z: np.ndarray) -> np.ndarray:
+        """beta(z) e^{z^2 - x^2}, at most beta(z) for z <= x."""
+        return self.beta(z) * np.exp(z * z - x * x)
 
-    def _f_bee(self, z: np.ndarray) -> np.ndarray:
-        return self.beta(z) * np.exp(z * z) * erf(z)
+    def _f_bee(self, x: float, z: np.ndarray) -> np.ndarray:
+        return self.beta(z) * np.exp(z * z - x * x) * erf(z)
 
     def _psi(self, lam: float) -> PsiProfile:
-        target, ste = self.equation.target, self.ste
-        # math.exp raises OverflowError before the quadrature can overflow in numpy.
-        head = lam * math.exp(lam * lam)
-        b_coeff = head + 2.0 * integrate(self._f_be, 0.0, lam)
-        slope = _finite(-(2.0 / (ste * (1.0 + self.delta))) * b_coeff)
-        # The kernel's erf(eta) coefficient, which it multiplies out per point.
-        _finite((SQRT_PI / ste) * b_coeff)
+        target = self.equation.target
+        f_be, f_bee = partial(self._f_be, lam), partial(self._f_bee, lam)
+        erf_coeff, slope = self._coefficients(lam, lam + 2.0 * integrate(f_be, 0.0, lam))
+        int_coeff = math.exp(lam * lam + _log_quotient((2.0 * SQRT_PI,), (self.ste,)))
 
         def kernel(pts: np.ndarray) -> np.ndarray:
-            nodes = np.concatenate([[0.0], pts])
-            ibe = integrate_cumulative(self._f_be, nodes)[1:]
-            ibee = integrate_cumulative(self._f_bee, nodes)[1:]
-            er = erf(pts)
-            return (
-                target
-                - (SQRT_PI / ste) * er * b_coeff
-                + (2.0 * SQRT_PI / ste) * (er * ibe - ibee)
-            )
+            order = np.argsort(pts, kind="stable")
+            nodes = np.concatenate([[0.0], pts[order]])
+            ibe = integrate_cumulative(f_be, nodes)[1:]
+            ibee = integrate_cumulative(f_bee, nodes)[1:]
+            er = erf(nodes[1:])
+            vals = np.empty_like(pts)
+            vals[order] = target - erf_coeff * er + int_coeff * (er * ibe - ibee)
+            return vals
 
         return PsiProfile(lam, self.delta, self.p, slope, kernel)
 
@@ -444,20 +455,22 @@ class _SimilarityModel(SourceModel):
 class _ExponentialModel(_SimilarityModel):
     """beta(eta) = e^{-eta^2}/2, whose integrals all have closed forms.
 
-    LHS = (sqrt(pi)/Ste) x erf(x) (e^{x^2} + 1) - (1 - e^{-x^2})/Ste.
+    LHS = (sqrt(pi)/Ste) x erf(x) (e^{x^2} + 1) - (1 - e^{-x^2})/Ste
+        = (sqrt(pi)/Ste) e^{x^2} x erf(x) (1 + e^{-x^2} (1 - rho(x))),
+    rho(x) = (1 - e^{-x^2}) / (sqrt(pi) x erf(x)) in (0, 1), formed with
+    exprel(u) = (e^u - 1)/u, which stays exact where x^2 underflows.
     """
 
     label = "exponential source"
 
-    def _lhs(self, x: float) -> float:
-        return (SQRT_PI / self.ste) * x * math.erf(x) * (math.exp(x * x) + 1.0) + math.expm1(
-            -x * x
-        ) / self.ste
+    def _log_ratio(self, x: float) -> float:
+        er = math.erf(x)
+        rho = x * float(exprel(-x * x)) / (SQRT_PI * er)
+        return self._log_ratio_of(x, er * (1.0 + math.exp(-x * x) * (1.0 - rho)))
 
     def _psi(self, lam: float) -> PsiProfile:
         target, ste = self.equation.target, self.ste
-        coeff = _finite((SQRT_PI / ste) * lam * (math.exp(lam * lam) + 1.0))
-        slope = _finite(-(2.0 / (ste * (1.0 + self.delta))) * lam * (math.exp(lam * lam) + 1.0))
+        coeff, slope = self._coefficients(lam, lam * (1.0 + math.exp(-lam * lam)))
 
         def kernel(pts: np.ndarray) -> np.ndarray:
             return target - coeff * erf(pts) - np.expm1(-pts * pts) / ste
@@ -478,13 +491,12 @@ class _FeedbackModel(SourceModel):
     Psi(eta) = target + c num(eta),   c = -2 lam / (Ste den(lam)),
     y'(0) = c / s,
     num(x) = (A/s) F(x) + ((1 + delta)/s) (sqrt(pi)/2) erf(x),
-    den(x) = ((1 + delta)/s) e^{-x^2} + (A/s) D(x),
-    F(x) = integral_0^x D(z) dz.
+    den(x) = ((1 + delta)/s) e^{-x^2} + (A/s) D(x).
 
-    So num is at most F(x) + (1 + delta) and den at most 1.55 + delta,
-    whatever A, and LHS and c are quotients of four factors (_quotient):
-    A and Ste near 1e300 overflow none of them.  den > 0 unless both of
-    its terms underflow, and LHS is then taken as +inf.
+    ln(LHS / target) and c are formed from quotients of bounded factors
+    (_log_quotient), num(x) as x (num(x)/x) with F(x)/x = x/2 and erf(x)/x
+    = 2/sqrt(pi) at small x, so that no factor underflows; den > 0 for
+    A >= 1e-300.
     """
 
     label = "flux-feedback source"
@@ -497,8 +509,9 @@ class _FeedbackModel(SourceModel):
         super().__init__(source, ste, delta, p)
         self._scale = max(feedback, 1.0)
         self._f_weight = feedback / self._scale
-        self._exp_weight = (1.0 + delta) / self._scale
-        self._erf_weight = self._exp_weight * (SQRT_PI / 2.0)
+        self._erf_weight = (1.0 + delta) / self._scale * (SQRT_PI / 2.0)
+        # ln((1 + delta)/s), so den's first term is one exp and cannot underflow before its weight.
+        self._log_exp_weight = math.log1p(delta) - math.log(self._scale)
 
     def _hi(self, target: float) -> float:
         """An x with LHS(x) >= target, in logs throughout (docs/errata.md, "Brackets")."""
@@ -513,15 +526,17 @@ class _FeedbackModel(SourceModel):
                    math.exp(0.5 * (log_s + log_a - log_n)))
 
     def _den(self, x: float) -> float:
-        return self._exp_weight * math.exp(-x * x) + self._f_weight * float(dawsn(x))
+        return math.exp(self._log_exp_weight - x * x) + self._f_weight * float(dawsn(x))
 
-    def _lhs(self, x: float) -> float:
-        num = self._f_weight * dawson_integral(x) + self._erf_weight * math.erf(x)
-        return _quotient(2.0 * x, num, self.ste, self._den(x))
+    def _log_ratio(self, x: float) -> float:
+        # F(x) = x^2/2 to double precision below x = 1e-8, where F may underflow.
+        f_over_x = 0.5 * x if x < 1e-8 else dawson_integral(x) / x
+        num = self._f_weight * f_over_x + self._erf_weight * (math.erf(x) / x)
+        return _log_quotient((2.0, x, x, num), (self.ste, self._den(x), self.equation.target))
 
     def _psi(self, lam: float) -> PsiProfile:
         target = self.equation.target
-        coeff = -_quotient(2.0, lam, self.ste, self._den(lam))
+        coeff = -math.exp(_log_quotient((2.0, lam), (self.ste, self._den(lam))))
         f_coeff, erf_coeff = coeff * self._f_weight, coeff * self._erf_weight
 
         def kernel(pts: np.ndarray) -> np.ndarray:
@@ -621,9 +636,8 @@ class SimilaritySolution:
         return self.psi.y_prime0
 
     def lambda_residual(self) -> float:
-        """Signed defect of lam in its reduced equation."""
-        equation = self.model.equation
-        return equation.evaluate(self.lam) - equation.target
+        """Signed defect LHS(lam) - target of lam in its reduced equation."""
+        return self.model.equation.residual(self.lam)
 
     def y_many(self, etas, clamp: bool = True) -> np.ndarray:
         """Profile y = Phi^{-1}(Psi(eta)) at an array of eta in [0, lam].
@@ -649,8 +663,8 @@ def solve_problem(
         solved to numerics.ROOT_ABS_TOL and ROOT_REL_TOL.
 
     Raises:
-        InvalidInput: Malformed problem data.
-        OutOfRange: The root is past the e^{x^2} overflow, lam^2 ~ 709.78.
+        InvalidInput: Malformed problem data, or a root whose y'(0) or
+            Psi coefficient is past the largest double.
         MaxSubdivisionsExceeded / NotBracketed / NonConvergence: Front
             coefficient could not be evaluated (a custom beta's
             quadrature), bracketed or resolved.

@@ -33,6 +33,9 @@ import math
 from collections.abc import Callable
 from dataclasses import replace
 
+import numpy as np
+from scipy.special import exprel
+
 from stefansim.model import SimilaritySource
 from stefansim.numerics import SQRT_PI, erf
 from stefansim.similarity import LambdaEquation, PsiProfile, source_model
@@ -57,21 +60,23 @@ def variant_psi_front_term_flipped(
 def variant_lambda_equation_exponential(
     ste: float, delta: float, p: float
 ) -> LambdaEquation:
-    """Variant B: circulated exponential-source front equation, +inf past overflow.
+    """Variant B: circulated exponential-source front equation, in logs.
 
-    Its bracket: for x >= 1, e^{x^2} - 1 >= x^2 and sqrt(pi) x erf(x)
-    >= sqrt(pi) erf(1) > 1, so the left-hand side is >= x^3 / Ste, which
-    reaches the target at x = max(1, (Ste target)^(1/3)).
+    Its left-hand side factors as (1 - e^{-x^2}) (1 + sqrt(pi) x erf(x) e^{x^2}) / Ste,
+    so its log is a sum of logs; 1 - e^{-x^2} = x^2 exprel(-x^2) stays exact
+    where x^2 underflows.  Its bracket: for x >= 1, e^{x^2} - 1 >= x^2 and
+    sqrt(pi) x erf(x) >= sqrt(pi) erf(1) > 1, so the left-hand side is
+    >= x^3 / Ste, which reaches the target at x = max(1, (Ste target)^(1/3)).
     """
 
-    def lhs(x: float) -> float:
-        return (-math.expm1(-x * x)) / ste + (SQRT_PI / ste) * x * math.erf(x) * (
-            math.exp(x * x) - 1.0
-        )
+    def log_ratio(x: float) -> float:
+        log_head = math.log(SQRT_PI) + math.log(x) + math.log(math.erf(x)) + x * x
+        log_factors = 2.0 * math.log(x) + math.log(exprel(-x * x)) + np.logaddexp(0.0, log_head)
+        return float(log_factors) - math.log(ste) - math.log(target)
 
     target = 1.0 + delta / (p + 1.0)
     return LambdaEquation(
-        lhs,
+        log_ratio,
         target,
         "front equation (exponential source, rejected variant)",
         (1e-300, max(1.0, (ste * target) ** (1.0 / 3.0))),

@@ -79,6 +79,13 @@ REMOVED_KEYS = (
 )
 
 
+def assert_sign_change(ste, delta, lam):
+    """ln LHS - ln target of the exponential front equation at p = 1
+    changes sign across lam (1 -+ 1e-10)."""
+    eq = similarity.source_model(ExponentialSource(), ste, delta, 1.0).equation
+    assert eq.log_ratio(lam * (1.0 - 1e-10)) < 0.0 < eq.log_ratio(lam * (1.0 + 1e-10))
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -379,16 +386,17 @@ class TestSolveCommand:
         b = (tmp_path / "b" / "summary.csv").read_bytes()
         assert a == b
 
-    def test_exit_3_on_root_past_overflow(self, tmp_path, capsys):
-        # The root's e^{lam^2} is past the largest double; no lam is written.
+    def test_exit_3_on_root_past_overflow(self, tmp_path):
+        # The root's e^{lam^2} is past the largest double.  This exited 3
+        # with OutOfRange before the front equation was solved in logs; the
+        # lam written now changes the sign of ln LHS - ln target.
         text = DIMLESS_EXP.replace("problem.ste = 1.0", "problem.ste = 1e300")
         cfg = write_cfg(tmp_path, text.replace("problem.delta = 1.0", "problem.delta = 1e300"))
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 3
-        assert capsys.readouterr().err.startswith(
-            "solver error: solving front equation (exponential source): "
-            "g overflows past x = 26.64"
-        )
-        assert not (tmp_path / "summary.csv").exists()
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+        record = dict(zip(*read_csv(tmp_path / "summary.csv")))
+        lam = float(record["lam"])
+        assert lam == pytest.approx(37.1035, rel=1e-5)
+        assert_sign_change(float(record["ste"]), 1e300, lam)
 
     def test_exit_2_on_bad_config(self, tmp_path, capsys):
         for line in ("problem.bogus = 1", "solver.table_nodes = 129", *REMOVED_KEYS):
@@ -668,16 +676,16 @@ class TestSweepCommand:
         assert statuses["1"] == "ok"
 
     def test_root_past_overflow_recorded_in_row(self, tmp_path):
+        # The delta = 1e300 row's root is past the e^{lam^2} overflow; its
+        # status was an OutOfRange error before the solve in logs.
         text = DIMLESS_EXP.replace("problem.ste = 1.0", "problem.ste = 1e300")
         cfg = write_cfg(tmp_path, text + "sweep.delta = 1.0, 1e300\n")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
-        statuses = [row[7] for row in read_csv(tmp_path / "sweep.csv")[1:]]
-        assert statuses[0] == "ok"
-        assert statuses[1].startswith(
-            "error: OutOfRange: solving front equation (exponential source): "
-            "g overflows past x = 26.64"
-        )
-        assert "(x^2 = 709.78" in statuses[1]
+        rows = read_csv(tmp_path / "sweep.csv")[1:]
+        assert [row[7] for row in rows] == ["ok", "ok"]
+        ste, delta, lam = (float(rows[1][i]) for i in (0, 1, 4))
+        assert (delta, lam) == (1e300, pytest.approx(37.1035, rel=1e-5))
+        assert_sign_change(ste, delta, lam)
 
     def test_zero_ste_recorded_in_row(self, tmp_path):
         text = DIMLESS_EXP.replace("problem.ste = 1.0\n", "") + "sweep.ste = 0, 1\n"

@@ -19,7 +19,6 @@ from stefansim.errors import (
     InvalidInput,
     MaxSubdivisionsExceeded,
     NotBracketed,
-    OutOfRange,
 )
 from stefansim import numerics
 from stefansim.numerics import (
@@ -251,27 +250,29 @@ def bisect_oracle(g, target, lo, hi, iters=200):
 
 
 class TestFindRootIncreasing:
+    """find_root_increasing takes ln(g / target) and solves g(x) = target."""
+
     def test_classical_front_coefficient(self):
         g = lambda x: math.sqrt(math.pi) * x * math.erf(x) * math.exp(x * x)
         want = bisect_oracle(g, 1.0, 0.1, 1.0)
         assert want == pytest.approx(CLASSICAL_LAM, abs=1e-12)
-        got = find_root_increasing(g, 1.0, 1e-8, 1.0)
+        got = find_root_increasing(lambda x: math.log(g(x)), 1.0, 1e-8, 1.0)
         assert got == pytest.approx(CLASSICAL_LAM, abs=1e-10)
 
     def test_not_bracketed_below(self):
         with pytest.raises(NotBracketed):
-            find_root_increasing(lambda x: x + 1.0, 0.5, 1.0, 2.0)
+            find_root_increasing(lambda x: math.log((x + 1.0) / 0.5), 0.5, 1.0, 2.0)
 
     def test_not_bracketed_above(self):
         # The bracket is taken as given: no end moves to find the root.
         calls = []
 
-        def g(x):
+        def log_ratio(x):
             calls.append(x)
-            return x * x
+            return math.log(x * x / 100.0)
 
         with pytest.raises(NotBracketed):
-            find_root_increasing(g, 100.0, 1e-3, 1.0)
+            find_root_increasing(log_ratio, 100.0, 1e-3, 1.0)
         assert calls == [1e-3, 1.0]
 
     @pytest.mark.parametrize("nan_at", ["lo", "hi"])
@@ -279,67 +280,55 @@ class TestFindRootIncreasing:
         lo, hi = 0.5, 2.0
         bad = lo if nan_at == "lo" else hi
         with pytest.raises(NotBracketed):
-            find_root_increasing(lambda x: math.nan if x == bad else x, 1.0, lo, hi)
+            find_root_increasing(lambda x: math.nan if x == bad else math.log(x), 1.0, lo, hi)
 
     def test_residual_tolerance_honored(self, monkeypatch):
+        # ROOT_ABS_TOL bounds g - target itself, not the log residual.
         monkeypatch.setattr(numerics, "ROOT_ABS_TOL", 1e-12)
         monkeypatch.setattr(numerics, "ROOT_REL_TOL", 1e-14)
         monkeypatch.setattr(numerics, "ROOT_MAX_ITER", 500)
         g = lambda x: x**3
-        root = find_root_increasing(g, 8.0, 0.5, 4.0)
+        root = find_root_increasing(lambda x: 3.0 * math.log(x / 2.0), 8.0, 0.5, 4.0)
         assert abs(g(root) - 8.0) <= 1e-12
 
     def test_classical_evaluation_budget(self):
         # Bisection needs ~43 evaluations from this seed; interpolation far fewer.
         calls = []
 
-        def g(x):
+        def log_ratio(x):
             calls.append(x)
-            return math.sqrt(math.pi) * x * math.erf(x) * math.exp(x * x)
+            return 0.5 * math.log(math.pi) + math.log(x) + math.log(math.erf(x)) + x * x
 
-        got = find_root_increasing(g, 1.0, 1e-8, 1.0)
+        got = find_root_increasing(log_ratio, 1.0, 1e-8, 1.0)
         assert got == pytest.approx(CLASSICAL_LAM, rel=1e-12)
         assert len(calls) <= 20
 
     def test_steep_function_resolved_to_ulps(self):
         # Near the root g' = 1e13, so no double meets the residual tolerance;
         # the bracket must collapse to adjacent doubles instead.
-        got = find_root_increasing(lambda x: 1e12 * math.exp(x), 1e13, 1e-8, 4.0)
+        got = find_root_increasing(lambda x: x - math.log(10.0), 1e13, 1e-8, 4.0)
         assert abs(got - math.log(10.0)) <= 4.0 * math.ulp(math.log(10.0))
 
-    def test_infinite_values_above_root(self):
-        # Bisection while a bracket end is infinite reaches the finite part
-        # in a few halvings; interpolating through inf degenerates into
-        # minimum-size steps and takes more evaluations.
-        calls = []
-
-        def g(x):
-            calls.append(x)
-            return math.inf if x > 1.0 else math.expm1(x)
-
-        got = find_root_increasing(g, 1.0, 1e-8, 50.0)
-        assert got == pytest.approx(math.log(2.0), rel=1e-12)
-        assert len(calls) <= 16
-
-    def test_overflow_counts_as_infinite(self):
-        # exp(x^2) overflows a double at the bracket's upper end, 32.
-        got = find_root_increasing(lambda x: math.exp(x * x), 1e300, 1e-8, 32.0)
-        assert got == pytest.approx(math.sqrt(math.log(1e300)), rel=1e-12)
-
-    def test_root_past_overflow_is_out_of_range(self):
-        # 1e-10 exp(x^2) stays below 1e300 wherever exp(x^2) is a double: the
-        # bracket collapses onto the last finite value, which is not a root.
-        with pytest.raises(OutOfRange, match=r"g overflows past x = 26\.64.* \(x\^2 = 709\.78"):
-            find_root_increasing(lambda x: 1e-10 * math.exp(x * x), 1e300, 1e-8, 32.0)
+    def test_g_past_the_largest_double(self):
+        # g = e^{x^2} 1e-10 reaches 1e300 at x^2 ~ 713.8, where e^{x^2} is
+        # no double; in logs the root is an ordinary solve.
+        log_scale = math.log(1e-10) - math.log(1e300)
+        got = find_root_increasing(lambda x: x * x + log_scale, 1e300, 1e-8, 32.0)
+        assert got == pytest.approx(math.sqrt(math.log(1e300) + math.log(1e10)), rel=1e-12)
 
     @pytest.mark.parametrize("target", [0.5, 1.0])
     def test_exact_hit_at_bracket_end(self, target):
-        assert find_root_increasing(lambda x: x, target, 0.5, 1.0) == target
+        assert find_root_increasing(lambda x: math.log(x / target), target, 0.5, 1.0) == target
 
 
 class TestValidation:
     def test_bracket_requires_order(self):
         with pytest.raises(InvalidInput):
-            find_root_increasing(lambda x: x, 0.5, 2.0, 1.0)
+            find_root_increasing(math.log, 0.5, 2.0, 1.0)
         with pytest.raises(InvalidInput):
-            find_root_increasing(lambda x: x, 0.5, math.nan, 1.0)
+            find_root_increasing(math.log, 0.5, math.nan, 1.0)
+
+    @pytest.mark.parametrize("target", [0.0, -1.0, math.inf, math.nan])
+    def test_target_must_be_positive(self, target):
+        with pytest.raises(InvalidInput):
+            find_root_increasing(math.log, target, 0.5, 1.0)

@@ -5,7 +5,8 @@ source, written by tools/mp_reference.py.  That script solves the unscaled
 front equation, built from integrals of e^{z^2}, and never uses Dawson's
 function, so it is independent of the scaled form in stefansim.similarity.
 tests/data/reference_closed_forms.json holds the same values for the
-no-source and exponential closed forms, solved with mp.findroot, and
+no-source and exponential closed forms, solved with mp.findroot (two rows
+past the e^{lam^2} overflow of a double, at delta = 1e300), and
 tests/data/reference_custom_beta.json for the similarity source with
 beta(eta) = (1 + eta) e^{-eta^2} / 2, integrated with mp.quad, and
 tests/data/reference_dawson_integral.json for the integral F of Dawson's
@@ -52,14 +53,19 @@ LAM_REL_TOL = 1e-11
 F_REL_TOL = 1e-14
 PSI_ABS_TOL = 1e-10
 
+# Two roots past the overflow of e^{lam^2} in a double, lam = 27.06 and
+# 37.10.  Phi(1) is 5e299 there, and a double holds Psi only to about
+# 1e-16 Phi(1), so their Psi errors are measured in units of Phi(1).
+PAST_OVERFLOW_ROWS = {(1e20, 1e300, 1.0), (1e300, 1e300, 1.0)}
 # (Ste, delta, p) rows of the closed-form and custom-beta tables: the 8
-# acceptance-grid corners, the unit case, and two roots with lam^2 just
-# below the overflow of e^{lam^2} (about 701 and 703).
+# acceptance-grid corners, the unit case, two roots with lam^2 just
+# below the overflow of e^{lam^2} (about 701 and 703), and the two above.
 CLOSED_ROWS = {
     *itertools.product((0.1, 5.0), (0.1, 5.0), (0.5, 3.0)),
     (1.0, 1.0, 1.0),
     (1e306, 1.0, 1.0),
     (1e307, 1.0, 1.0),
+    *PAST_OVERFLOW_ROWS,
 }
 
 
@@ -74,11 +80,16 @@ def solve_case(case, source=None):
 
 
 def reference_errors(case, model, lam):
-    """(relative lam error, largest absolute Psi error) of lam and model.psi(lam)."""
+    """(relative lam error, largest absolute Psi error) of lam and model.psi(lam).
+
+    The Psi error of a PAST_OVERFLOW_ROWS row is in units of Phi(1).
+    """
     lam_ref = float(case["lam"])
     psi = model.psi(lam).evaluate_many(np.array(case["eta"]))
     psi_ref = np.array([float(v) for v in case["psi"]])
-    return abs(lam - lam_ref) / lam_ref, float(np.max(np.abs(psi - psi_ref)))
+    row = (case["ste"], case["delta"], case["p"])
+    unit = model.equation.target if row in PAST_OVERFLOW_ROWS else 1.0
+    return abs(lam - lam_ref) / lam_ref, float(np.max(np.abs(psi - psi_ref))) / unit
 
 
 def test_table_covers_wide_domain():

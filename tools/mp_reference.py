@@ -120,14 +120,20 @@ LIMIT_X = 1e4
 SERIES_TERMS = 13
 
 # (Ste, delta, p) of the closed-form and custom-beta tables: the 8 corners
-# of the acceptance grid, the unit case, and two cases at Ste = 1e306 and
+# of the acceptance grid, the unit case, two cases at Ste = 1e306 and
 # 1e307, where lam^2 is about 701 and 703, just below the overflow of
-# e^{lam^2} in a double at 709.78.
+# e^{lam^2} in a double at 709.78, and two past it at delta = 1e300:
+# lam = 27.06 at Ste = 1e20 and lam = 37.10 at Ste = 1e300.  There
+# Phi(1) = 5e299, Psi falls below 1e-80 Phi(1) by eta = lam/2, and 30
+# digits hold Psi to about 1e-30 Phi(1): the stored Psi are that accurate
+# in units of Phi(1), not in units of themselves (some read below 0).
 CLOSED_CASES = [
     *itertools.product((0.1, 5.0), (0.1, 5.0), (0.5, 3.0)),
     (1.0, 1.0, 1.0),
     (1e306, 1.0, 1.0),
     (1e307, 1.0, 1.0),
+    (1e20, 1e300, 1.0),
+    (1e300, 1e300, 1.0),
 ]
 
 
@@ -228,7 +234,8 @@ def closed_reference_case(source, ste, delta, p):
     mp.mp.dps = DIGITS
     ste, delta, p = (mp.mpf(v) for v in (ste, delta, p))
     target = 1 + delta / (p + 1)
-    lam = bracketed_root(lambda x: closed_lhs(source, x, ste) - target)
+    # Relative, so that mp.findroot's residual test can be met at target = 5e299.
+    lam = bracketed_root(lambda x: closed_lhs(source, x, ste) / target - 1)
     etas = [float(lam * q) for q in ETA_FRACTIONS]
     return {
         "source": source,
@@ -262,11 +269,11 @@ def custom_reference_case(ste, delta, p):
     target = 1 + delta / (p + 1)
     root_pi = mp.sqrt(mp.pi)
 
-    def lhs_minus_target(x):
+    def relative_residual(x):
         head = root_pi * x * mp.erf(x) * mp.exp(x * x) / ste
-        return head + 2 * root_pi * custom_integrals(x)[1] / ste - target
+        return (head + 2 * root_pi * custom_integrals(x)[1] / ste) / target - 1
 
-    lam = bracketed_root(lhs_minus_target)
+    lam = bracketed_root(relative_residual)
     b_coeff = lam * mp.exp(lam * lam) + 2 * custom_integrals(lam)[0]
 
     def psi_at(eta):
