@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,20 +22,26 @@ from stefansim.errors import (
     NotBracketed,
 )
 from stefansim import numerics
+from stefansim.model import SimilaritySource
 from stefansim.numerics import (
     MIN_PANEL_CAP,
     PANELS_PER_SEGMENT,
+    _integrate_segments,
     erf,
     find_root_increasing,
     integrate,
     integrate_cumulative,
 )
+from stefansim.similarity import source_model
 
 # Frozen oracle values (computed by the reference routines below, then
 # pinned so regressions cannot drift them).
 ERF_ONE = 0.8427007929497149
 INT_EXP_SQ_01 = 1.4626517459071815  # integral of e^(z^2) on [0, 1]
 CLASSICAL_LAM = 0.6200626333135928  # root of sqrt(pi) x erf(x) e^(x^2) = 1
+
+# A custom similarity source: its formulas are integrate's only callers.
+CUSTOM_BETA = lambda eta: 0.5 * (1.0 + eta) * np.exp(-eta * eta)
 
 
 def erf_taylor(x: float, terms: int = 40) -> float:
@@ -98,6 +105,42 @@ class TestIntegrate:
     def test_orientation_antisymmetry(self):
         f = lambda z: z**3 - z
         assert integrate(f, 1.0, 0.0) == pytest.approx(-integrate(f, 0.0, 1.0), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "f, b, panels",
+        [
+            (lambda z: np.exp(z * z), 0.3, 1),
+            (lambda z: 7.0 * z**6, 1.0, 1),
+            (partial(source_model(SimilaritySource(CUSTOM_BETA), 1.3, 2.0, 1.7)._f_bee, 0.7),
+             0.7, 1),
+            (lambda z: np.exp(z * z), 5.0, None),
+        ],
+        ids=["exp-sq-0.3", "poly-deg6", "custom-beta-f_bee", "exp-sq-5-subdivides"],
+    )
+    def test_same_bits_as_the_segment_pass(self, f, b, panels):
+        # integrate is the one-segment case of _integrate_segments, to the
+        # bit, whether its first panel is accepted (panels = 1: one integrand
+        # call of 15 nodes) or subdivided; and it negates exactly when the
+        # limits swap.
+        nodes = []
+
+        def counted(z):
+            nodes.append(np.size(z))
+            return f(z)
+
+        got = integrate(counted, 0.0, b)
+        assert got == _integrate_segments(f, np.array([0.0]), np.array([b]), b)[0]
+        assert integrate(f, b, 0.0) == -got
+        if panels == 1:
+            assert nodes == [15]
+        else:
+            assert len(nodes) > 1
+
+    def test_scalar_only_integrand(self):
+        assert integrate(math.exp, 0, 1) == pytest.approx(math.expm1(1.0), rel=1e-15)
+
+    def test_constant_integrand(self):
+        assert integrate(lambda z: 2.0, 0, 3) == 6.0
 
     def test_zero_width(self):
         assert integrate(lambda z: np.exp(z), 0.5, 0.5) == 0.0

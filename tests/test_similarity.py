@@ -64,6 +64,21 @@ def unit_material(ste: float, delta: float, p: float) -> Material:
     return Material(rho=1.0, c0=1.0, k0=1.0, latent_heat=1.0 / ste, delta=delta, p=p)
 
 
+def phi_inverse_newton_reference(delta: float, p: float, w: np.ndarray) -> np.ndarray:
+    """_phi_inverse_newton as a loop that allocates each iterate, the
+    reference for the sweep written in place: the same operations in the
+    same order, so the results must be equal to the bit."""
+    c = delta / (p + 1.0)
+    x = np.minimum(w, 1.0)
+    for _ in range(100):
+        xp = x**p
+        step = (x * (1.0 + c * xp) - w) / (1.0 + delta * xp)
+        x = np.clip(x - step, 0.0, 1.0)
+        if not np.any(np.abs(step) > 1e-14):
+            return x
+    raise AssertionError("reference Newton did not converge")
+
+
 class TestPhi:
     def test_map_and_derivative(self):
         xs = np.linspace(0.0, 1.0, 33)
@@ -104,6 +119,17 @@ class TestPhi:
         y = np.linspace(0.0, 1.0, 101)
         got = _phi_inverse_many(delta, p, phi_map(delta, p, y), clamp=True)
         np.testing.assert_allclose(got, y, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("delta", [1e-8, 1.0, 1e3])
+    @pytest.mark.parametrize("p", [1e-3, 0.5, 1.0, 1.7, 20.0])
+    def test_newton_matches_allocating_reference(self, p, delta):
+        top = phi_map(delta, p, 1.0)
+        rng = np.random.default_rng(11)
+        ws = np.concatenate([[0.0], rng.uniform(0.0, top, 300), [top]])
+        for w in (ws, ws[:0], ws[150:151], np.array([0.5 * top, math.nan])):
+            got = _phi_inverse_newton(delta, p, w)
+            want = phi_inverse_newton_reference(delta, p, w)
+            assert np.array_equal(got, want, equal_nan=True)
 
     def test_quadratic_inverse_matches_generic_at_p1(self):
         for delta in (0.1, 1.0, 5.0):
