@@ -11,12 +11,16 @@ adaptive integrator uses an embedded Gauss-Kronrod 7/15 pair (Piessens et
 al., QUADPACK, 1983): the 15-point Kronrod value is the estimate and the
 absolute Gauss/Kronrod discrepancy is its error bound, which overestimates
 the true error for smooth integrands and therefore errs on the side of
-extra subdivision.  integrate and integrate_cumulative share one pass,
-breadth-first over numpy arrays of active panels, so integrands are always
-evaluated on batches of nodes rather than one scalar at a time.  Both meet
-one budget, max(QUAD_ABS_TOL, QUAD_REL_TOL * |integral|), and both fail
-with MaxSubdivisionsExceeded at a depth limit or an active-panel cap
-rather than running out of memory.
+extra subdivision.  Subdivision is one pass, breadth-first over numpy
+arrays of active panels, which integrate_cumulative runs over all its
+segments and integrate over its one interval.  integrate first applies the
+pair to the whole interval on Python floats and returns when that panel
+meets its budget, with the bits the pass's first round would give; it
+costs one integrand call and no panel arrays.  Integrands are always
+evaluated on arrays of nodes, never one scalar at a time.  Every integral
+meets one budget, max(QUAD_ABS_TOL, QUAD_REL_TOL * |integral|), and the
+pass fails with MaxSubdivisionsExceeded at a depth limit or an
+active-panel cap rather than running out of memory.
 
 Root finding works only on (strictly) increasing functions, which is all
 the similarity layer ever needs: every transcendental equation in this
@@ -307,7 +311,12 @@ def _integrate_segments(
 def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
     """Adaptive integral of f over [a, b].
 
-    Panels whose Gauss/Kronrod discrepancy exceeds their share of the
+    The first panel is the whole interval, evaluated on Python floats with
+    one call of f on its 15 nodes; if its Gauss/Kronrod discrepancy is
+    within max(QUAD_ABS_TOL, QUAD_REL_TOL * |value|), that value is the
+    result, equal to the bit to what _integrate_segments would return.
+    Otherwise the interval goes to _integrate_segments, which evaluates
+    that panel again: panels whose discrepancy exceeds their share of the
     error budget (allocated proportionally to panel length) are bisected,
     breadth first, until every panel is accepted.  The final estimated
     error is at most max(QUAD_ABS_TOL, QUAD_REL_TOL * |result|).
@@ -335,6 +344,17 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> floa
     if b < a:
         a, b = b, a
         sign = -1.0
+    half = 0.5 * (b - a)
+    f, fx = _call_vectorized(f, 0.5 * (a + b) + half * _NODES)
+    if not np.isfinite(fx).all():
+        raise InvalidInput("integrand returned a non-finite value")
+    vk, vg = half * float(fx @ _WK), half * float(fx @ _WG)
+    # The budget and its share (panel length over segment length) are
+    # formed as _integrate_segments forms them, whose running total starts
+    # at 0.0: a -0.0 panel sums to 0.0 there too.
+    total = 0.0 + vk
+    if abs(vk - vg) <= max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total)) * (b - a) / (b - a):
+        return sign * total
     return sign * float(_integrate_segments(f, np.array([a]), np.array([b]), b - a)[0])
 
 

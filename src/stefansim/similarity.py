@@ -166,14 +166,30 @@ def _phi_inverse_newton(delta: float, p: float, w: np.ndarray) -> np.ndarray:
     accept x far from the root wherever Phi(x) << Phi(1).  _phi_inverse_many
     uses it for p != 1; at p = 1 it is the independent check on the
     quadratic closed form.
+
+    Each sweep works in three arrays, x, x^p and the step, allocated once.
+    The step (x (1 + c x^p) - w) / (1 + delta x^p) is formed by the
+    expression's operations in its order, so the iterates equal those of a
+    loop that allocates each one (tests/test_similarity.py keeps it as the
+    reference) to the bit.  The stop reads the largest |step| by fmax,
+    which skips NaN entries as the comparison |step| > 1e-14 does.
     """
     c = delta / (p + 1.0)
     x = np.minimum(w, 1.0)
+    xp = np.empty_like(x)
+    step = np.empty_like(x)
     for _ in range(100):
-        xp = x**p
-        step = (x * (1.0 + c * xp) - w) / (1.0 + delta * xp)
-        x = np.clip(x - step, 0.0, 1.0)
-        if not np.any(np.abs(step) > 1e-14):
+        np.power(x, p, out=xp)
+        np.multiply(c, xp, out=step)
+        step += 1.0
+        step *= x
+        step -= w
+        xp *= delta
+        xp += 1.0
+        step /= xp
+        x -= step
+        np.clip(x, 0.0, 1.0, out=x)
+        if not np.fmax.reduce(np.abs(step, out=xp), initial=0.0) > 1e-14:
             return x
     raise NonConvergence("phi inverse Newton did not reach tolerance in 100 sweeps")
 
